@@ -15,31 +15,17 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from cdlab.cli import main as cdlab_main  # noqa: E402
 
-CONFIGS = [
-    "identities.json",
-    "bulk_legendre.json",
-    "bulk_chebyshev.json",
-    "opuc_bulk.json",
-    "hard_edge.json",
-    "fisher_hartwig.json",
-    "jump.json",
-    "schrodinger.json",
-    "sparse.json",
-    "bulk_pure_point.json",
-]
-
-
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-root", default="out")
     args = parser.parse_args()
     cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
     statuses = {}
-    for name in CONFIGS:
-        out = pathlib.Path(args.out_root) / name.removesuffix(".json")
-        print(f"\n=== {name} ===")
-        statuses[name] = cdlab_main(
-            ["run", "--config", str(cfg_dir / name), "--out", str(out)]
+    for path in sorted(cfg_dir.glob("*.json")):
+        out = pathlib.Path(args.out_root) / path.stem
+        print(f"\n=== {path.name} ===")
+        statuses[path.name] = cdlab_main(
+            ["run", "--config", str(path), "--out", str(out)]
         )
     print("\nsummary:")
     for name, status in statuses.items():

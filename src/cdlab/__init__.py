@@ -3,7 +3,6 @@ systems, and their regularly varying scaling limits."""
 
 from .special import (
     SeriesPolicy,
-    RisingFactorialCache,
     DEFAULT_POLICY,
     gamma_cx,
     kummer_m,
@@ -19,7 +18,6 @@ from .limit_kernels import (
     eval_limit_kernel,
     sine_kernel,
     fh_bessel_kernel,
-    scaled_kernel,
     fit_internal_scale,
 )
 from .measures import (
@@ -31,7 +29,6 @@ from .measures import (
     local_scaling,
     asymptotic_inverse,
     cauchy_transform,
-    regularized_cauchy,
     gallery,
     gallery_names,
 )

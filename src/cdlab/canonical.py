@@ -312,6 +312,31 @@ class SchrodingerToleranceError(RuntimeError):
     """Step control failed or the two kernel forms disagree."""
 
 
+def _rk4_simpson(rhs, state, integrand, x, n_steps, a):
+    """n_steps of RK4 for state' = rhs(y, state) on [a, x], where state is a
+    stacked complex array whose row 0 is u; also accumulates
+    m(x) = int_a^x integrand(u) dy by Simpson's rule on the RK4 substeps.
+
+    Returns (state at x, m).
+    """
+    m = 0.0
+    h = (x - a) / n_steps
+    y = a
+    for _ in range(n_steps):
+        k1 = rhs(y, state)
+        k2 = rhs(y + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(y + h, state + h * k3)
+        new = state + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        # third-order dense output at the midpoint keeps Simpson at O(h^4)
+        u_mid = 0.5 * (state[0] + new[0]) + (h / 8.0) * (k1[0] - k4[0])
+        m += (h / 6.0) * (integrand(state[0]) + 4.0 * integrand(u_mid)
+                          + integrand(new[0]))
+        state = new
+        y += h
+    return state, m
+
+
 def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, a=0.0):
     """RK4 for u'' = (V - lam) u with u(a) = sin(beta), u'(a) = -cos(beta),
     batched over the spectral parameters lams; also accumulates
@@ -320,35 +345,14 @@ def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, a=0.0):
     Returns (u, u', m) arrays over lams (m has one entry per adjacent pair).
     """
     lams = np.asarray(lams, dtype=complex)
-    u = np.full(lams.shape, math.sin(beta_bc), dtype=complex)
-    du = np.full(lams.shape, -math.cos(beta_bc), dtype=complex)
-    m = np.zeros(lams.shape[0] // 2, dtype=complex)
-    h = (x - a) / n_steps
+    state = np.empty((2, lams.size), dtype=complex)
+    state[0] = math.sin(beta_bc)
+    state[1] = -math.cos(beta_bc)
 
-    def rhs(y, state):
-        uu, dd = state
-        return dd, (v_fn(y) - lams) * uu
+    def rhs(y, s):
+        return np.array([s[1], (v_fn(y) - lams) * s[0]])
 
-    y = a
-    for _ in range(n_steps):
-        # quadrature state integrated with Simpson on the RK4 substeps
-        prod0 = u[0::2] * u[1::2]
-        k1u, k1d = rhs(y, (u, du))
-        s2 = (u + 0.5 * h * k1u, du + 0.5 * h * k1d)
-        k2u, k2d = rhs(y + 0.5 * h, s2)
-        s3 = (u + 0.5 * h * k2u, du + 0.5 * h * k2d)
-        k3u, k3d = rhs(y + 0.5 * h, s3)
-        s4 = (u + h * k3u, du + h * k3d)
-        k4u, k4d = rhs(y + h, s4)
-        u_new = u + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-        du_new = du + h * (k1d + 2.0 * k2d + 2.0 * k3d + k4d) / 6.0
-        # third-order dense output at the midpoint keeps Simpson at O(h^4)
-        u_mid = 0.5 * (u + u_new) + (h / 8.0) * (k1u - k4u)
-        prod_mid = u_mid[0::2] * u_mid[1::2]
-        prod1 = u_new[0::2] * u_new[1::2]
-        m += (h / 6.0) * (prod0 + 4.0 * prod_mid + prod1)
-        u, du = u_new, du_new
-        y += h
+    (u, du), m = _rk4_simpson(rhs, state, lambda u: u[0::2] * u[1::2], x, n_steps, a)
     return u, du, m
 
 
@@ -392,36 +396,11 @@ def _schrodinger_confluent(v_fn, beta_bc, x, lam, n_steps, a=0.0):
     """Diagonal kernel via the lam-derivative system:
     udot'' = (V - lam) udot - u, so K = u'(x) udot(x) - u(x) udot'(x)."""
     lam = complex(lam)
-    u = np.array([math.sin(beta_bc)], dtype=complex)
-    du = np.array([-math.cos(beta_bc)], dtype=complex)
-    ud = np.zeros(1, dtype=complex)
-    dud = np.zeros(1, dtype=complex)
-    m = 0.0 + 0.0j
-    h = (x - a) / n_steps
+    state = np.array([math.sin(beta_bc), -math.cos(beta_bc), 0.0, 0.0], dtype=complex)
 
-    def rhs(y, state):
-        uu, dd, vv, ee = state
+    def rhs(y, s):
         pot = v_fn(y) - lam
-        return dd, pot * uu, ee, pot * vv - uu
+        return np.array([s[1], pot * s[0], s[3], pot * s[2] - s[0]])
 
-    y = a
-    for _ in range(n_steps):
-        p0 = u[0] * u[0]
-        k1 = rhs(y, (u, du, ud, dud))
-        s2 = tuple(s + 0.5 * h * k for s, k in zip((u, du, ud, dud), k1))
-        k2 = rhs(y + 0.5 * h, s2)
-        s3 = tuple(s + 0.5 * h * k for s, k in zip((u, du, ud, dud), k2))
-        k3 = rhs(y + 0.5 * h, s3)
-        s4 = tuple(s + h * k for s, k in zip((u, du, ud, dud), k3))
-        k4 = rhs(y + h, s4)
-        new = [
-            s + h * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-            for s, a1, a2, a3, a4 in zip((u, du, ud, dud), k1, k2, k3, k4)
-        ]
-        u_mid = 0.5 * (u + new[0]) + (h / 8.0) * (k1[0] - k4[0])
-        p1 = new[0][0] * new[0][0]
-        m += (h / 6.0) * (p0 + 4.0 * u_mid[0] * u_mid[0] + p1)
-        u, du, ud, dud = new
-        y += h
-    wron = complex(du[0] * ud[0] - u[0] * dud[0])
-    return complex(m), wron
+    (u, du, ud, dud), m = _rk4_simpson(rhs, state, lambda u: u * u, x, n_steps, a)
+    return complex(m), complex(du * ud - u * dud)

@@ -1,11 +1,14 @@
-"""Batch experiment runner.
+"""Batch experiment runner and its JSON config.
 
-    cdlab run --config cfg.json [--out DIR] [--jobs K]
+    cdlab run --config cfg.json [--out DIR]
     cdlab list-experiments
     cdlab identities [--filter MODULE]
 
-Exit status: 0 pass, 1 experiment fail, 2 config error.  Outputs are
-bit-stable for a fixed config (floats printed with 17 significant digits).
+Every experiment is one entry of EXPERIMENTS: its runner, help line and
+config defaults.  Validation errors carry the offending field path so the
+CLI can name it.  Exit status: 0 pass, 1 experiment fail, 2 config error.
+Outputs are bit-stable for a fixed config (floats printed with 17
+significant digits).
 """
 
 from __future__ import annotations
@@ -15,12 +18,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import canonical, measures, oprl, opuc
-from .config import EXPERIMENTS, ConfigError, load_config
-from .identities import run_identities
+from .identities import MODULES as IDENTITY_MODULES, run_identities
 from .limit_kernels import build_limit_kernel, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .universality import (
@@ -32,17 +36,127 @@ from .universality import (
     zero_study,
 )
 
-_EXPERIMENT_HELP = {
-    "bulk": "rescaled CD kernels of a gallery measure vs the sine kernel",
-    "hard_edge": "zero ratio law at a hard edge vs squared Bessel-zero ratios",
-    "fisher_hartwig": "even power-weight zero laws (even/odd degree Bessel ratios)",
-    "jump": "jump-weight rescaled kernels vs the two-sided limit kernel",
-    "opuc_bulk": "circle CD kernels (free coefficients) vs the sine kernel",
-    "sparse": "sparse decaying Jacobi matrix: diagnostics and sine-kernel limit",
-    "canonical_identities": "canonical-system identity suite only",
-    "schrodinger": "free Schrodinger kernels: two-form agreement and bulk limit",
-    "identities": "every exact-identity suite across all modules",
-}
+
+class ConfigError(ValueError):
+    def __init__(self, field_path, message):
+        self.field = field_path
+        super().__init__(f"config field '{field_path}': {message}")
+
+
+@dataclass
+class GridConfig:
+    half_width: float = 2.0
+    points_per_axis: int = 5
+
+
+@dataclass
+class ExperimentConfig:
+    experiment: str
+    measure: dict = field(default_factory=dict)
+    xi: float = 0.0
+    n_values: list = field(default_factory=list)
+    grid: GridConfig = field(default_factory=GridConfig)
+    tolerance: float | None = 0.05  # None for the identity suites
+    seed: int = 20240811
+    output_dir: str = ""
+    scaling: dict = field(default_factory=dict)  # optional pins: eta / beta / scale
+    k_max: int = 3
+    module_filter: str | None = None  # identities experiments only
+    params: dict = field(default_factory=dict)  # experiment-specific extras
+
+
+def _expect(cond, field_path, message):
+    if not cond:
+        raise ConfigError(field_path, message)
+
+
+def parse_config(raw):
+    """Validate a raw dict (already JSON-decoded) into an ExperimentConfig."""
+    _expect(isinstance(raw, dict), "", "top level must be an object")
+    known = {
+        "experiment", "measure", "xi", "n_values", "grid", "tolerance",
+        "seed", "output_dir", "scaling", "k_max", "module_filter", "params",
+    }
+    for key in raw:
+        _expect(key in known, key, "unknown field")
+    exp = raw.get("experiment")
+    _expect(isinstance(exp, str) and exp in EXPERIMENTS, "experiment",
+            f"must be one of {list(EXPERIMENTS)}")
+    spec = EXPERIMENTS[exp]
+
+    measure = raw.get("measure", spec.measure)
+    if measure:
+        _expect(isinstance(measure, dict), "measure", "must be an object")
+        _expect(isinstance(measure.get("name", ""), str), "measure.name", "must be a string")
+        _expect(isinstance(measure.get("params", {}), dict), "measure.params",
+                "must be an object")
+
+    xi = raw.get("xi", 0.0)
+    _expect(isinstance(xi, (int, float)), "xi", "must be a number")
+
+    n_values = raw.get("n_values", spec.n_values)
+    _expect(isinstance(n_values, list) and
+            all(isinstance(v, (int, float)) and v > 0 for v in n_values),
+            "n_values", "must be a list of positive numbers")
+
+    grid_raw = raw.get("grid", {})
+    _expect(isinstance(grid_raw, dict), "grid", "must be an object")
+    hw = grid_raw.get("half_width", 2.0)
+    ppa = grid_raw.get("points_per_axis", 5)
+    _expect(isinstance(hw, (int, float)) and hw > 0, "grid.half_width", "must be > 0")
+    _expect(isinstance(ppa, int) and ppa >= 3, "grid.points_per_axis", "must be an integer >= 3")
+
+    tol = None
+    if spec.tolerance is not None:
+        tol = raw.get("tolerance", spec.tolerance)
+        _expect(isinstance(tol, (int, float)) and tol > 0, "tolerance", "must be > 0")
+        tol = float(tol)
+
+    seed = raw.get("seed", 20240811)
+    _expect(isinstance(seed, int), "seed", "must be an integer")
+
+    out_dir = raw.get("output_dir", f"out/{exp}")
+    _expect(isinstance(out_dir, str), "output_dir", "must be a string")
+
+    scaling = raw.get("scaling", {})
+    _expect(isinstance(scaling, dict), "scaling", "must be an object")
+    for key, val in scaling.items():
+        _expect(key in ("eta", "beta", "scale"), f"scaling.{key}", "unknown pin")
+        _expect(isinstance(val, (int, float)) and val > 0, f"scaling.{key}", "must be > 0")
+
+    k_max = raw.get("k_max", 3)
+    _expect(isinstance(k_max, int) and k_max >= 1, "k_max", "must be an integer >= 1")
+
+    module_filter = raw.get("module_filter")
+    _expect(module_filter is None or module_filter in IDENTITY_MODULES,
+            "module_filter", f"must be one of {list(IDENTITY_MODULES)}")
+
+    params = raw.get("params", {})
+    _expect(isinstance(params, dict), "params", "must be an object")
+
+    return ExperimentConfig(
+        experiment=exp,
+        measure=measure,
+        xi=float(xi),
+        n_values=list(n_values),
+        grid=GridConfig(half_width=float(hw), points_per_axis=int(ppa)),
+        tolerance=tol,
+        seed=seed,
+        output_dir=out_dir,
+        scaling=scaling,
+        k_max=k_max,
+        module_filter=module_filter,
+        params=params,
+    )
+
+
+def load_config(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("", f"invalid JSON: {exc}") from exc
+    return parse_config(raw)
 
 
 def _fmt(x):
@@ -107,10 +221,24 @@ def _estimated_scaling(mu, xi, pinned, default_beta=None):
     }
 
 
-def _samples_rows(report, cfg, out_dir, prefix="kernel"):
-    for idx, samples in report.extras.get("samples_by_index", {}).items():
+def _fit_grid(cfg):
+    """3x3 complex grid for the internal-scale fit: complex samples make it sharp."""
+    return complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
+
+
+def _convergence(cfg, out_dir, source, xi, h, target, target_name="sine kernel",
+                 index=int):
+    """convergence_study of the source at every configured index (cast by
+    index) on the configured real grid; writes kernel_<index>.csv per index."""
+    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
+    report = convergence_study(source, xi, h, target,
+                               [index(n) for n in cfg.n_values], grid,
+                               cfg.tolerance, fit_grid=_fit_grid(cfg),
+                               target_name=target_name)
+    for idx, samples in report.extras["samples_by_index"].items():
         tag = str(idx).replace(".", "_")
-        _write_kernel_csv(os.path.join(out_dir, f"{prefix}_{tag}.csv"), samples)
+        _write_kernel_csv(os.path.join(out_dir, f"kernel_{tag}.csv"), samples)
+    return report
 
 
 def _run_bulk(cfg, out_dir):
@@ -118,12 +246,7 @@ def _run_bulk(cfg, out_dir):
     h, scl = _estimated_scaling(mu, cfg.xi, cfg.scaling)
     n_top = int(max(cfg.n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    fit_grid = complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
-    report = convergence_study(rec, cfg.xi, h, sine_kernel,
-                               [int(n) for n in cfg.n_values], grid,
-                               cfg.tolerance, fit_grid=fit_grid,
-                               target_name="sine kernel")
+    report = _convergence(cfg, out_dir, rec, cfg.xi, h, sine_kernel)
     nev = oprl.nevai_ratio(rec, cfg.xi, n_top)
     nev_ok = abs(nev - 1.0) <= cfg.tolerance
     passed = report.passed and nev_ok
@@ -137,7 +260,6 @@ def _run_bulk(cfg, out_dir):
         f"(candidates: 1, pi, 1/Gamma(2)); residual {report.fitted_scale_residual:.3e}",
         f"[INFO] scaling data: {scl}",
     ]
-    _samples_rows(report, cfg, out_dir)
     data = {
         "sup_errors": report.sup_errors,
         "indices": report.indices,
@@ -157,17 +279,12 @@ def _run_opuc_bulk(cfg, out_dir):
         mu = gallery(name, **cfg.measure.get("params", {}))
         v = opuc.verblunsky_from_measure(mu, n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    fit_grid = complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
-    report = convergence_study(v, cfg.xi, h, sine_kernel,
-                               [int(n) for n in cfg.n_values], grid,
-                               cfg.tolerance, fit_grid=fit_grid,
-                               target_name="sine kernel")
+    report = _convergence(cfg, out_dir, v, cfg.xi, h, sine_kernel)
     # internal scale against the printed two-sided kernel at sigma = 1, beta = 1
     spec = build_limit_kernel(1.0, 1.0, 1.0)
     from .limit_kernels import fit_internal_scale
     from .opuc import rescaled_cd_circle
-    fit_samples = rescaled_cd_circle(v, cfg.xi, h, n_top, fit_grid)
+    fit_samples = rescaled_cd_circle(v, cfg.xi, h, n_top, _fit_grid(cfg))
     fit = fit_internal_scale(fit_samples, spec)
     c_ok = abs(fit.c - math.pi) <= 1e-3
     passed = report.passed and c_ok
@@ -178,7 +295,6 @@ def _run_opuc_bulk(cfg, out_dir):
         f"[{'PASS' if c_ok else 'FAIL'}] opuc_bulk: internal scale of the printed "
         f"two-sided kernel: fitted c = {fit.c:.9f}, |c - pi| = {abs(fit.c - math.pi):.2e}",
     ]
-    _samples_rows(report, cfg, out_dir)
     data = {"sup_errors": report.sup_errors, "indices": report.indices,
             "fitted_c_vs_printed_kernel": fit.c}
     return lines, passed, data
@@ -267,12 +383,8 @@ def _run_jump(cfg, out_dir):
     h = RegVarFn(scale=1.0, index=1.0)
     n_top = int(max(cfg.n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    fit_grid = complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
-    report = convergence_study(rec, cfg.xi, h, spec,
-                               [int(n) for n in cfg.n_values], grid,
-                               cfg.tolerance, fit_grid=fit_grid,
-                               target_name=f"two-sided limit kernel ({sm:.3f},{sp:.3f},1)")
+    report = _convergence(cfg, out_dir, rec, cfg.xi, h, spec,
+                          target_name=f"two-sided limit kernel ({sm:.3f},{sp:.3f},1)")
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] jump: rescaled CD kernel -> "
         f"two-sided limit kernel with jump data sigma-={sm:.4f}, sigma+={sp:.4f}; "
@@ -280,7 +392,6 @@ def _run_jump(cfg, out_dir):
         f"[INFO] fitted internal scale c = {report.fitted_scale:.6f} "
         f"(candidates: 1, pi^(1/beta)={math.pi:.4f}, 1/Gamma(2)=1)",
     ]
-    _samples_rows(report, cfg, out_dir)
     data = {"sup_errors": report.sup_errors, "fitted_scale": report.fitted_scale,
             "sigma_minus": sm, "sigma_plus": sp}
     return lines, report.passed, data
@@ -291,24 +402,19 @@ def _run_sparse(cfg, out_dir):
     exponent = float(p.get("v_exponent", -0.5))
     ratio = float(p.get("ratio", 4.0))
     first = float(p.get("first", 4.0))
-    t_values = [int(t) for t in cfg.n_values]
-    n_max = 2 * max(t_values)
+    t_top = int(max(cfg.n_values))
+    n_max = 2 * t_top
     j_count = int(math.log(n_max, ratio)) + 2
     v_vals = (np.arange(1, j_count + 1, dtype=float)) ** exponent
     rec, diag = sparse_jacobi(v_vals, ("geometric", first, ratio), n_max)
     dat = diag.at(cfg.xi)
     block_ok = dat.block_deviation <= 1e-12
-    t_top = max(t_values)
     k1 = oprl.kernel_diag(rec, t_top, cfg.xi)
     k2 = oprl.kernel_diag(rec, 2 * t_top, cfg.xi)
     ratio_k = k2 / k1
     ratio_ok = 1.9 <= ratio_k <= 2.1
     h = diag.scaling_inverse(cfg.xi)
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    fit_grid = complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
-    report = convergence_study(rec, cfg.xi, h, sine_kernel, t_values, grid,
-                               cfg.tolerance, fit_grid=fit_grid,
-                               target_name="sine kernel")
+    report = _convergence(cfg, out_dir, rec, cfg.xi, h, sine_kernel)
     passed = block_ok and ratio_ok and report.passed
     lines = [
         f"[{'PASS' if block_ok else 'FAIL'}] sparse: ||A_n||^2 constant between "
@@ -319,7 +425,6 @@ def _run_sparse(cfg, out_dir):
         f"sine kernel; sup errors {['%.4f' % e for e in report.sup_errors]} "
         f"at t = {report.indices}, tol {cfg.tolerance}",
     ]
-    _samples_rows(report, cfg, out_dir)
     data = {"block_deviation": dat.block_deviation, "k_ratio": ratio_k,
             "sup_errors": report.sup_errors}
     return lines, passed, data
@@ -334,12 +439,7 @@ def _run_schrodinger(cfg, out_dir):
     xi = float(cfg.params.get("xi", 1.0))
     eta = math.sqrt(xi) / math.pi
     h = RegVarFn(scale=eta, index=1.0)
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    fit_grid = complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
-    report = convergence_study(src, xi, h, sine_kernel,
-                               [float(x) for x in cfg.n_values], grid,
-                               cfg.tolerance, fit_grid=fit_grid,
-                               target_name="sine kernel")
+    report = _convergence(cfg, out_dir, src, xi, h, sine_kernel, index=float)
     passed = agree_ok and report.passed
     lines = [
         f"[{'PASS' if agree_ok else 'FAIL'}] schrodinger: quadrature form = "
@@ -349,12 +449,11 @@ def _run_schrodinger(cfg, out_dir):
         f"{['%.4f' % e for e in report.sup_errors]} at x = {report.indices}, "
         f"tol {cfg.tolerance}",
     ]
-    _samples_rows(report, cfg, out_dir)
     data = {"two_form_rel_diff": agree, "sup_errors": report.sup_errors}
     return lines, passed, data
 
 
-def _run_identity_suite(cfg, out_dir, module_filter=None):
+def _run_identity_suite(cfg, module_filter):
     results = run_identities(module_filter=module_filter, seed=cfg.seed)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
@@ -363,29 +462,55 @@ def _run_identity_suite(cfg, out_dir, module_filter=None):
     return lines, passed, data
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """A registered experiment: runner(cfg, out_dir) -> (lines, passed, data),
+    its list-experiments help line, and its config defaults.  tolerance is
+    None for experiments that take none."""
+
+    run: Callable
+    help: str
+    n_values: list = field(default_factory=list)
+    tolerance: float | None = None
+    measure: dict = field(default_factory=dict)
+
+
+EXPERIMENTS = {
+    "bulk": Experiment(
+        _run_bulk, "rescaled CD kernels of a gallery measure vs the sine kernel",
+        [50, 100, 200], 0.05, {"name": "legendre", "params": {}}),
+    "hard_edge": Experiment(
+        _run_hard_edge, "zero ratio law at a hard edge vs squared Bessel-zero ratios",
+        [100, 200, 300], 0.02, {"name": "power_hard_edge", "params": {"beta": 1.5}}),
+    "fisher_hartwig": Experiment(
+        _run_fisher_hartwig, "even power-weight zero laws (even/odd degree Bessel ratios)",
+        [50, 100, 200], 0.02, {"name": "even_fh", "params": {"beta": 1.5}}),
+    "jump": Experiment(
+        _run_jump, "jump-weight rescaled kernels vs the two-sided limit kernel",
+        [100, 200, 400], 0.1,
+        {"name": "jump", "params": {"sigma_minus": 0.5, "sigma_plus": 1.0}}),
+    "opuc_bulk": Experiment(
+        _run_opuc_bulk, "circle CD kernels (free coefficients) vs the sine kernel",
+        [1000, 10000], 0.01, {"name": "circle_lebesgue", "params": {}}),
+    "sparse": Experiment(
+        _run_sparse, "sparse decaying Jacobi matrix: diagnostics and sine-kernel limit",
+        [1000, 10000], 0.15),
+    "canonical_identities": Experiment(
+        lambda cfg, out_dir: _run_identity_suite(cfg, "canonical"),
+        "canonical-system identity suite only"),
+    "schrodinger": Experiment(
+        _run_schrodinger, "free Schrodinger kernels: two-form agreement and bulk limit",
+        [50, 100, 200], 0.05),
+    "identities": Experiment(
+        lambda cfg, out_dir: _run_identity_suite(cfg, cfg.module_filter),
+        "every exact-identity suite across all modules"),
+}
+
+
 def run_experiment(cfg):
     """Run one configured experiment; returns (lines, passed, data)."""
-    out_dir = cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    if cfg.experiment == "bulk":
-        return _run_bulk(cfg, out_dir)
-    if cfg.experiment == "opuc_bulk":
-        return _run_opuc_bulk(cfg, out_dir)
-    if cfg.experiment == "hard_edge":
-        return _run_hard_edge(cfg, out_dir)
-    if cfg.experiment == "fisher_hartwig":
-        return _run_fisher_hartwig(cfg, out_dir)
-    if cfg.experiment == "jump":
-        return _run_jump(cfg, out_dir)
-    if cfg.experiment == "sparse":
-        return _run_sparse(cfg, out_dir)
-    if cfg.experiment == "schrodinger":
-        return _run_schrodinger(cfg, out_dir)
-    if cfg.experiment == "canonical_identities":
-        return _run_identity_suite(cfg, out_dir, module_filter="canonical")
-    if cfg.experiment == "identities":
-        return _run_identity_suite(cfg, out_dir, module_filter=cfg.module_filter)
-    raise ConfigError("experiment", f"unhandled experiment {cfg.experiment!r}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return EXPERIMENTS[cfg.experiment].run(cfg, cfg.output_dir)
 
 
 def main(argv=None):
@@ -394,23 +519,22 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="override output directory")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="reserved; evaluation is vectorized internally")
     sub.add_parser("list-experiments", help="list experiment names")
     p_id = sub.add_parser("identities", help="run the exact-identity suites")
-    p_id.add_argument("--filter", default=None, help="restrict to one module")
+    p_id.add_argument("--filter", default=None, choices=IDENTITY_MODULES,
+                      help="restrict to one module")
     p_id.add_argument("--seed", type=int, default=20240811)
 
     args = parser.parse_args(argv)
     if args.command == "list-experiments":
-        for name in EXPERIMENTS:
-            print(f"{name:22s} {_EXPERIMENT_HELP[name]}")
+        for name, spec in EXPERIMENTS.items():
+            print(f"{name:22s} {spec.help}")
         return 0
     if args.command == "identities":
         results = run_identities(module_filter=args.filter, seed=args.seed)
         for r in results:
             print(r.line())
-        return 0 if results and all(r.passed for r in results) else 1
+        return 0 if all(r.passed for r in results) else 1
     if args.command == "run":
         try:
             cfg = load_config(args.config)
@@ -419,11 +543,7 @@ def main(argv=None):
             return 2
         if args.out:
             cfg.output_dir = args.out
-        try:
-            lines, passed, data = run_experiment(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        lines, passed, data = run_experiment(cfg)
         return _emit(lines, passed, cfg.output_dir, data)
     parser.print_help()
     return 2

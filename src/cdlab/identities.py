@@ -13,7 +13,7 @@ import numpy as np
 
 from . import canonical, limit_kernels, measures, oprl, opuc, special
 
-__all__ = ["IdentityResult", "run_identities", "identity_names"]
+__all__ = ["IdentityResult", "MODULES", "run_identities", "identity_names"]
 
 
 @dataclass
@@ -602,6 +602,8 @@ _REGISTRY = [
     ("measures", "cauchy_herglotz", "Im m(z) >= 0 on the upper half plane", _cauchy_herglotz),
 ]
 
+MODULES = tuple(dict.fromkeys(m for m, _, _, _ in _REGISTRY))
+
 
 def identity_names(module_filter=None):
     return [f"{m}.{n}" for m, n, _, _ in _REGISTRY
@@ -610,6 +612,8 @@ def identity_names(module_filter=None):
 
 def run_identities(module_filter=None, seed=20240811):
     """Run the identity suite (optionally one module) and return results."""
+    if module_filter is not None and module_filter not in MODULES:
+        raise ValueError(f"unknown identity module {module_filter!r}; one of {list(MODULES)}")
     rng = np.random.default_rng(seed)
     out = []
     for module, name, law, fn in _REGISTRY:

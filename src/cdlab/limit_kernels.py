@@ -49,7 +49,6 @@ __all__ = [
     "kernel_components_prime",
     "sine_kernel",
     "fh_bessel_kernel",
-    "scaled_kernel",
     "fit_internal_scale",
 ]
 
@@ -200,15 +199,6 @@ def fh_bessel_kernel(beta, z, w, policy=DEFAULT_POLICY):
         return pref * (dg * fz - df * gz)
     num = z * g(z) * f(v) - f(z) * v * g(v)
     return pref * num / (z - v)
-
-
-def scaled_kernel(spec, a, z, w):
-    """a^beta K(az, aw); the zero kernel at a = 0 (beta > 0)."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    if a == 0.0:
-        return 0.0 + 0.0j
-    return a ** spec.beta * eval_limit_kernel(spec, a * z, a * w)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "local_scaling",
     "asymptotic_inverse",
     "cauchy_transform",
-    "regularized_cauchy",
     "gallery",
     "gallery_names",
 ]
@@ -333,52 +332,6 @@ def cauchy_transform(mu, z):
     for p in mu.pieces:
         out += _integrate_piece(p, p.a, p.b, f=lambda t: 1.0 / (t - z))
     return complex(out)
-
-
-def norm_kappa(mu, kappa):
-    """||mu||_kappa = int dmu / (1+t^2)^(kappa+1)."""
-    out = 0.0
-    if mu.atom_positions.size:
-        out += float(np.sum(mu.atom_masses / (1.0 + mu.atom_positions ** 2) ** (kappa + 1)))
-    for p in mu.pieces:
-        out += float(np.real(_integrate_piece(p, p.a, p.b,
-                                              f=lambda t: (1.0 + t * t) ** (-(kappa + 1.0)))))
-    return out
-
-
-def regularized_cauchy(mu, p_coeffs, kappa, z):
-    """p(z) + (1+z^2)^(kappa+1) int (t-z)^{-1} (1+t^2)^{-(kappa+1)} dmu(t).
-
-    p_coeffs are real polynomial coefficients, lowest degree first.
-    """
-    if kappa < 0 or kappa != int(kappa):
-        raise ValueError("kappa must be a nonnegative integer")
-    kappa = int(kappa)
-    p_coeffs = np.asarray(p_coeffs, dtype=float)
-    nk = norm_kappa(mu, kappa)
-    if not math.isfinite(nk):
-        raise ValueError(f"||mu||_{kappa} is not finite")
-    deg = len(p_coeffs) - 1 if p_coeffs.size else -1
-    while deg >= 0 and p_coeffs[deg] == 0.0:
-        deg -= 1
-    if deg > 2 * kappa + 1:
-        raise ValueError(f"deg p = {deg} exceeds 2*kappa+1 = {2 * kappa + 1}")
-    lead = p_coeffs[2 * kappa + 1] if len(p_coeffs) > 2 * kappa + 1 else 0.0
-    if lead < nk - 1e-12:
-        raise ValueError(
-            f"leading coefficient condition fails: p^(2k+1)(0)/(2k+1)! = {lead} < ||mu||_k = {nk}"
-        )
-    z = complex(z)
-    out = complex(np.polyval(p_coeffs[::-1], z)) if p_coeffs.size else 0.0 + 0.0j
-    integ = 0.0 + 0.0j
-    if mu.atom_positions.size:
-        t = mu.atom_positions
-        integ += np.sum(mu.atom_masses / ((t - z) * (1.0 + t * t) ** (kappa + 1)))
-    for p in mu.pieces:
-        integ += _integrate_piece(
-            p, p.a, p.b, f=lambda t: 1.0 / ((t - z) * (1.0 + t * t) ** (kappa + 1.0))
-        )
-    return out + (1.0 + z * z) ** (kappa + 1) * integ
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "SeriesPolicy",
-    "RisingFactorialCache",
     "SeriesConvergenceError",
     "GammaPoleError",
     "BracketingError",
@@ -27,6 +26,7 @@ __all__ = [
     "bessel_f",
     "bessel_f_prime",
     "bessel_zero",
+    "real_zeros",
 ]
 
 
@@ -73,21 +73,6 @@ class SeriesPolicy:
 
 
 DEFAULT_POLICY = SeriesPolicy()
-
-
-@dataclass(frozen=True)
-class RisingFactorialCache:
-    """Prefix (base)_0 .. (base)_n of rising factorials."""
-
-    base: complex
-    values: tuple
-
-    @classmethod
-    def build(cls, base, n):
-        vals = [1.0 + 0.0j]
-        for k in range(n):
-            vals.append(vals[-1] * (base + k))
-        return cls(complex(base), tuple(vals))
 
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set);
@@ -238,49 +223,57 @@ def bessel_f_prime(nu, z, policy=DEFAULT_POLICY):
     return -(z / 2.0) * bessel_f(nu + 1.0, z, policy)
 
 
+def real_zeros(f, lo, k, step, hi):
+    """First k zeros of the real function f on (lo, hi], in increasing order.
+
+    Scans x = lo + step, lo + 2 step, ... (accumulated as x += step) for sign
+    changes, then bisects each bracket to an absolute width of 1e-12 (or to
+    adjacent doubles).  Raises BracketingError when the scan passes hi with
+    fewer than k zeros.
+    """
+    brackets = []  # (left, right, f(left)); an exact zero x is (x, x, 0.0)
+    x_prev, f_prev = lo, f(lo)
+    x = lo
+    while len(brackets) < k:
+        x += step
+        if x > hi:
+            raise BracketingError(
+                f"window ({lo:.6g}, {hi:.6g}] holds {len(brackets)} of {k} zeros"
+            )
+        fx = f(x)
+        if f_prev * fx < 0.0:
+            brackets.append((x_prev, x, f_prev))
+        elif fx == 0.0:
+            brackets.append((x, x, fx))
+        x_prev, f_prev = x, fx
+    zeros = []
+    for left, right, f_left in brackets:
+        while right - left > 1e-12:
+            mid = 0.5 * (left + right)
+            if not left < mid < right:
+                break
+            f_mid = f(mid)
+            if f_left * f_mid <= 0.0:
+                right = mid
+            else:
+                left, f_left = mid, f_mid
+        zeros.append(0.5 * (left + right))
+    return zeros
+
+
 def bessel_zero(nu, k, policy=DEFAULT_POLICY):
     """k-th positive zero of F_nu (equivalently of J_nu), k >= 1.
 
-    Sign-change scan with step pi/4 (zero spacing tends to pi), window grown
-    geometrically, then bisection to 1e-12.
+    real_zeros with step pi/4 (zero spacing tends to pi) on a window of 16
+    times the expected position of the k-th zero.
     """
     if nu <= -1:
         raise ValueError(f"bessel_zero requires nu > -1, got {nu}")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def f(x):
-        return bessel_f(nu, x, policy).real
-
-    step = math.pi / 4.0
     window = max(20.0, (k + max(nu, 0.0) / 2.0) * math.pi + 10.0)
-    max_window = 16 * window
-    brackets = []
-    x_prev, f_prev = 0.0, f(1e-30)
-    x = step
-    while len(brackets) < k:
-        fx = f(x)
-        if f_prev * fx < 0.0:
-            brackets.append((x_prev, x))
-        elif fx == 0.0:
-            brackets.append((x - 1e-12, x + 1e-12))
-        x_prev, f_prev = x, fx
-        x += step
-        if x > max_window:
-            raise BracketingError(
-                f"bessel_zero: window [0, {max_window:.1f}] exhausted with "
-                f"{len(brackets)} of {k} zeros of F_{nu}"
-            )
-    lo, hi = brackets[k - 1]
-    flo = f(lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return real_zeros(lambda x: bessel_f(nu, x, policy).real,
+                      0.0, k, math.pi / 4.0, 16 * window)[-1]
 
 
 def sine_ratio(u):

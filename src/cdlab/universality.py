@@ -24,7 +24,7 @@ from .limit_kernels import (
 )
 from .oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd
 from .opuc import VerblunskyCoeffs, rescaled_cd_circle
-from .special import bessel_zero, gamma_cx
+from .special import bessel_zero, gamma_cx, real_zeros
 
 __all__ = [
     "ConvergenceReport",
@@ -323,33 +323,6 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
     )
 
 
-def _bracket_zeros_real(fn, lo, k, step, max_steps=100000):
-    """First k zeros of a real function on (lo, infinity) by scan + bisection."""
-    out = []
-    x_prev = lo
-    f_prev = fn(x_prev)
-    x = lo + step
-    n_steps = 0
-    while len(out) < k and n_steps < max_steps:
-        fx = fn(x)
-        if f_prev == 0.0:
-            out.append(x_prev)
-        elif f_prev * fx < 0.0:
-            a, b, fa = x_prev, x, f_prev
-            while b - a > 1e-12 * max(1.0, abs(b)):
-                mid = 0.5 * (a + b)
-                fm = fn(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            out.append(0.5 * (a + b))
-        x_prev, f_prev = x, fx
-        x += step
-        n_steps += 1
-    return out
-
-
 def _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c):
     s1 = {}
     for n in n_values:
@@ -364,7 +337,8 @@ def _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c):
         return eval_limit_kernel(limit_spec, scale_c * x, scale_c * kappa1).real
 
     step = math.pi / (6.0 * scale_c)
-    kappas = _bracket_zeros_real(kfn, kappa1 + 1e-9, k_max - 1, step)
+    lo = kappa1 + 1e-9
+    kappas = real_zeros(kfn, lo, k_max - 1, step, lo + 100000 * step)
     preds = {1: kappa1}
     preds.update({k + 2: float(z) for k, z in enumerate(kappas)})
     scaled = {}

@@ -1,9 +1,11 @@
 import json
+import pathlib
 
 import pytest
 
-from cdlab.cli import main, run_experiment
-from cdlab.config import ConfigError, load_config, parse_config
+from cdlab.cli import EXPERIMENTS, ConfigError, load_config, main, parse_config, run_experiment
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, cfg):
@@ -14,9 +16,31 @@ def _write(tmp_path, cfg):
 
 def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
-    out = capsys.readouterr().out
-    for name in ("bulk", "hard_edge", "identities", "opuc_bulk"):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(EXPERIMENTS)
+    for line, (name, spec) in zip(lines, EXPERIMENTS.items()):
+        assert line.split()[0] == name
+        assert line.endswith(spec.help)
+
+
+def test_packaged_configs_load():
+    paths = sorted(CONFIG_DIR.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert load_config(path).experiment in EXPERIMENTS
+
+
+def test_unknown_identity_module_is_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"experiment": "identities", "module_filter": "nonexistent"})
+    assert exc.value.field == "module_filter"
+    path = _write(tmp_path, {"experiment": "identities", "module_filter": "nonexistent",
+                             "output_dir": str(tmp_path / "id")})
+    assert main(["run", "--config", path]) == 2
+    with pytest.raises(SystemExit) as stop:
+        main(["identities", "--filter", "nonexistent"])
+    assert stop.value.code == 2
+    assert "--filter" in capsys.readouterr().err
 
 
 def test_identities_subcommand_filtered(capsys):

@@ -13,7 +13,6 @@ from cdlab.limit_kernels import (
     fh_bessel_kernel,
     fit_internal_scale,
     kernel_components,
-    scaled_kernel,
     sine_kernel,
 )
 from cdlab.special import gamma_cx
@@ -107,14 +106,6 @@ def test_fh_bessel_matches_limit_kernel():
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
-def test_scaled_kernel():
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
-    z, w = 0.4 + 0.1j, -0.3
-    assert scaled_kernel(spec, 1.0, z, w) == eval_limit_kernel(spec, z, w)
-    assert scaled_kernel(spec, 0.0, z, w) == 0.0
-    assert abs(scaled_kernel(spec, 2.0, 0.0, 0.0) - 2.0) <= 1e-12
-
-
 def _samples_from(kernel, pts):
     return [KernelSample(z=z, w=w, value=kernel(z, w)) for z in pts for w in pts]
 
@@ -146,7 +137,7 @@ def test_fit_internal_scale_scaled_family():
     ax = np.linspace(-1.0, 1.0, 3)
     pts = [complex(x, y) for x in ax for y in ax]
     samples = _samples_from(
-        lambda z, w: scaled_kernel(spec, a, z, w) / a ** spec.beta, pts
+        lambda z, w: eval_limit_kernel(spec, a * z, a * w), pts
     )
     fit = fit_internal_scale(samples, spec)
     assert abs(fit.c - a) <= 1e-6

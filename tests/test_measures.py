@@ -15,8 +15,6 @@ from cdlab.measures import (
     gallery_names,
     local_scaling,
     mass,
-    norm_kappa,
-    regularized_cauchy,
 )
 
 
@@ -174,52 +172,6 @@ def test_cauchy_maps_upper_half_plane():
 def test_cauchy_requires_nonreal():
     with pytest.raises(ValueError):
         cauchy_transform(gallery("legendre"), 0.5)
-
-
-def test_regularized_cauchy_reduces_to_herglotz():
-    # kappa=0 with p(z) = alpha + (beta + ||mu||_0) z equals
-    # alpha + beta z + int (1/(t-z) - t/(1+t^2)) dmu
-    mu = gallery("legendre")
-    alpha, beta = 0.7, 0.3
-    n0 = norm_kappa(mu, 0)
-    z = 0.4 + 0.8j
-    lhs = regularized_cauchy(mu, [alpha, beta + n0], 0, z)
-    from cdlab.measures import _integrate_piece
-    rhs = alpha + beta * z
-    for p in mu.pieces:
-        rhs += _integrate_piece(p, p.a, p.b,
-                                f=lambda t: 1.0 / (t - z) - t / (1.0 + t * t))
-    assert abs(lhs - rhs) <= 1e-10
-
-
-def test_regularized_cauchy_zero_measure():
-    mu = Measure()
-    z = 0.2 + 0.5j
-    val = regularized_cauchy(mu, [1.0, 2.0, 0.0, 3.0], 1, z)
-    assert abs(val - (1.0 + 2.0 * z + 3.0 * z ** 3)) <= 1e-14
-
-
-def test_regularized_cauchy_kappa1_quadrature_oracle():
-    # dmu = (1+t^2) * (weight 1 on [-1,1]); brute-force panels as the oracle
-    mu = Measure(pieces=(AcPiece(-1.0, 1.0, lambda t: 1.0 + t * t),))
-    z = 1j
-    kappa = 1
-    n1 = norm_kappa(mu, kappa)
-    p = [0.0, 0.0, 0.0, n1 + 0.1]
-    val = regularized_cauchy(mu, p, kappa, z)
-    ts = np.linspace(-1.0, 1.0, 200001)
-    integrand = (1.0 + ts ** 2) / ((ts - z) * (1.0 + ts ** 2) ** 2)
-    brute = np.trapezoid(integrand, ts)
-    expected = np.polyval(p[::-1], z) + (1.0 + z * z) ** 2 * brute
-    assert abs(val - expected) <= 1e-8
-
-
-def test_regularized_cauchy_precondition_errors():
-    mu = gallery("legendre")
-    with pytest.raises(ValueError, match="deg p"):
-        regularized_cauchy(mu, [0.0, 0.0, 1.0], 0, 1j)
-    with pytest.raises(ValueError, match="leading coefficient"):
-        regularized_cauchy(mu, [0.0, 0.0], 0, 1j)
 
 
 def test_gallery_masses():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlab.special import (
+    BracketingError,
     GammaPoleError,
-    RisingFactorialCache,
     SeriesConvergenceError,
     SeriesPolicy,
     bessel_f,
@@ -16,6 +16,7 @@ from cdlab.special import (
     gamma_cx,
     hyp0f1,
     kummer_m,
+    real_zeros,
 )
 
 SQRT_PI = 1.7724538509055159
@@ -26,13 +27,6 @@ def test_policy_validation():
         SeriesPolicy(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesPolicy(max_terms=8)
-
-
-def test_rising_factorial_cache():
-    cache = RisingFactorialCache.build(0.5 + 0.1j, 6)
-    assert cache.values[0] == 1.0
-    for n in range(6):
-        assert cache.values[n + 1] == cache.values[n] * (cache.base + n)
 
 
 def test_gamma_known_values():
@@ -148,6 +142,16 @@ def test_bessel_zero_increasing_and_sign_change():
 def test_bessel_zero_bad_order():
     with pytest.raises(ValueError):
         bessel_zero(-1.5, 1)
+
+
+def test_real_zeros_exact_zero_adjacent_doubles_and_window():
+    # an exact zero on a scan point is returned as is
+    assert real_zeros(lambda x: x - 2.0, 0.0, 1, 0.5, 10.0) == [2.0]
+    # near 1e4 the spacing of doubles exceeds 1e-12: bisection stops there
+    (z,) = real_zeros(lambda x: x - 10000.3, 0.0, 1, 1.0, 2e4)
+    assert abs(z - 10000.3) <= 1e-11
+    with pytest.raises(BracketingError, match="1 of 2 zeros"):
+        real_zeros(math.sin, 1.0, 2, 0.25, 5.0)
 
 
 def test_kummer_bessel_identity_grid():

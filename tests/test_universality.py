@@ -119,18 +119,18 @@ def test_zero_study_freud_levin(leg):
 
 def test_freud_levin_interlacing_continuity():
     # zeros of K(., kappa1) interlace for nearby kappa1 values
-    from cdlab.universality import _bracket_zeros_real
     from cdlab.limit_kernels import eval_limit_kernel
+    from cdlab.special import real_zeros
 
     spec = build_limit_kernel(1.0, 1.0, 1.0)
     c = math.pi
     k1a, k1b = 0.4, 0.55
-    za = _bracket_zeros_real(
+    za = real_zeros(
         lambda x: eval_limit_kernel(spec, c * x, c * k1a).real, k1a + 1e-9, 4,
-        math.pi / (6 * c))
-    zb = _bracket_zeros_real(
+        math.pi / (6 * c), 100.0)
+    zb = real_zeros(
         lambda x: eval_limit_kernel(spec, c * x, c * k1b).real, k1b + 1e-9, 4,
-        math.pi / (6 * c))
+        math.pi / (6 * c), 100.0)
     for a_lo, b_mid in zip(za, zb):
         assert b_mid > a_lo  # shifted reference zero pushes zeros right
     for b_mid, a_hi in zip(zb[:-1], za[1:]):
