@@ -2,8 +2,6 @@
 systems, and their regularly varying scaling limits."""
 
 from .special import (
-    SeriesPolicy,
-    DEFAULT_POLICY,
     gamma_cx,
     kummer_m,
     hyp0f1,

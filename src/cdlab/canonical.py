@@ -108,11 +108,6 @@ class WeylValue:
     z: complex
     q: complex
     disk_radius: float
-    tol: float = 1e-8
-
-    @property
-    def converged(self):
-        return self.disk_radius < self.tol
 
 
 def _sinc(theta):
@@ -212,11 +207,11 @@ def mobius(matrix, tau):
     return complex(num / den)
 
 
-def weyl(h, z, t_max, tol=1e-8):
+def weyl(h, z, t_max):
     """Weyl coefficient approximant W(t_max, z) * i with a disk-radius estimate.
 
     disk_radius = 1/(2 Im z K_H(t_max,z,z)) is the standard Weyl-disk bound;
-    non-convergence (radius >= tol) is reported in the value, not raised.
+    a large radius (non-convergence) is reported in the value, not raised.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -225,7 +220,7 @@ def weyl(h, z, t_max, tol=1e-8):
     q = mobius(tm.entries, 1j)
     kd = kernel_kh(h, t_max, z, z).real
     radius = math.inf if kd <= 0 else 1.0 / (2.0 * z.imag * kd)
-    return WeylValue(z=z, q=q, disk_radius=radius, tol=tol)
+    return WeylValue(z=z, q=q, disk_radius=radius)
 
 
 def rescale_h(h, g, r):
@@ -276,15 +271,15 @@ def opuc_hamiltonian(v, n_max):
     return Hamiltonian(np.ones(n_max), mats)
 
 
-def transfer_form_integral(h, t, z, w, n_quad=24):
-    """Quadrature of int_0^t W(s,z) H(s) W(s,w)* ds (per piece Gauss-Legendre).
+def transfer_form_integral(h, t, z, w):
+    """int_0^t W(s,z) H(s) W(s,w)* ds by 32-point Gauss-Legendre per piece.
 
     Equals (W(t,z) J W(t,w)* - J) / (z - conj w); used as the integral-identity
     oracle for transfer matrices.
     """
     from .measures import _leggauss
 
-    x_gl, w_gl = _leggauss(n_quad)
+    x_gl, w_gl = _leggauss(32)
     out = np.zeros((2, 2), dtype=complex)
     start = 0.0
     for ell, m in _iter_pieces(h, t):
@@ -356,14 +351,14 @@ def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, a=0.0):
     return u, du, m
 
 
-def schrodinger_kernel(v_fn, beta_bc, x, z, w, a=0.0, tol=1e-8, max_halvings=14):
+def schrodinger_kernel(v_fn, beta_bc, x, z, w, a=0.0, tol=1e-8):
     """Reproducing kernel of -u'' + V u = lam u at (z, w):
 
         int_a^x u(y,z) conj(u(y,w)) dy
       = (u(x,z) conj(u'(x,w)) - u'(x,z) conj(u(x,w))) / (z - conj w),
 
-    both forms returned; Richardson step halving until they stabilize to tol,
-    error if the two forms disagree beyond 10x tol.
+    both forms returned; Richardson step halving (at most 14 times) until they
+    stabilize to tol, error if the two forms disagree beyond 10x tol.
     """
     if x <= a:
         raise ValueError("x must exceed the left endpoint")
@@ -373,7 +368,7 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, a=0.0, tol=1e-8, max_halvings=14)
 
     n = max(64, int(8 * (x - a) * (1.0 + abs(z) ** 0.5 + abs(w) ** 0.5)))
     prev = None
-    for _ in range(max_halvings):
+    for _ in range(14):
         if confluent:
             quad, wron = _schrodinger_confluent(v_fn, beta_bc, x, (z + vbar) / 2.0, n, a)
         else:

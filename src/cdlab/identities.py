@@ -13,7 +13,7 @@ import numpy as np
 
 from . import canonical, limit_kernels, measures, oprl, opuc, special
 
-__all__ = ["IdentityResult", "MODULES", "run_identities", "identity_names"]
+__all__ = ["IdentityResult", "MODULES", "run_identities"]
 
 
 @dataclass
@@ -399,7 +399,7 @@ def _j_inner_integral(rng):
         wz = canonical.transfer_matrix(h, t, z).entries
         ww = canonical.transfer_matrix(h, t, w).entries
         lhs = (wz @ canonical.J @ ww.conj().T - canonical.J) / (z - np.conj(w))
-        rhs = canonical.transfer_form_integral(h, t, z, w, n_quad=32)
+        rhs = canonical.transfer_form_integral(h, t, z, w)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst, 1e-8
 
@@ -603,11 +603,6 @@ _REGISTRY = [
 ]
 
 MODULES = tuple(dict.fromkeys(m for m, _, _, _ in _REGISTRY))
-
-
-def identity_names(module_filter=None):
-    return [f"{m}.{n}" for m, n, _, _ in _REGISTRY
-            if module_filter in (None, m)]
 
 
 def run_identities(module_filter=None, seed=20240811):

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import (
-    DEFAULT_POLICY,
-    SeriesPolicy,
+    GammaOverflowError,
     bessel_f,
     bessel_f_prime,
     gamma_cx,
@@ -73,48 +72,49 @@ class LimitKernelSpec:
     alpha: complex | None = None
     kappa: float | None = None
     sigma: float | None = None
-    policy: SeriesPolicy = DEFAULT_POLICY
 
     def __call__(self, z, w):
         return eval_limit_kernel(self, z, w)
 
 
-def build_limit_kernel(sigma_minus, sigma_plus, beta, policy=DEFAULT_POLICY):
+def build_limit_kernel(sigma_minus, sigma_plus, beta):
     """Derive (alpha, kappa) or sigma and return the kernel spec."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
     if sigma_minus < 0 or sigma_plus < 0 or (sigma_minus == 0 and sigma_plus == 0):
         raise ValueError("need sigma+- >= 0 and not both zero")
+    try:
+        gamma_beta_sq = gamma_cx(beta + 1).real ** 2
+    except OverflowError as exc:
+        raise GammaOverflowError(f"Gamma(beta+1)^2 overflows at beta = {beta}") from exc
     if sigma_minus > 0 and sigma_plus > 0:
         alpha = 1j / (2 * math.pi) * math.log(sigma_minus / sigma_plus) + (beta - 1) / 2
         g = gamma_cx(alpha + 1)
         gamma_sq = (g * g.conjugate()).real  # |Gamma(alpha+1)|^2
         kappa = 0.5 * (
-            2.0 * gamma_cx(beta + 1).real ** 2 * math.sqrt(sigma_plus * sigma_minus) / gamma_sq
+            2.0 * gamma_beta_sq * math.sqrt(sigma_plus * sigma_minus) / gamma_sq
         ) ** (1.0 / beta)
         return LimitKernelSpec(sigma_minus, sigma_plus, beta, "two-sided",
-                               alpha=alpha, kappa=kappa, policy=policy)
+                               alpha=alpha, kappa=kappa)
     mag = sigma_plus if sigma_plus > 0 else sigma_minus
-    sigma = (mag * gamma_cx(beta + 1).real ** 2 / math.pi) ** (1.0 / beta)
+    sigma = (mag * gamma_beta_sq / math.pi) ** (1.0 / beta)
     if sigma_plus == 0:
         sigma = -sigma
-    return LimitKernelSpec(sigma_minus, sigma_plus, beta, "one-sided",
-                           sigma=sigma, policy=policy)
+    return LimitKernelSpec(sigma_minus, sigma_plus, beta, "one-sided", sigma=sigma)
 
 
 def kernel_components(spec, z):
     """The entire functions (A(z), B(z)) of the spec."""
     z = complex(z)
-    pol = spec.policy
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         u = -2j * kap * z
         e = cmath.exp(1j * kap * z)
-        A = e * (kummer_m(a, b, u, pol) + kummer_m(a + 1, b, u, pol)) / 2.0
-        B = z * e * kummer_m(a + 1, b + 1, u, pol)
+        A = e * (kummer_m(a, b, u) + kummer_m(a + 1, b, u)) / 2.0
+        B = z * e * kummer_m(a + 1, b + 1, u)
         return A, B
     s, b = spec.sigma, spec.beta
-    return hyp0f1(b, -s * z, pol), z * hyp0f1(b + 1, -s * z, pol)
+    return hyp0f1(b, -s * z), z * hyp0f1(b + 1, -s * z)
 
 
 def kernel_components_prime(spec, z):
@@ -124,26 +124,25 @@ def kernel_components_prime(spec, z):
     d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).
     """
     z = complex(z)
-    pol = spec.policy
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         u = -2j * kap * z
         e = cmath.exp(1j * kap * z)
-        m_a = kummer_m(a, b, u, pol)
-        m_a1 = kummer_m(a + 1, b, u, pol)
-        m_b = kummer_m(a + 1, b + 1, u, pol)
+        m_a = kummer_m(a, b, u)
+        m_a1 = kummer_m(a + 1, b, u)
+        m_b = kummer_m(a + 1, b + 1, u)
         dA = 1j * kap * e * (m_a + m_a1) / 2.0 + e * (-2j * kap) * (
-            (a / b) * kummer_m(a + 1, b + 1, u, pol)
-            + ((a + 1) / b) * kummer_m(a + 2, b + 1, u, pol)
+            (a / b) * m_b + ((a + 1) / b) * kummer_m(a + 2, b + 1, u)
         ) / 2.0
         dB = e * m_b + z * (
             1j * kap * e * m_b
-            + e * (-2j * kap) * ((a + 1) / (b + 1)) * kummer_m(a + 2, b + 2, u, pol)
+            + e * (-2j * kap) * ((a + 1) / (b + 1)) * kummer_m(a + 2, b + 2, u)
         )
         return dA, dB
     s, b = spec.sigma, spec.beta
-    dA = (-s / b) * hyp0f1(b + 1, -s * z, pol)
-    dB = hyp0f1(b + 1, -s * z, pol) + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z, pol)
+    f_b1 = hyp0f1(b + 1, -s * z)
+    dA = (-s / b) * f_b1
+    dB = f_b1 + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z)
     return dA, dB
 
 
@@ -167,7 +166,7 @@ def sine_kernel(z, w):
     return sine_ratio(math.pi * u)
 
 
-def fh_bessel_kernel(beta, z, w, policy=DEFAULT_POLICY):
+def fh_bessel_kernel(beta, z, w):
     """K_{1,1,beta} written with factored Bessel functions.
 
     Uses A(z) = Gamma(beta/2) F_{beta/2-1}(kappa z),
@@ -177,7 +176,7 @@ def fh_bessel_kernel(beta, z, w, policy=DEFAULT_POLICY):
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    kap = build_limit_kernel(1.0, 1.0, beta, policy).kappa
+    kap = build_limit_kernel(1.0, 1.0, beta).kappa
     nu_a = beta / 2.0 - 1.0
     nu_b = beta / 2.0
     pref = gamma_cx(beta / 2.0 + 1.0).real * gamma_cx(beta / 2.0).real
@@ -185,17 +184,17 @@ def fh_bessel_kernel(beta, z, w, policy=DEFAULT_POLICY):
     v = w.conjugate()
 
     def f(t):  # A-component without its Gamma factor
-        return bessel_f(nu_a, kap * t, policy)
+        return bessel_f(nu_a, kap * t)
 
     def g(t):  # B-component without z and its Gamma factor
-        return bessel_f(nu_b, kap * t, policy)
+        return bessel_f(nu_b, kap * t)
 
     if abs(z - v) < DIAGONAL_SWITCH:
         zeta = (z + v) / 2.0
         gz = zeta * g(zeta)
-        dg = g(zeta) + zeta * kap * bessel_f_prime(nu_b, kap * zeta, policy)
+        dg = g(zeta) + zeta * kap * bessel_f_prime(nu_b, kap * zeta)
         fz = f(zeta)
-        df = kap * bessel_f_prime(nu_a, kap * zeta, policy)
+        df = kap * bessel_f_prime(nu_a, kap * zeta)
         return pref * (dg * fz - df * gz)
     num = z * g(z) * f(v) - f(z) * v * g(v)
     return pref * num / (z - v)
@@ -207,21 +206,15 @@ class ScaleFit:
     residual: float
 
 
-def _as_kernel(target):
-    if isinstance(target, LimitKernelSpec):
-        return lambda z, w: eval_limit_kernel(target, z, w)
-    return target
-
-
-def fit_internal_scale(samples, target, c_range=(1e-2, 1e2), iterations=90):
+def fit_internal_scale(samples, target):
     """Fit c > 0 minimizing sup_samples |value - target(c z, c w)|.
 
-    Coarse log-spaced scan followed by golden-section refinement.  Samples
-    must be normalized (value 1 at (0,0)) and number at least 10.
+    Coarse log-spaced scan of c in [1e-2, 1e2] followed by golden-section
+    refinement.  Samples must be normalized (value 1 at (0,0)) and number at
+    least 10.
     """
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
-    kernel = _as_kernel(target)
     zs = np.array([s.z for s in samples], dtype=complex)
     ws = np.array([s.w for s in samples], dtype=complex)
     vals = np.array([s.value for s in samples], dtype=complex)
@@ -233,7 +226,7 @@ def fit_internal_scale(samples, target, c_range=(1e-2, 1e2), iterations=90):
         worst = 0.0
         for z, w, val in zip(zs, ws, vals):
             try:
-                pred = kernel(c * z, c * w)
+                pred = target(c * z, c * w)
             except (OverflowError, RuntimeError):
                 return math.inf
             d = abs(val - pred)
@@ -242,7 +235,7 @@ def fit_internal_scale(samples, target, c_range=(1e-2, 1e2), iterations=90):
             worst = max(worst, d)
         return worst
 
-    lo, hi = math.log(c_range[0]), math.log(c_range[1])
+    lo, hi = math.log(1e-2), math.log(1e2)
     grid = np.linspace(lo, hi, 81)
     vals_grid = [objective(x) for x in grid]
     i = int(np.argmin(vals_grid))
@@ -253,7 +246,7 @@ def fit_internal_scale(samples, target, c_range=(1e-2, 1e2), iterations=90):
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(iterations):
+    for _ in range(90):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)

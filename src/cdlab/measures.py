@@ -51,15 +51,13 @@ class AcPiece:
     """Absolutely continuous piece w(x) dx on [a, b].
 
     singular_exponents = (ga, gb) declares w(x) ~ C (x-a)^ga near a and
-    ~ C (b-x)^gb near b, both > -1 (integrable).  quadrature_panels is the
-    starting panel count for adaptive integration.
+    ~ C (b-x)^gb near b, both > -1 (integrable).
     """
 
     a: float
     b: float
     weight: Callable[[np.ndarray], np.ndarray]
     singular_exponents: tuple = (0.0, 0.0)
-    quadrature_panels: int = 4
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -94,11 +92,11 @@ class Measure:
             out += _integrate_piece(p, p.a, p.b)
         return out
 
-    def is_even(self, tol=0.0):
+    def is_even(self):
         """True when atoms and pieces are mirror images under x -> -x."""
         pos, mas = self.atom_positions, self.atom_masses
         if pos.size:
-            if not np.allclose(pos, -pos[::-1], atol=tol) or not np.allclose(mas, mas[::-1]):
+            if not np.allclose(pos, -pos[::-1], atol=0.0) or not np.allclose(mas, mas[::-1]):
                 return False
         by_interval = {(p.a, p.b): p for p in self.pieces}
         if sorted(by_interval) != sorted((-p.b, -p.a) for p in self.pieces):
@@ -180,7 +178,7 @@ def _integrate_piece(piece, lo, hi, f=None, rtol=1e-10, max_doublings=12):
     hi = min(hi, piece.b)
     if not lo < hi:
         return 0.0
-    n = max(16, piece.quadrature_panels * 8)
+    n = 32
     prev = None
     for _ in range(max_doublings):
         x, w = _piece_nodes(piece, lo, hi, n)

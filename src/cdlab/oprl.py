@@ -362,9 +362,9 @@ def _sturm_counts(d, e_sq, shifts):
     return count
 
 
-def poly_zeros(rec, n, tol=1e-13):
+def poly_zeros(rec, n):
     """All n zeros of p_n: eigenvalues of the truncated Jacobi matrix by
-    Sturm-sequence bisection; strictly increasing."""
+    Sturm-sequence bisection to width 1e-13; strictly increasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > len(rec):
@@ -382,7 +382,7 @@ def poly_zeros(rec, n, tol=1e-13):
     lo = np.full(n, lo0)
     hi = np.full(n, hi0)
     for _ in range(200):
-        if float(np.max(hi - lo)) <= tol:
+        if float(np.max(hi - lo)) <= 1e-13:
             break
         mid = 0.5 * (lo + hi)
         c = _sturm_counts(d, e_sq, mid)

@@ -4,22 +4,25 @@ Everything here is a plain power series with a relative-term stopping rule,
 plus a Lanczos-type rational approximation for Gamma.  These are the only
 transcendental building blocks the limit kernels need; no asymptotic
 expansions, no arbitrary precision.
+
+The series rules are fixed module constants.  Results are finite or raise:
+SeriesConvergenceError (no convergence), its subclass SeriesPrecisionError
+(overflow, or cancellation beyond _MAX_REL_ERROR), GammaOverflowError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesPolicy",
     "SeriesConvergenceError",
+    "SeriesPrecisionError",
     "GammaPoleError",
+    "GammaOverflowError",
     "BracketingError",
-    "DEFAULT_POLICY",
     "gamma_cx",
     "kummer_m",
     "hyp0f1",
@@ -29,50 +32,47 @@ __all__ = [
     "real_zeros",
 ]
 
+# Series truncation.  A term is "small" when |term| <= _REL_TOL * |partial
+# sum|; summation stops after three consecutive small terms (guards against a
+# single term that happens to vanish) and fails after _MAX_TERMS terms.
+# _KUMMER_THRESHOLD is the |z| above which the Kummer transform
+# M(a,b,z) = e^z M(b-a,b,-z) is used when it reduces cancellation (Re z < 0);
+# 40 keeps the cancellation below ~1e-12 in double precision.
+_REL_TOL = 1e-14
+_MAX_TERMS = 2000
+_KUMMER_THRESHOLD = 40.0
+# Largest accepted error estimate u * max|term| / |sum| of the 80-bit Kummer
+# series (u its unit roundoff; within a factor 4 of the true error from 1e-14
+# to 1e-5).  Real-axis sign scans of the kernel (Freud-Levin zeros) use values
+# with estimates up to ~1e-8.
+_MAX_REL_ERROR = 1e-6
+_LONGDOUBLE_ROUNDOFF = np.finfo(np.longdouble).eps / 2
+
 
 class SeriesConvergenceError(RuntimeError):
-    """Series did not meet the stopping rule within max_terms."""
+    """Series did not meet the stopping rule within _MAX_TERMS terms."""
 
-    def __init__(self, name, partial_sum_magnitude, max_terms):
+    def __init__(self, name, partial_sum_magnitude,
+                 cause=f"no convergence after {_MAX_TERMS} terms"):
         self.partial_sum_magnitude = float(partial_sum_magnitude)
-        self.max_terms = int(max_terms)
-        super().__init__(
-            f"{name}: no convergence after {max_terms} terms "
-            f"(|partial sum| = {partial_sum_magnitude:.3e})"
-        )
+        super().__init__(f"{name}: {cause} (|partial sum| = {partial_sum_magnitude:.3e})")
+
+
+class SeriesPrecisionError(SeriesConvergenceError):
+    """Series converged, but its double value is not finite or its estimated
+    relative error exceeds _MAX_REL_ERROR."""
 
 
 class GammaPoleError(ValueError):
     """Gamma evaluated at a nonpositive integer."""
 
 
+class GammaOverflowError(OverflowError):
+    """Gamma (or a power of it) is outside the double range."""
+
+
 class BracketingError(RuntimeError):
     """Zero search exhausted its window without finding enough sign changes."""
-
-
-@dataclass(frozen=True)
-class SeriesPolicy:
-    """Truncation policy for the power series in this module.
-
-    A term is "small" when |term| <= rel_tol * |partial sum|; summation stops
-    after three consecutive small terms (guards against a single term that
-    happens to vanish).  kummer_threshold is the |z| above which the Kummer
-    transform M(a,b,z) = e^z M(b-a,b,-z) is used when it reduces cancellation
-    (Re z < 0); 40 keeps the cancellation below ~1e-12 in double precision.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 2000
-    kummer_threshold: float = 40.0
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_terms < 16:
-            raise ValueError("max_terms must be >= 16")
-
-
-DEFAULT_POLICY = SeriesPolicy()
 
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set);
@@ -110,82 +110,111 @@ def _gamma_lanczos_half_plane(z):
     for i in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[i] / (zm1 + i)
     t = zm1 + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (zm1 + 0.5) * cmath.exp(-t) * acc
+    try:
+        out = _SQRT_2PI * t ** (zm1 + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        out = cmath.inf
+    if cmath.isfinite(out):
+        return out
+    # t^(z-1/2) alone overflows from Re z ~ 142.6 on, while Gamma stays finite
+    # up to ~171.6: apply it in two halves around e^-t (5x more accurate than
+    # exp((z-1/2) log t - t))
+    half = t ** ((zm1 + 0.5) / 2.0)
+    return _SQRT_2PI * half * cmath.exp(-t) * half * acc
 
 
 def gamma_cx(z):
-    """Gamma(z) for complex z, reflection formula for Re z < 1/2."""
+    """Gamma(z) for complex z, reflection formula for Re z < 1/2.
+
+    Raises GammaOverflowError when Gamma(z) (or Gamma(1-z) in the reflection)
+    is outside the double range.
+    """
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise GammaPoleError(f"Gamma pole at z = {z}")
-    if z.real >= 0.5:
-        out = _gamma_lanczos_half_plane(z)
-    else:
-        out = math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos_half_plane(1.0 - z))
+    try:
+        if z.real >= 0.5:
+            out = _gamma_lanczos_half_plane(z)
+        else:
+            out = math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos_half_plane(1.0 - z))
+    except OverflowError:
+        out = cmath.inf
+    if not cmath.isfinite(out):
+        raise GammaOverflowError(f"Gamma({z}) is outside the double range")
     if z.imag == 0.0:
         return complex(out.real, 0.0)
     return out
 
 
-def _sum_series(name, first_term, step, policy):
+def _sum_series(name, first_term, step):
     """Sum term_0 + term_1 + ... with term_{n+1} = step(n, term_n).
 
-    Stops after three consecutive terms below rel_tol * |sum|.
+    Stops after three consecutive terms below _REL_TOL * |sum|.
     """
     total = first_term
     term = first_term
     small = 0
-    for n in range(policy.max_terms):
+    for n in range(_MAX_TERMS):
         term = step(n, term)
         total += term
-        if abs(term) <= policy.rel_tol * max(abs(total), 1e-300):
+        if abs(term) <= _REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return total
         else:
             small = 0
-    raise SeriesConvergenceError(name, abs(total), policy.max_terms)
+    raise SeriesConvergenceError(name, abs(total))
 
 
-def _kummer_series_extended(a, b, z, policy):
+def _kummer_series_extended(a, b, z):
     # 80-bit accumulation: the oscillatory series loses ~|z| digits to
-    # cancellation, which exceeds 1e-10 in doubles once |z| > ~10
+    # cancellation, which exceeds 1e-10 in doubles once |z| > ~10; beyond
+    # the 80-bit digits it is rejected by the estimate u * max|term| / |sum|
     a = np.clongdouble(a)
     b = np.clongdouble(b)
     z = np.clongdouble(z)
     total = np.clongdouble(1.0)
     term = np.clongdouble(1.0)
+    biggest = np.longdouble(1.0)
     small = 0
-    for n in range(policy.max_terms):
+    for n in range(_MAX_TERMS):
         term = term * (a + n) / (b + n) * z / (n + 1)
         total += term
-        if abs(term) <= policy.rel_tol * 1e-3 * max(abs(total), 1e-300):
+        size = abs(term)
+        if size > biggest:
+            biggest = size
+        if size <= _REL_TOL * 1e-3 * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
-                return complex(total)
+                value = complex(total)
+                rel_error = _LONGDOUBLE_ROUNDOFF * biggest / max(abs(total), 1e-300)
+                if not cmath.isfinite(value) or rel_error > _MAX_REL_ERROR:
+                    raise SeriesPrecisionError("kummer_m", abs(total), f"value {value} with "
+                                               f"estimated relative error {rel_error:.1e}")
+                return value
         else:
             small = 0
-    raise SeriesConvergenceError("kummer_m", abs(total), policy.max_terms)
+    raise SeriesConvergenceError("kummer_m", abs(total))
 
 
-def kummer_m(a, b, z, policy=DEFAULT_POLICY):
+def kummer_m(a, b, z):
     """Confluent hypergeometric M(a,b,z) = sum (a)_n/(b)_n z^n/n!."""
     a, b, z = complex(a), complex(b), complex(z)
     if _is_nonpositive_integer(b):
         raise ValueError(f"kummer_m: b = {b} is a nonpositive integer")
-    if abs(z) > policy.kummer_threshold and z.real < 0.0:
+    if abs(z) > _KUMMER_THRESHOLD and z.real < 0.0:
         # e^z decays, and the transformed series has Re(-z) > 0: no cancellation
-        return cmath.exp(z) * kummer_m(b - a, b, -z, policy)
+        return cmath.exp(z) * kummer_m(b - a, b, -z)
     if abs(z) > 10.0:
-        return _kummer_series_extended(a, b, z, policy)
+        return _kummer_series_extended(a, b, z)
 
     def step(n, term):
         return term * (a + n) / (b + n) * z / (n + 1)
 
-    return _sum_series("kummer_m", 1.0 + 0.0j, step, policy)
+    return _sum_series("kummer_m", 1.0 + 0.0j, step)
 
 
-def hyp0f1(b, z, policy=DEFAULT_POLICY):
+def hyp0f1(b, z):
     """0F1(b, z) = sum 1/(b)_n z^n/n!."""
     b, z = complex(b), complex(z)
     if _is_nonpositive_integer(b):
@@ -194,10 +223,10 @@ def hyp0f1(b, z, policy=DEFAULT_POLICY):
     def step(n, term):
         return term * z / ((b + n) * (n + 1))
 
-    return _sum_series("hyp0f1", 1.0 + 0.0j, step, policy)
+    return _sum_series("hyp0f1", 1.0 + 0.0j, step)
 
 
-def bessel_f(nu, z, policy=DEFAULT_POLICY):
+def bessel_f(nu, z):
     """F_nu(z) = sum (-1)^n / (n! Gamma(n+nu+1)) (z/2)^{2n}.
 
     Entire and even; J_nu(z) = (z/2)^nu F_nu(z).  Real on the real axis.
@@ -211,16 +240,16 @@ def bessel_f(nu, z, policy=DEFAULT_POLICY):
     def step(n, term):
         return term * q / ((n + 1) * (n + 1 + nu))
 
-    out = _sum_series("bessel_f", first, step, policy)
+    out = _sum_series("bessel_f", first, step)
     if z.imag == 0.0:
         return complex(out.real, 0.0)
     return out
 
 
-def bessel_f_prime(nu, z, policy=DEFAULT_POLICY):
+def bessel_f_prime(nu, z):
     """d/dz F_nu(z) = -(z/2) F_{nu+1}(z)."""
     z = complex(z)
-    return -(z / 2.0) * bessel_f(nu + 1.0, z, policy)
+    return -(z / 2.0) * bessel_f(nu + 1.0, z)
 
 
 def real_zeros(f, lo, k, step, hi):
@@ -261,7 +290,7 @@ def real_zeros(f, lo, k, step, hi):
     return zeros
 
 
-def bessel_zero(nu, k, policy=DEFAULT_POLICY):
+def bessel_zero(nu, k):
     """k-th positive zero of F_nu (equivalently of J_nu), k >= 1.
 
     real_zeros with step pi/4 (zero spacing tends to pi) on a window of 16
@@ -272,7 +301,7 @@ def bessel_zero(nu, k, policy=DEFAULT_POLICY):
     if k < 1:
         raise ValueError("k must be >= 1")
     window = max(20.0, (k + max(nu, 0.0) / 2.0) * math.pi + 10.0)
-    return real_zeros(lambda x: bessel_f(nu, x, policy).real,
+    return real_zeros(lambda x: bessel_f(nu, x).real,
                       0.0, k, math.pi / 4.0, 16 * window)[-1]
 
 

@@ -20,7 +20,6 @@ from .limit_kernels import (
     KernelSample,
     eval_limit_kernel,
     fit_internal_scale,
-    _as_kernel,
 )
 from .oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd
 from .opuc import VerblunskyCoeffs, rescaled_cd_circle
@@ -136,14 +135,13 @@ def convergence_study(source, xi, h, target, indices, grid, tolerance,
         raise ShapeMismatchError(
             f"fitted-scale residual {fit.residual:.3e} exceeds {fit_residual_bound:.3e}"
         )
-    kernel = _as_kernel(target)
     sup_errors = []
     samples_by_index = {}
     for idx in indices:
         samples = sampler(idx, grid)
         samples_by_index[idx] = samples
         err = max(
-            abs(s.value - kernel(fit.c * s.z, fit.c * s.w)) for s in samples
+            abs(s.value - target(fit.c * s.z, fit.c * s.w)) for s in samples
         )
         sup_errors.append(float(err))
     decreasing = all(b < a for a, b in zip(sup_errors, sup_errors[1:]))
@@ -398,7 +396,6 @@ def zero_study(rec, xi, h, mode, n_values, k_max,
 class SparseDiagnosticsAt:
     xi: float
     norms_sq: np.ndarray          # ||A_n||^2 for n = 1..n_max
-    a_vectors: np.ndarray         # A_n rows, complex (n_max, 2)
     block_deviation: float        # max |norms_sq - block value| within blocks
     k_prediction: Callable        # t -> predicted K(t, xi, xi)
     g_xi: Callable                # n -> scaling function of the measure
@@ -411,9 +408,10 @@ class SparseDiagnostics:
     values: np.ndarray    # v_j
 
     def at(self, xi):
+        if not -2.0 < xi < 2.0:
+            raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
         rec = self.rec
         n_max = len(rec)
-        theta = math.acos(xi / 2.0)
         # forward recurrence for p_n(xi)
         ps = np.empty(n_max + 1)
         ps[0] = 1.0
@@ -430,15 +428,6 @@ class SparseDiagnostics:
         norms_sq = 2.0 * (p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2) / (
             4.0 - xi * xi
         )
-        e_th = complex(math.cos(theta), math.sin(theta))
-        u_inv = np.array(
-            [[1.0, -np.conj(e_th)], [-1.0, e_th]], dtype=complex
-        ) / (e_th - np.conj(e_th))
-        vecs = np.stack([p_n.astype(complex), (a_n * p_nm1).astype(complex)], axis=1)
-        rot = np.exp(-1j * (n - 1) * theta)
-        a_vecs = np.empty((n_max, 2), dtype=complex)
-        a_vecs[:, 0] = rot * (u_inv[0, 0] * vecs[:, 0] + u_inv[0, 1] * vecs[:, 1])
-        a_vecs[:, 1] = np.conj(rot) * (u_inv[1, 0] * vecs[:, 0] + u_inv[1, 1] * vecs[:, 1])
         # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
         # exactly at n = N_j, where b_n is nonzero)
         edges = np.unique(np.concatenate([[1], self.bumps, [n_max + 1]])).astype(int)
@@ -465,7 +454,6 @@ class SparseDiagnostics:
         return SparseDiagnosticsAt(
             xi=float(xi),
             norms_sq=norms_sq,
-            a_vectors=a_vecs,
             block_deviation=dev,
             k_prediction=k_prediction,
             g_xi=g_xi,

@@ -128,7 +128,7 @@ def test_j_inner_integral_identity():
     wz = transfer_matrix(h, t, z).entries
     ww = transfer_matrix(h, t, w).entries
     lhs = (wz @ J @ ww.conj().T - J) / (z - np.conj(w))
-    rhs = transfer_form_integral(h, t, z, w, n_quad=32)
+    rhs = transfer_form_integral(h, t, z, w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 

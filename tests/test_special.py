@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from cdlab.special import (
     BracketingError,
+    GammaOverflowError,
     GammaPoleError,
     SeriesConvergenceError,
-    SeriesPolicy,
+    SeriesPrecisionError,
     bessel_f,
     bessel_zero,
     gamma_cx,
@@ -20,13 +21,6 @@ from cdlab.special import (
 )
 
 SQRT_PI = 1.7724538509055159
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SeriesPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesPolicy(max_terms=8)
 
 
 def test_gamma_known_values():
@@ -48,6 +42,18 @@ def test_gamma_pole():
             gamma_cx(z)
 
 
+def test_gamma_large_argument():
+    # t^(z-1/2) overflows from Re z ~ 142.6 on, while Gamma stays finite up to
+    # ~171.6; math.gamma is the real oracle, the recurrence the complex one
+    for x in (142.6, 143.0, 150.0, 160.0, 171.0, 171.6):
+        assert abs(gamma_cx(x).real - math.gamma(x)) <= 1e-13 * math.gamma(x)
+    z = 150.0 + 3.0j
+    assert abs(gamma_cx(z + 1.0) - z * gamma_cx(z)) <= 1e-13 * abs(gamma_cx(z + 1.0))
+    for z in (171.7, 200.0, 0.3 + 400j):
+        with pytest.raises(GammaOverflowError):
+            gamma_cx(z)
+
+
 def test_gamma_reflection_region():
     # left half plane via reflection against recurrence-from-right oracle
     z = -2.3 + 0.7j
@@ -66,28 +72,26 @@ def test_kummer_zero_a():
 
 
 def test_kummer_refinement_oracle():
-    # doubling max_terms and tightening rel_tol must not move the value
-    a, b, z = 0.25 + 0.11j, 1.5, -2j
-    loose = kummer_m(a, b, z, SeriesPolicy(rel_tol=1e-14, max_terms=2000))
-    tight = kummer_m(a, b, z, SeriesPolicy(rel_tol=1e-16, max_terms=4000))
-    assert abs(loose - tight) <= 1e-13
+    # the double series (|z| <= 10), the 80-bit series (10 < |z| <= 40) and
+    # the Kummer transform (|z| > 40, Re z < 0) against arbitrary precision
+    mpmath = pytest.importorskip("mpmath")
+    for a, b, z in ((0.25 + 0.11j, 1.5, -2j), (0.3, 1.7, -15.0), (0.3, 1.7, -60.0)):
+        exact = complex(mpmath.hyp1f1(a, b, z))
+        assert abs(kummer_m(a, b, z) - exact) <= 1e-15 * abs(exact)
 
 
-def test_kummer_transform_branch():
-    # force the transform branch at moderate |z| (where the direct alternating
-    # series is still trustworthy) and compare the two routes
-    a, b, z = 0.3, 1.7, -15.0
-    direct = kummer_m(a, b, z)  # default threshold 40: raw series
-    via_transform = kummer_m(a, b, z, SeriesPolicy(kummer_threshold=10.0))
-    assert abs(direct - via_transform) <= 1e-8 * (1.0 + abs(direct))
-    # and for |z| > 40 the transform keeps the magnitude sane
-    big = kummer_m(a, b, -60.0)
-    assert abs(big) < 1.0
+def test_kummer_precision_loss_raises():
+    # M(-0.11i, 1, 60i) = 1.048 + 0.589i, but the 80-bit series cancels past
+    # its digits; M(1, 2, 720) = (e^720 - 1)/720 overflows doubles, and so
+    # does the transformed series behind M(1, 2, -750)
+    for a, b, z in ((-0.11j, 1.0, 60j), (1.0, 2.0, 720.0), (1.0, 2.0, -750.0)):
+        with pytest.raises(SeriesPrecisionError):
+            kummer_m(a, b, z)
 
 
 def test_kummer_nonconvergence_reports_partial_sum():
     with pytest.raises(SeriesConvergenceError) as exc:
-        kummer_m(1.0, 2.0, 500.0, SeriesPolicy(max_terms=16, kummer_threshold=1e9))
+        kummer_m(1.0, 2.0, 5000.0)
     assert exc.value.partial_sum_magnitude > 0
 
 

@@ -169,6 +169,10 @@ def test_sparse_free_diagnostics():
     assert abs(kernel_diag(rec, 2000, 0.0) / 2000.0 - 0.5) <= 1e-3
     assert abs(dat.k_prediction(2000.0) - kernel_diag(rec, 2000, 0.0)) <= 1.0
     assert abs(dat.g_xi(1000) - math.pi * 1000.0) <= 1e-9
+    # the diagnostics divide by 4 - xi^2: only the bulk (-2, 2) is valid
+    for xi in (2.0, -2.5):
+        with pytest.raises(ValueError):
+            diag.at(xi)
 
 
 def test_sparse_block_constancy_nonzero_xi():
@@ -228,10 +232,10 @@ def test_convergence_study_shape_mismatch(leg):
                           fit_residual_bound=1e-3)
 
 
-def test_weyl_converged_flag():
+def test_weyl_disk_radius():
     import numpy as np
     from cdlab.canonical import Hamiltonian, weyl
 
     h = Hamiltonian.constant(np.eye(2) / 2.0, length=50.0, tail=True)
-    assert weyl(h, 1j, 40.0, tol=1e-8).converged
-    assert not weyl(h, 1j, 0.5, tol=1e-12).converged
+    assert weyl(h, 1j, 40.0).disk_radius < 1e-8
+    assert weyl(h, 1j, 0.5).disk_radius >= 1e-12
