@@ -72,10 +72,23 @@ def test_kummer_zero_a():
 
 
 def test_kummer_refinement_oracle():
-    # the double series (|z| <= 10), the 80-bit series (10 < |z| <= 40) and
-    # the Kummer transform (|z| > 40, Re z < 0) against arbitrary precision
+    # the double series (|z| <= 10) against arbitrary precision
     mpmath = pytest.importorskip("mpmath")
-    for a, b, z in ((0.25 + 0.11j, 1.5, -2j), (0.3, 1.7, -15.0), (0.3, 1.7, -60.0)):
+    a, b, z = 0.25 + 0.11j, 1.5, -2j
+    exact = complex(mpmath.hyp1f1(a, b, z))
+    assert abs(kummer_m(a, b, z) - exact) <= 1e-15 * abs(exact)
+
+
+def test_kummer_transform_branch():
+    # at moderate |z| the 80-bit series and the Kummer transform written out
+    # agree; both routes (10 < |z| <= 40, and |z| > 40 with Re z < 0) match
+    # arbitrary precision
+    mpmath = pytest.importorskip("mpmath")
+    a, b, z = 0.3, 1.7, -15.0
+    direct = kummer_m(a, b, z)
+    via_transform = cmath.exp(z) * kummer_m(b - a, b, -z)
+    assert abs(direct - via_transform) <= 1e-8 * (1.0 + abs(direct))
+    for z in (-15.0, -60.0):
         exact = complex(mpmath.hyp1f1(a, b, z))
         assert abs(kummer_m(a, b, z) - exact) <= 1e-15 * abs(exact)
 
