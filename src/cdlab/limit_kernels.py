@@ -13,10 +13,6 @@ confluent hypergeometric components.  Two regimes:
       sigma = +-(sigma_pm Gamma(beta+1)^2 / pi)^(1/beta)
       A(z)  = 0F1(beta, -sigma z),   B(z) = z 0F1(beta+1, -sigma z)
 
-A and B are real entire functions.  Below the real axis Re(-2i kappa z) < 0
-and the Kummer series cancel, so the two-sided components there are the
-conjugates of those at conj z; this also keeps K(z,w) = conj K(w,z) to rounding.
-
 The family is normalized so K(0,0) = 1.  The internal scale relating these
 printed kernels to empirically computed rescaling limits is a separate,
 deliberately unresolved constant: fit_internal_scale measures it instead of
@@ -49,6 +45,7 @@ __all__ = [
     "build_limit_kernel",
     "eval_limit_kernel",
     "kernel_components",
+    "kernel_components_prime",
     "sine_kernel",
     "fh_bessel_kernel",
     "fit_internal_scale",
@@ -57,12 +54,6 @@ __all__ = [
 # Cancellation in the raw difference quotient reaches ~1e-8 relative at double
 # precision, so switch to the derivative branch below this separation.
 DIAGONAL_SWITCH = 1e-8
-# Below _TAYLOR_SWITCH, where the quotient would still lose eps |A||B| /
-# |z - conj w| (2e-11 at 1e-5), the limit kernel is summed from Taylor
-# coefficients at the midpoint: through degree 1 below DIAGONAL_SWITCH, else
-# through degree 7, which gives the same bits as degree 15 for kappa <= 3.4.
-_TAYLOR_SWITCH = 1e-2
-_TAYLOR_ORDER = 7
 
 
 @dataclass(frozen=True)
@@ -103,22 +94,24 @@ def build_limit_kernel(sigma_minus, sigma_plus, beta):
         kappa = 0.5 * (
             2.0 * gamma_beta_sq * math.sqrt(sigma_plus * sigma_minus) / gamma_sq
         ) ** (1.0 / beta)
-        return LimitKernelSpec(sigma_minus, sigma_plus, beta, "two-sided",
+        spec = LimitKernelSpec(sigma_minus, sigma_plus, beta, "two-sided",
                                alpha=alpha, kappa=kappa)
-    mag = sigma_plus if sigma_plus > 0 else sigma_minus
-    sigma = (mag * gamma_beta_sq / math.pi) ** (1.0 / beta)
-    if sigma_plus == 0:
-        sigma = -sigma
-    return LimitKernelSpec(sigma_minus, sigma_plus, beta, "one-sided", sigma=sigma)
+    else:
+        mag = sigma_plus if sigma_plus > 0 else sigma_minus
+        sigma = (mag * gamma_beta_sq / math.pi) ** (1.0 / beta)
+        if sigma_plus == 0:
+            sigma = -sigma
+        spec = LimitKernelSpec(sigma_minus, sigma_plus, beta, "one-sided", sigma=sigma)
+    # Gamma(beta+1)^2 times sigma+- can overflow although its square is finite
+    if not math.isfinite(spec.sigma if spec.kappa is None else spec.kappa):
+        raise GammaOverflowError(f"the kernel scale overflows at beta = {beta}")
+    return spec
 
 
 def kernel_components(spec, z):
     """The entire functions (A(z), B(z)) of the spec."""
     z = complex(z)
     if spec.case == "two-sided":
-        if z.imag < 0.0:
-            A, B = kernel_components(spec, z.conjugate())
-            return A.conjugate(), B.conjugate()
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         u = -2j * kap * z
         e = cmath.exp(1j * kap * z)
@@ -129,61 +122,45 @@ def kernel_components(spec, z):
     return hyp0f1(b, -s * z), z * hyp0f1(b + 1, -s * z)
 
 
-def _taylor_components(spec, zeta, order):
-    """Taylor coefficients of (A, B) at zeta through degree order.
+def kernel_components_prime(spec, z):
+    """(A'(z), B'(z)) by term-wise differentiated series.
 
-    Uses d^n/du^n M(a,b,u) = (a)_n/(b)_n M(a+n,b+n,u) and
-    d^n/du^n 0F1(b,u) = 0F1(b+n,u)/(b)_n.
+    Uses d/dz M(a,b,cz) = c (a/b) M(a+1,b+1,cz) and
+    d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).
     """
-    n = np.arange(order + 1)
-    if spec.case == "one-sided":
-        s, beta = spec.sigma, spec.beta
-
-        def series(q):  # of 0F1(q, -s (zeta + d)) in d
-            ratios = np.cumprod(np.r_[1.0, -s / ((q + n[:-1]) * (n[:-1] + 1))])
-            return ratios * [hyp0f1(q + k, -s * zeta) for k in n]
-
-        f, g = series(beta), series(beta + 1)
-    elif zeta.imag < 0.0:
-        f, h = _taylor_components(spec, zeta.conjugate(), order)
-        return f.conj(), h.conj()
-    else:
-        alpha, beta, kap = spec.alpha, spec.beta, spec.kappa
-        c = -2j * kap
-
-        def series(p, q):  # of M(p, q, c (zeta + d)) in d
-            ratios = np.cumprod(np.r_[1.0, (p + n[:-1]) / (q + n[:-1]) * c / (n[:-1] + 1)])
-            return ratios * [kummer_m(p + k, q + k, c * zeta) for k in n]
-
-        e = cmath.exp(1j * kap * zeta) * np.cumprod(np.r_[1.0, 1j * kap / n[1:]])
-        m_sum = (series(alpha, beta) + series(alpha + 1, beta)) / 2.0
-        f = np.convolve(e, m_sum)[: order + 1]
-        g = np.convolve(e, series(alpha + 1, beta + 1))[: order + 1]
-    h = zeta * g  # B(zeta + d) = (zeta + d) g(d)
-    h[1:] += g[:-1]
-    return f, h
+    z = complex(z)
+    if spec.case == "two-sided":
+        a, b, kap = spec.alpha, spec.beta, spec.kappa
+        u = -2j * kap * z
+        e = cmath.exp(1j * kap * z)
+        m_a = kummer_m(a, b, u)
+        m_a1 = kummer_m(a + 1, b, u)
+        m_b = kummer_m(a + 1, b + 1, u)
+        dA = 1j * kap * e * (m_a + m_a1) / 2.0 + e * (-2j * kap) * (
+            (a / b) * m_b + ((a + 1) / b) * kummer_m(a + 2, b + 1, u)
+        ) / 2.0
+        dB = e * m_b + z * (
+            1j * kap * e * m_b
+            + e * (-2j * kap) * ((a + 1) / (b + 1)) * kummer_m(a + 2, b + 2, u)
+        )
+        return dA, dB
+    s, b = spec.sigma, spec.beta
+    f_b1 = hyp0f1(b + 1, -s * z)
+    return (-s / b) * f_b1, f_b1 + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z)
 
 
 def eval_limit_kernel(spec, z, w):
-    """K(z,w) = (B(z)A(conj w) - A(z)B(conj w)) / (z - conj w).
-
-    Near the diagonal, (B(zeta+d)A(zeta-d) - A(zeta+d)B(zeta-d)) / 2d with
-    zeta = (z + conj w)/2 and d = (z - conj w)/2 is summed in powers of d^2.
-    """
+    """K(z,w) = (B(z)A(conj w) - A(z)B(conj w)) / (z - conj w)."""
     z, w = complex(z), complex(w)
     v = w.conjugate()
-    if abs(z - v) >= _TAYLOR_SWITCH:
-        Az, Bz = kernel_components(spec, z)
-        Av, Bv = kernel_components(spec, v)
-        return (Bz * Av - Az * Bv) / (z - v)
-    order = 1 if abs(z - v) < DIAGONAL_SWITCH else _TAYLOR_ORDER
-    a, b = _taylor_components(spec, (z + v) / 2.0, order)
-    d2 = ((z - v) / 2.0) ** 2
-    total = 0j
-    for m in range(order, 0, -2):
-        total = total * d2 + sum((-1) ** k * (b[m - k] * a[k] - a[m - k] * b[k])
-                                 for k in range((m + 1) // 2))
-    return complex(total)
+    if abs(z - v) < DIAGONAL_SWITCH:
+        zeta = (z + v) / 2.0
+        A, B = kernel_components(spec, zeta)
+        dA, dB = kernel_components_prime(spec, zeta)
+        return dB * A - dA * B
+    Az, Bz = kernel_components(spec, z)
+    Av, Bv = kernel_components(spec, v)
+    return (Bz * Av - Az * Bv) / (z - v)
 
 
 def sine_kernel(z, w):
@@ -208,21 +185,14 @@ def fh_bessel_kernel(beta, z, w):
     pref = gamma_cx(beta / 2.0 + 1.0).real * gamma_cx(beta / 2.0).real
     z, w = complex(z), complex(w)
     v = w.conjugate()
-
-    def f(t):  # A-component without its Gamma factor
-        return bessel_f(nu_a, kap * t)
-
-    def g(t):  # B-component without z and its Gamma factor
-        return bessel_f(nu_b, kap * t)
-
     if abs(z - v) < DIAGONAL_SWITCH:
         zeta = (z + v) / 2.0
-        gz = zeta * g(zeta)
-        dg = g(zeta) + zeta * kap * bessel_f_prime(nu_b, kap * zeta)
-        fz = f(zeta)
+        g = bessel_f(nu_b, kap * zeta)  # B / z without its Gamma factor
+        dg = g + zeta * kap * bessel_f_prime(nu_b, kap * zeta)
         df = kap * bessel_f_prime(nu_a, kap * zeta)
-        return pref * (dg * fz - df * gz)
-    num = z * g(z) * f(v) - f(z) * v * g(v)
+        return pref * (dg * bessel_f(nu_a, kap * zeta) - df * (zeta * g))
+    num = (z * bessel_f(nu_b, kap * z) * bessel_f(nu_a, kap * v)
+           - bessel_f(nu_a, kap * z) * v * bessel_f(nu_b, kap * v))
     return pref * num / (z - v)
 
 

@@ -5,15 +5,19 @@ plus a Lanczos-type rational approximation for Gamma.  These are the only
 transcendental building blocks the limit kernels need; no asymptotic
 expansions, no arbitrary precision.
 
-The series rules are fixed module constants.  Results are finite or raise:
-SeriesConvergenceError (no convergence), its subclass SeriesPrecisionError
-(overflow, or cancellation beyond _MAX_REL_ERROR), GammaOverflowError.
+The series rules are fixed module constants.  A series that does not
+converge raises SeriesConvergenceError; only kummer_m also estimates its
+cancellation error and raises the subclass SeriesPrecisionError (overflow, or
+an estimate beyond _MAX_REL_ERROR).  hyp0f1 and bessel_f do not, so at large
+|z| they can return finite values without correct digits.  gamma_cx raises
+GammaOverflowError outside the normal double range.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -126,8 +130,8 @@ def _gamma_lanczos_half_plane(z):
 def gamma_cx(z):
     """Gamma(z) for complex z, reflection formula for Re z < 1/2.
 
-    Raises GammaOverflowError when Gamma(z) (or Gamma(1-z) in the reflection)
-    is outside the double range.
+    Raises GammaOverflowError when |Gamma(z)| is outside the normal double
+    range, below ~2.2e-308 or above ~1.8e308.
     """
     z = complex(z)
     if _is_nonpositive_integer(z):
@@ -135,15 +139,20 @@ def gamma_cx(z):
     try:
         if z.real >= 0.5:
             out = _gamma_lanczos_half_plane(z)
-        else:
+        elif abs(z.imag) < 226.0:
             out = math.pi / (cmath.sin(math.pi * z) * _gamma_lanczos_half_plane(1.0 - z))
-    except OverflowError:
+        else:
+            # sin(pi z) overflows from |Im z| ~ 226.1 on, Gamma(z) only from ~452:
+            # pi / sin(pi s) = -2 pi i h^2 / (1 - h^4), h = e^(i pi s / 2), Im s > 0
+            s = complex(z.real, abs(z.imag))
+            h = cmath.exp(0.5j * math.pi * s)
+            out = -2j * math.pi * h * (h / _gamma_lanczos_half_plane(1.0 - s)) / (1.0 - h ** 4)
+            out = out if z.imag > 0.0 else out.conjugate()
+    except (OverflowError, ZeroDivisionError):  # the latter: Gamma(1-s) underflows
         out = cmath.inf
-    if not cmath.isfinite(out):
+    if not cmath.isfinite(out) or abs(out) < sys.float_info.min:
         raise GammaOverflowError(f"Gamma({z}) is outside the double range")
-    if z.imag == 0.0:
-        return complex(out.real, 0.0)
-    return out
+    return complex(out.real, 0.0) if z.imag == 0.0 else out
 
 
 def _sum_series(name, first_term, step):
@@ -241,9 +250,7 @@ def bessel_f(nu, z):
         return term * q / ((n + 1) * (n + 1 + nu))
 
     out = _sum_series("bessel_f", first, step)
-    if z.imag == 0.0:
-        return complex(out.real, 0.0)
-    return out
+    return complex(out.real, 0.0) if z.imag == 0.0 else out
 
 
 def bessel_f_prime(nu, z):

@@ -49,9 +49,18 @@ def test_gamma_large_argument():
         assert abs(gamma_cx(x).real - math.gamma(x)) <= 1e-13 * math.gamma(x)
     z = 150.0 + 3.0j
     assert abs(gamma_cx(z + 1.0) - z * gamma_cx(z)) <= 1e-13 * abs(gamma_cx(z + 1.0))
-    for z in (171.7, 200.0, 0.3 + 400j):
+    for z in (171.7, 200.0, 0.3 + 1000j):
         with pytest.raises(GammaOverflowError):
             gamma_cx(z)
+
+
+def test_gamma_large_imaginary_part():
+    # sin(pi z) in the reflection overflows from |Im z| ~ 226.1 on, while
+    # |Gamma(z)| ~ 1e-273 at |Im z| = 400 is a normal double; the recurrence
+    # ties the reflection to the Lanczos half plane
+    for z in (-0.3 + 400j, -0.3 - 400j, -2.6 + 300j, 0.2 + 226.1j):
+        lhs = gamma_cx(z + 1.0)
+        assert abs(lhs - z * gamma_cx(z)) <= 1e-12 * abs(lhs)
 
 
 def test_gamma_reflection_region():
