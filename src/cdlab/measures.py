@@ -92,22 +92,6 @@ class Measure:
             out += _integrate_piece(p, p.a, p.b)
         return out
 
-    def is_even(self):
-        """True when atoms and pieces are mirror images under x -> -x."""
-        pos, mas = self.atom_positions, self.atom_masses
-        if pos.size:
-            if not np.allclose(pos, -pos[::-1], atol=0.0) or not np.allclose(mas, mas[::-1]):
-                return False
-        by_interval = {(p.a, p.b): p for p in self.pieces}
-        if sorted(by_interval) != sorted((-p.b, -p.a) for p in self.pieces):
-            return False
-        for p in self.pieces:
-            mirror = by_interval[(-p.b, -p.a)]
-            x = np.linspace(p.a + (p.b - p.a) * 1e-3, p.b - (p.b - p.a) * 1e-3, 17)
-            if not np.allclose(p.weight(x), mirror.weight(-x), rtol=1e-10, atol=1e-300):
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # quadrature

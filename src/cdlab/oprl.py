@@ -7,9 +7,9 @@ Recurrence convention (orthonormal, probability measure):
 
 Second-kind polynomials use the same recurrence with q_0 = 0, q_1 = 1/a_1.
 Coefficients come from a quadrature discretization of the measure followed by
-Lanczos tridiagonalization with full reorthogonalization.  Zeros are computed
-by Sturm-sequence bisection on the truncated Jacobi matrix: deterministic
-accuracy and no ordering ambiguity.
+Lanczos tridiagonalization (folded onto x^2 for symmetric measures).  Zeros
+are computed by Sturm-sequence bisection on the truncated Jacobi matrix:
+deterministic accuracy and no ordering ambiguity.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "SupportTooSmallError",
     "PositivityLossError",
     "ZeroDiagonalError",
+    "KernelOverflowError",
     "stieltjes_coeffs",
     "eval_polys",
     "cd_kernel",
@@ -54,6 +55,15 @@ class PositivityLossError(RuntimeError):
 
 class ZeroDiagonalError(ValueError):
     """K(index, xi, xi) vanished; cannot rescale."""
+
+
+class KernelOverflowError(OverflowError):
+    """K(index, xi, xi) exceeds the double range."""
+
+    def __init__(self, index, xi):
+        self.index = index
+        self.xi = xi
+        super().__init__(f"K({index}, {xi}, {xi}) overflows double precision")
 
 
 @dataclass(frozen=True)
@@ -114,29 +124,44 @@ def _discretize(mu, n_max, node_factor):
 
 
 def _lanczos(x, w, m):
-    """m steps of Lanczos on diag(x) with start sqrt(w), full reorthogonalization."""
-    n_nodes = x.size
-    Q = np.empty((m + 1, n_nodes))
-    q = np.sqrt(w)
-    q /= np.linalg.norm(q)
-    Q[0] = q
-    a = np.empty(m)
-    b = np.empty(m)
+    """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i)."""
+    Q = np.empty((m, x.size))
+    Q[0] = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
+    d, e = np.empty(m), np.empty(m - 1)
     for k in range(m):
         v = x * Q[k]
-        b[k] = Q[k] @ v
-        v -= b[k] * Q[k]
+        d[k] = Q[k] @ v
+        if k == m - 1:
+            return d, e
+        v -= d[k] * Q[k]
         if k > 0:
-            v -= a[k - 1] * Q[k - 1]
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            c = Q[: k + 1] @ v
-            v -= Q[: k + 1].T @ c
-        nb = np.linalg.norm(v)
-        if not nb > 1e-14:
+            v -= e[k - 1] * Q[k - 1]
+        before = np.linalg.norm(v)
+        v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+        if np.linalg.norm(v) < before / math.sqrt(2.0):  # cancelled: pass twice (Kahan-Parlett)
+            v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+        e[k] = np.linalg.norm(v)
+        if not e[k] > 1e-14:
             raise PositivityLossError(k + 1)
-        a[k] = nb
-        Q[k + 1] = v / nb
-    return a, b
+        Q[k + 1] = v / e[k]
+
+
+def _folded_a(x, w, m):
+    """a_1..a_m by Lanczos on the fold x -> x^2 of a measure that is its own
+    mirror image (alpha_k = a_{2k}^2 + a_{2k+1}^2, beta_k = a_{2k+1} a_{2k+2});
+    None where the fold breaks down or a pivot a_{2k+1}^2 cancels digits."""
+    try:
+        alpha, beta = _lanczos(x[x.size // 2:] ** 2, w[x.size // 2:], m // 2 + 1)
+    except PositivityLossError:
+        return None
+    a = [0.0]  # a[j] = a_j
+    for k in range((m + 1) // 2):
+        pivot = alpha[k] - a[-1] * a[-1]
+        if not pivot > 1e-2 * alpha[k]:  # more than two digits would cancel
+            return None
+        a.append(math.sqrt(pivot))
+        a.append(beta[k] / a[-1] if k < beta.size else 0.0)
+    return np.array(a[1 : m + 1])
 
 
 def stieltjes_coeffs(mu, n_max, node_factor=20):
@@ -144,7 +169,7 @@ def stieltjes_coeffs(mu, n_max, node_factor=20):
 
     The measure is normalized to unit mass internally; the original mass is
     recorded on the result.  Requires > n_max support points after
-    discretization.
+    discretization.  A bit-exact mirror-symmetric one is folded (b = 0).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -156,10 +181,11 @@ def stieltjes_coeffs(mu, n_max, node_factor=20):
             f"support has {x.size} points after discretization; need > {n_max}"
         )
     total = float(w.sum())
-    a, b = _lanczos(x, w / total, n_max)
-    if mu.is_even():
-        b[:] = 0.0  # exact for even measures; removes roundoff drift
-    return RecurrenceCoeffs(a=a, b=b, source=mu.name or "measure", mass_factor=total)
+    mirror = x.size % 2 == 0 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    a, b = (_folded_a(x, w / total, n_max) if mirror else None), np.zeros(n_max)
+    if a is None:
+        b, a = _lanczos(x, w / total, n_max + 1)
+    return RecurrenceCoeffs(a=a, b=b[:n_max], source=mu.name or "measure", mass_factor=total)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +310,14 @@ def kernel_diag(rec, index, xi):
     s = index - n
     top = n if s == 0.0 else n + 1
     pv = eval_polys(rec, max(top - 1, 0), xi)
-    sq = np.abs(pv.values) ** 2 * math.exp(2.0 * pv.log_scale)
+    with np.errstate(over="ignore"):
+        sq = np.abs(pv.values) ** 2
     cum = np.concatenate([[0.0], np.cumsum(sq)])  # cum[m] = K(m, xi, xi)
-    if s == 0.0:
-        return float(cum[n])
-    return float(cum[n] + s * (cum[n + 1] - cum[n]))
+    out = cum[n] if s == 0.0 else cum[n] + s * (cum[n + 1] - cum[n])
+    # a rescaled sequence had an entry above 1e280, so K exceeds 1e560
+    if pv.log_scale > 0.0 or not math.isfinite(out):
+        raise KernelOverflowError(index, xi)
+    return float(out)
 
 
 def rescaled_cd(rec, xi, h, index, grid):
@@ -335,8 +364,10 @@ def nevai_ratio(rec, xi, n):
     """K(n+1, xi, xi) / K(n, xi, xi)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    pv = eval_polys(rec, n, xi)
-    sq = np.abs(pv.values) ** 2
+    v = np.abs(eval_polys(rec, n, xi).values)
+    # an exact power-of-two scale keeps squares of entries up to the 1e280
+    # rescale limit finite
+    sq = np.ldexp(v, -math.frexp(v.max())[1]) ** 2
     return float(1.0 + sq[n] / np.sum(sq[:n]))
 
 

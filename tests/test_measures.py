@@ -182,11 +182,3 @@ def test_gallery_masses():
     assert mu.total_mass <= 2.0
     assert abs(mu.total_mass - 2.0 * (1.0 - 1.0 / 101.0)) <= 1e-14
     assert abs(mass(gallery("power_hard_edge", beta=1.5), 0.0, 0.5) - 0.5 ** 1.5) <= 1e-12
-
-
-def test_even_detection():
-    assert gallery("even_fh", beta=1.5).is_even()
-    assert gallery("pure_point_bulk", cutoff=50).is_even()
-    assert gallery("legendre").is_even()
-    assert not gallery("power_hard_edge", beta=1.5).is_even()
-    assert not gallery("jump", sigma_minus=0.5, sigma_plus=1.0).is_even()

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from cdlab.measures import Measure, RegVarFn, gallery
 from cdlab.oprl import (
+    KernelOverflowError,
+    PositivityLossError,
     RecurrenceCoeffs,
     SupportTooSmallError,
     ZeroDiagonalError,
+    _discretize,
     cd_kernel,
     eval_polys,
     interp_kernel,
@@ -207,9 +210,123 @@ def test_interp_affine_in_t(cheb):
 def test_stieltjes_positivity_loss():
     # atoms distinct as floats but numerically coincident starve the Krylov
     # space: a_2 collapses and the failing index is reported
-    from cdlab.oprl import PositivityLossError
-
     mu = Measure(np.array([0.0, 1e-308, 1.0]), np.array([1.0, 1.0, 1.0]))
     with pytest.raises(PositivityLossError) as exc:
         stieltjes_coeffs(mu, 2)
     assert exc.value.index >= 1
+
+
+def _full_reorth_lanczos(x, w, m):
+    """Reference: m steps of Lanczos with classical Gram-Schmidt run twice
+    against the whole stored basis at every step."""
+    Q = np.empty((m + 1, x.size))
+    q = np.sqrt(w)
+    q /= np.linalg.norm(q)
+    Q[0] = q
+    a = np.empty(m)
+    b = np.empty(m)
+    for k in range(m):
+        v = x * Q[k]
+        b[k] = Q[k] @ v
+        v -= b[k] * Q[k]
+        if k > 0:
+            v -= a[k - 1] * Q[k - 1]
+        for _ in range(2):
+            c = Q[: k + 1] @ v
+            v -= Q[: k + 1].T @ c
+        nb = np.linalg.norm(v)
+        assert nb > 1e-14
+        a[k] = nb
+        Q[k + 1] = v / nb
+    return a, b
+
+
+def _reference_coeffs(mu, n_max):
+    x, w = _discretize(mu, n_max, 20)
+    keep = w > 0
+    return _full_reorth_lanczos(x[keep], w[keep] / w[keep].sum(), n_max)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pure_point_bulk", {"cutoff": 2000}),
+    ("legendre", {}),
+    ("chebyshev", {}),
+    ("even_fh", {"beta": 1.5}),
+    ("power_hard_edge", {"beta": 1.5}),
+    ("jump", {"sigma_minus": 0.5, "sigma_plus": 1.0}),
+])
+def test_stieltjes_matches_full_reorthogonalization(name, params):
+    mu = gallery(name, **params)
+    rec = stieltjes_coeffs(mu, 201)
+    a, b = _reference_coeffs(mu, 201)
+    assert np.max(np.abs(rec.a - a) / a) <= 1e-12
+    assert np.max(np.abs(rec.b - b)) <= 1e-12
+
+
+_FOUR_ATOMS_A = [math.sqrt(0.625), 0.375 / math.sqrt(0.625), math.sqrt(0.4)]
+
+
+@pytest.mark.parametrize("positions, a_expected", [
+    ([-1.0, 1.0], [1.0]),
+    ([-1.0, -0.5, 0.5, 1.0], _FOUR_ATOMS_A[:1]),
+    ([-1.0, -0.5, 0.5, 1.0], _FOUR_ATOMS_A[:2]),
+    ([-1.0, -0.5, 0.5, 1.0], _FOUR_ATOMS_A),
+])
+def test_stieltjes_small_symmetric_atoms(positions, a_expected):
+    # the folded run needs ceil(n/2) diagonal and floor(n/2) off-diagonal
+    # entries of the folded matrix; one more would find no Krylov vector left
+    mu = Measure(np.array(positions), np.ones(len(positions)))
+    n_max = len(a_expected)
+    rec = stieltjes_coeffs(mu, n_max)
+    assert np.allclose(rec.a, a_expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(rec.a, _reference_coeffs(mu, n_max)[0], rtol=1e-14, atol=0.0)
+    assert np.all(rec.b == 0.0)
+
+
+def _four_symmetric_atoms(inner):
+    return Measure(np.array([-1.0, -inner, inner, 1.0]), np.ones(4))
+
+
+def test_stieltjes_folding_falls_back_without_losing_digits():
+    # a_3 ~ 1.4e-9 would come out of the folded read-off as the difference
+    # of two numbers near 1/2, with no digit correct; it runs unfolded instead
+    mu = _four_symmetric_atoms(1e-9)
+    a_ref = _reference_coeffs(mu, 3)[0]
+    assert np.allclose(stieltjes_coeffs(mu, 3).a, a_ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("inner, index", [(1e-300, 3), (float(np.nextafter(1.0, 0.0)), 2)])
+def test_stieltjes_symmetric_positivity_loss(inner, index):
+    # +-1e-300 act as one atom at 0, so a_3 collapses; atoms one ulp apart
+    # act as one atom at +-1, so a_2 does.  The index is the measure's own.
+    with pytest.raises(PositivityLossError) as exc:
+        stieltjes_coeffs(_four_symmetric_atoms(inner), 3)
+    assert exc.value.index == index
+
+
+def test_stieltjes_b_zero_exactly_for_mirror_symmetric_measures():
+    for name, params in [("even_fh", {"beta": 1.5}), ("pure_point_bulk", {"cutoff": 50}),
+                         ("legendre", {}), ("chebyshev", {})]:
+        assert np.all(stieltjes_coeffs(gallery(name, **params), 40).b == 0.0)
+    for name, params in [("power_hard_edge", {"beta": 1.5}),
+                         ("jump", {"sigma_minus": 0.5, "sigma_plus": 1.0})]:
+        assert np.any(stieltjes_coeffs(gallery(name, **params), 40).b != 0.0)
+
+
+@pytest.mark.parametrize("a, n", [(1.0, 2000), (0.5, 1000)])
+def test_nevai_ratio_off_support_no_overflow(a, n):
+    # free Jacobi matrix off its spectrum: p_n grows like r^n, so the ratio
+    # tends to r^2 even after eval_polys rescales near 1e280
+    x = 3.0
+    r = (x + math.sqrt(x * x - 4.0 * a * a)) / (2.0 * a)
+    rec = RecurrenceCoeffs(a=np.full(n + 1, a), b=np.zeros(n + 1))
+    assert abs(nevai_ratio(rec, x, n) / (r * r) - 1.0) <= 1e-12
+
+
+def test_kernel_diag_overflow_is_typed():
+    rec = RecurrenceCoeffs(a=np.ones(2001), b=np.zeros(2001))
+    assert math.isfinite(kernel_diag(rec, 200, 2.5))
+    with pytest.raises(KernelOverflowError) as exc:
+        kernel_diag(rec, 2000, 2.5)
+    assert (exc.value.index, exc.value.xi) == (2000, 2.5)
+    assert "2000" in str(exc.value) and "2.5" in str(exc.value)
