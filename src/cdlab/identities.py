@@ -242,7 +242,7 @@ def _orthonormality(rng):
         rec = _cached_rec(name)
         from .oprl import _discretize
 
-        x, w = _discretize(mu, 40, node_factor=30)
+        x, w = _discretize(mu, 40)
         w = w / w.sum()
         vals = np.empty((31, x.size))
         vals[0] = 1.0

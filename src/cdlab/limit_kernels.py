@@ -42,6 +42,7 @@ __all__ = [
     "LimitKernelSpec",
     "KernelSample",
     "ScaleFit",
+    "ScaleFitError",
     "build_limit_kernel",
     "eval_limit_kernel",
     "kernel_components",
@@ -202,12 +203,17 @@ class ScaleFit:
     residual: float
 
 
+class ScaleFitError(ValueError):
+    """No scale in the fit's scan gives a finite sup-error."""
+
+
 def fit_internal_scale(samples, target):
     """Fit c > 0 minimizing sup_samples |value - target(c z, c w)|.
 
     Coarse log-spaced scan of c in [1e-2, 1e2] followed by golden-section
     refinement.  Samples must be normalized (value 1 at (0,0)) and number at
-    least 10.
+    least 10.  Raises ScaleFitError when no scanned scale gives a finite
+    sup-error (non-finite samples, or a target that fails everywhere).
     """
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
@@ -235,6 +241,8 @@ def fit_internal_scale(samples, target):
     grid = np.linspace(lo, hi, 81)
     vals_grid = [objective(x) for x in grid]
     i = int(np.argmin(vals_grid))
+    if not math.isfinite(vals_grid[i]):
+        raise ScaleFitError("no scale in [1e-2, 1e2] gives a finite sup-error")
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, len(grid) - 1)]
 

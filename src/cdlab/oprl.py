@@ -99,28 +99,34 @@ class PolyValues:
 # Stieltjes / Lanczos
 # ---------------------------------------------------------------------------
 
-def _discretize(mu, n_max, node_factor):
-    """Nodes/weights representing mu, exact enough for degree-2*n_max moments."""
+def _discretize(mu, n_max):
+    """Nodes and positive weights of mu, sorted; exact for degree 2*n_max + 1.
+
+    Each half of each piece gets k (n_max + 2) + 8 Gauss-Legendre nodes, k
+    the substitution power of its endpoint exponent, so the substituted
+    integrand of a degree-(2 n_max + 1) moment is integrated exactly.  Nodes
+    of zero weight are dropped; raises SupportTooSmallError unless more than
+    n_max nodes remain.
+    """
     from .measures import _piece_nodes, _subst_exponent  # shared quadrature plumbing
 
     xs = [mu.atom_positions]
     ws = [mu.atom_masses]
-    total_len = sum(p.b - p.a for p in mu.pieces)
     for p in mu.pieces:
-        share = (p.b - p.a) / total_len if total_len > 0 else 0.0
-        base = int(math.ceil(node_factor * n_max * share / 2.0)) + 8
-        ka = _subst_exponent(p.singular_exponents[0])
-        kb = _subst_exponent(p.singular_exponents[1])
-        # per-half counts large enough that polynomially-substituted integrands
-        # of degree 2*n_max + 1 are integrated exactly
-        n_half = max(base, max(ka, kb) * (n_max + 2) + 8)
-        x, w = _piece_nodes(p, p.a, p.b, n_half)
+        k = max(_subst_exponent(g) for g in p.singular_exponents)
+        x, w = _piece_nodes(p, p.a, p.b, k * (n_max + 2) + 8)
         xs.append(x)
         ws.append(w)
     x = np.concatenate(xs)
-    w = np.concatenate(ws)
+    w = np.real(np.concatenate(ws))
     order = np.argsort(x, kind="stable")
-    return x[order], np.real(w[order])
+    x, w = x[order], w[order]
+    x, w = x[w > 0], w[w > 0]
+    if x.size <= n_max:
+        raise SupportTooSmallError(
+            f"support has {x.size} points after discretization; need > {n_max}"
+        )
+    return x, w
 
 
 def _lanczos(x, w, m):
@@ -128,6 +134,7 @@ def _lanczos(x, w, m):
     Q = np.empty((m, x.size))
     Q[0] = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
     d, e = np.empty(m), np.empty(m - 1)
+    breakdown = 1e-14 * np.max(np.abs(x))  # relative to the scale of the nodes
     for k in range(m):
         v = x * Q[k]
         d[k] = Q[k] @ v
@@ -141,7 +148,7 @@ def _lanczos(x, w, m):
         if np.linalg.norm(v) < before / math.sqrt(2.0):  # cancelled: pass twice (Kahan-Parlett)
             v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
         e[k] = np.linalg.norm(v)
-        if not e[k] > 1e-14:
+        if not e[k] > breakdown:
             raise PositivityLossError(k + 1)
         Q[k + 1] = v / e[k]
 
@@ -164,22 +171,16 @@ def _folded_a(x, w, m):
     return np.array(a[1 : m + 1])
 
 
-def stieltjes_coeffs(mu, n_max, node_factor=20):
+def stieltjes_coeffs(mu, n_max):
     """Recurrence coefficients (a_1..a_n, b_1..b_n) of the measure.
 
-    The measure is normalized to unit mass internally; the original mass is
-    recorded on the result.  Requires > n_max support points after
-    discretization.  A bit-exact mirror-symmetric one is folded (b = 0).
+    The measure is discretized exactly for degree 2*n_max + 1 (_discretize)
+    and normalized to unit mass; the original mass is recorded on the result.
+    A bit-exact mirror-symmetric discretization is folded (b = 0).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    x, w = _discretize(mu, n_max, node_factor)
-    keep = w > 0
-    x, w = x[keep], w[keep]
-    if x.size <= n_max:
-        raise SupportTooSmallError(
-            f"support has {x.size} points after discretization; need > {n_max}"
-        )
+    x, w = _discretize(mu, n_max)
     total = float(w.sum())
     mirror = x.size % 2 == 0 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
     a, b = (_folded_a(x, w / total, n_max) if mirror else None), np.zeros(n_max)

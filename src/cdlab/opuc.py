@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, KernelSample
-from .oprl import ZeroDiagonalError
+from .oprl import ZeroDiagonalError, _discretize
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -62,24 +62,16 @@ class SzegoValues:
     psi: np.ndarray
 
 
-def verblunsky_from_measure(mu_circle, n_max, node_factor=20):
+def verblunsky_from_measure(mu_circle, n_max):
     """Verblunsky coefficients of an angle measure on the circle.
 
-    Same discretized-orthogonalization plumbing as stieltjes_coeffs: the
-    measure (parameterized by angle) is discretized, monic polynomials are
-    advanced by the Szego recursion with alpha_n read off from inner products,
-    and each new polynomial is re-projected onto the orthogonal complement of
-    its predecessors (monic leading coefficient untouched).
+    The measure (parameterized by angle) is discretized exactly as in
+    stieltjes_coeffs (_discretize), monic polynomials are advanced by the
+    Szego recursion with alpha_n read off from inner products, and each new
+    polynomial is re-projected onto the orthogonal complement of its
+    predecessors (monic leading coefficient untouched).
     """
-    from .oprl import SupportTooSmallError, _discretize
-
-    theta, w = _discretize(mu_circle, n_max, node_factor)
-    keep = w > 0
-    theta, w = theta[keep], w[keep]
-    if theta.size <= n_max:
-        raise SupportTooSmallError(
-            f"support has {theta.size} points after discretization; need > {n_max}"
-        )
+    theta, w = _discretize(mu_circle, n_max)
     w = w / w.sum()
     zeta = np.exp(1j * theta)
 

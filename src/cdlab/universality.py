@@ -30,7 +30,6 @@ __all__ = [
     "ZeroReport",
     "SchrodingerSource",
     "SparseDiagnostics",
-    "ShapeMismatchError",
     "real_grid_pairs",
     "complex_grid_pairs",
     "convergence_study",
@@ -108,19 +107,14 @@ def _sample_fn(source, xi, h):
     raise TypeError(f"unsupported source type {type(source).__name__}")
 
 
-class ShapeMismatchError(RuntimeError):
-    """Scale-fit residual exceeded the caller's bound: wrong limit-kernel shape."""
-
-
 def convergence_study(source, xi, h, target, indices, grid, tolerance,
-                      fit_grid=None, target_name="", fit_residual_bound=None):
+                      fit_grid=None, target_name=""):
     """Rescaled kernels of the source vs target(c z, c w) with fitted c.
 
     The internal scale c is fitted once, at the largest index (on fit_grid if
     given -- complex samples make the fit sharp); sup-errors are then recorded
     per index after scale alignment.  Passed iff the errors decrease and the
-    final one meets the tolerance.  A fit residual above fit_residual_bound
-    (when given) raises ShapeMismatchError: no scale makes the target fit.
+    final one meets the tolerance.
     """
     indices = list(indices)
     if not indices:
@@ -131,10 +125,6 @@ def convergence_study(source, xi, h, target, indices, grid, tolerance,
     largest = max(indices)
     fit_samples = sampler(largest, fit_grid if fit_grid is not None else grid)
     fit = fit_internal_scale(fit_samples, target)
-    if fit_residual_bound is not None and fit.residual > fit_residual_bound:
-        raise ShapeMismatchError(
-            f"fitted-scale residual {fit.residual:.3e} exceeds {fit_residual_bound:.3e}"
-        )
     sup_errors = []
     samples_by_index = {}
     for idx in indices:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cdlab.limit_kernels import (
     KernelSample,
+    ScaleFitError,
     build_limit_kernel,
     eval_limit_kernel,
     fh_bessel_kernel,
@@ -154,6 +155,12 @@ def test_fit_internal_scale_scaled_family():
 def test_fit_needs_samples():
     with pytest.raises(ValueError):
         fit_internal_scale([KernelSample(0, 0, 1.0)] * 5, sine_kernel)
+
+
+def test_fit_rejects_samples_without_finite_objective():
+    samples = [KernelSample(0.1 * k, 0.0, complex(math.nan)) for k in range(12)]
+    with pytest.raises(ScaleFitError):
+        fit_internal_scale(samples, sine_kernel)
 
 
 @settings(max_examples=25, deadline=None)

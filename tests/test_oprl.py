@@ -42,12 +42,30 @@ def test_rec_validation():
 
 
 def test_chebyshev_coefficients(cheb):
-    # classical closed form, cross-checked by the doubled-node oracle
+    # classical closed form
     assert abs(cheb.a[0] - 1.0 / math.sqrt(2.0)) <= 1e-10
     assert np.max(np.abs(cheb.a[1:] - 0.5)) <= 1e-10
     assert np.max(np.abs(cheb.b)) <= 1e-10
-    doubled = stieltjes_coeffs(gallery("chebyshev"), 62, node_factor=40)
-    assert np.max(np.abs(doubled.a - cheb.a)) <= 1e-11
+
+
+def _chebyshev_a(k):
+    return np.where(k == 1, 1.0 / math.sqrt(2.0), 0.5)
+
+
+def _legendre_a(k):
+    return k / np.sqrt(4.0 * k * k - 1.0)
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("chebyshev", _chebyshev_a),
+    ("legendre", _legendre_a),
+])
+def test_exact_discretization_matches_closed_form(name, closed_form):
+    # the exact node rule reproduces the classical coefficients at config size
+    rec = stieltjes_coeffs(gallery(name), 201)
+    expected = closed_form(np.arange(1, 202))
+    assert np.max(np.abs(rec.a - expected) / expected) <= 1e-11
+    assert np.max(np.abs(rec.b)) <= 1e-11
 
 
 def test_legendre_coefficients(leg):
@@ -60,6 +78,16 @@ def test_single_atom_support_too_small():
     mu = Measure(np.array([0.5]), np.array([1.0]))
     with pytest.raises(SupportTooSmallError):
         stieltjes_coeffs(mu, 1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-15])
+def test_stieltjes_tiny_support_scales(scale):
+    # the Lanczos breakdown test is relative to the scale of the nodes
+    positions = np.array([-1.0, -0.3, 0.2, 1.0])
+    rec = stieltjes_coeffs(Measure(scale * positions, np.ones(4)), 3)
+    unit = stieltjes_coeffs(Measure(positions, np.ones(4)), 3)
+    assert np.allclose(rec.a / scale, unit.a, rtol=1e-12, atol=0.0)
+    assert np.allclose(rec.a / scale, [0.7293, 0.6413, 0.3423], rtol=0.0, atol=1e-4)
 
 
 def test_eval_polys_basics(cheb):
@@ -242,9 +270,8 @@ def _full_reorth_lanczos(x, w, m):
 
 
 def _reference_coeffs(mu, n_max):
-    x, w = _discretize(mu, n_max, 20)
-    keep = w > 0
-    return _full_reorth_lanczos(x[keep], w[keep] / w[keep].sum(), n_max)
+    x, w = _discretize(mu, n_max)
+    return _full_reorth_lanczos(x, w / w.sum(), n_max)
 
 
 @pytest.mark.parametrize("name, params", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cdlab.measures import RegVarFn, gallery
+from cdlab.measures import Measure, RegVarFn, gallery
 from cdlab.opuc import (
     VerblunskyCoeffs,
     cd_kernel_circle,
@@ -146,6 +146,15 @@ def test_verblunsky_from_lebesgue():
     assert np.max(np.abs(v.alpha)) <= 1e-10
 
 
+@pytest.mark.parametrize("n_atoms", [1, 3])
+def test_verblunsky_support_too_small(n_atoms):
+    from cdlab.oprl import SupportTooSmallError
+
+    mu = Measure(np.linspace(0.1, 2.0, n_atoms), np.ones(n_atoms))
+    with pytest.raises(SupportTooSmallError):
+        verblunsky_from_measure(mu, 3)
+
+
 def test_verblunsky_from_jump_matches_kernels():
     # coefficients from the discretized measure reproduce the CD kernel
     # computed by direct node sums (independent route)
@@ -154,7 +163,7 @@ def test_verblunsky_from_jump_matches_kernels():
     v = verblunsky_from_measure(mu, n)
     from cdlab.oprl import _discretize
 
-    theta, wts = _discretize(mu, 60, node_factor=30)
+    theta, wts = _discretize(mu, 60)
     wts = wts / wts.sum()
     nodes = np.exp(1j * theta)
     # Gram-Schmidt the monomials on the nodes as the oracle

@@ -217,21 +217,6 @@ def test_convergence_study_hamiltonian_source(leg):
     assert rep.passed
 
 
-def test_convergence_study_shape_mismatch(leg):
-    # a wrong target shape cannot be fixed by any internal scale
-    from cdlab.universality import ShapeMismatchError
-
-    h = RegVarFn(scale=0.5, index=1.0)
-    grid = real_grid_pairs(1.0, 4)
-
-    def wrong_target(z, w):
-        return 1.0  # constant kernel: no scale matches
-
-    with pytest.raises(ShapeMismatchError):
-        convergence_study(leg, 0.0, h, wrong_target, [60], grid, 0.05,
-                          fit_residual_bound=1e-3)
-
-
 def test_weyl_disk_radius():
     import numpy as np
     from cdlab.canonical import Hamiltonian, weyl
