@@ -41,6 +41,7 @@ from .oprl import (
     rescaled_cd,
     nevai_ratio,
     poly_zeros,
+    zeros_near,
 )
 from .opuc import (
     VerblunskyCoeffs,
@@ -67,6 +68,7 @@ from .canonical import (
 from .universality import (
     ConvergenceReport,
     ZeroReport,
+    ZeroWindowError,
     SchrodingerSource,
     convergence_study,
     zero_study,

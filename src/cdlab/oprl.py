@@ -8,8 +8,10 @@ Recurrence convention (orthonormal, probability measure):
 Second-kind polynomials use the same recurrence with q_0 = 0, q_1 = 1/a_1.
 Coefficients come from a quadrature discretization of the measure followed by
 Lanczos tridiagonalization (folded onto x^2 for symmetric measures).  Zeros
-are computed by Sturm-sequence bisection on the truncated Jacobi matrix:
-deterministic accuracy and no ordering ambiguity.
+are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
+bisection with multisection (one count pass per six halvings): deterministic,
+strictly increasing, and the same bits whether all n zeros are asked for
+(poly_zeros) or only a window of them around a point (zeros_near).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "rescaled_cd",
     "nevai_ratio",
     "poly_zeros",
+    "zeros_near",
 ]
 
 _RESCALE_LIMIT = 1e280
@@ -379,46 +382,101 @@ def nevai_ratio(rec, xi, n):
 def _sturm_counts(d, e_sq, shifts):
     """Number of eigenvalues of tridiag(d, e) strictly below each shift.
 
-    Exactly-zero pivots are perturbed to -tiny before being counted, keeping
-    the count monotone in the shift.
+    One pass over the matrix serves every shift at once, which is what makes
+    multisection cheap.  Exactly-zero pivots are perturbed to -tiny before
+    being counted, keeping the count monotone in the shift.
     """
     shifts = np.asarray(shifts, dtype=float)
     tiny = 1e-300
     q = d[0] - shifts
     q = np.where(q == 0.0, -tiny, q)
     count = (q < 0).astype(int)
-    for i in range(1, d.size):
-        q = d[i] - shifts - e_sq[i - 1] / q
-        q = np.where(q == 0.0, -tiny, q)
-        count += q < 0
+    # after a subnormal pivot e_sq / q overflows; the infinite pivot keeps its sign
+    with np.errstate(over="ignore"):
+        for i in range(1, d.size):
+            q = d[i] - shifts - e_sq[i - 1] / q
+            q = np.where(q == 0.0, -tiny, q)
+            count += q < 0
     return count
 
 
-def poly_zeros(rec, n):
-    """All n zeros of p_n: eigenvalues of the truncated Jacobi matrix by
-    Sturm-sequence bisection to width 1e-13; strictly increasing."""
+_LEVELS = 6  # halvings per multisection sweep
+
+
+def _bisect(d, e, ks):
+    """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e).
+
+    Sturm bisection from the Gershgorin bracket until every bracket is at
+    most 1e-13 wide (at most 200 halvings), by multisection: each sweep
+    counts at all 2^6 - 1 midpoints of the subtree below every bracket in
+    one _sturm_counts pass, then descends it one level at a time, checking
+    the width rule before each level.  Every midpoint is bisection's own
+    0.5 * (lo + hi), so the steps and the result are bisection's bits.  All
+    brackets stop together, on the widest one.
+    """
+    if d.size == 1:
+        return d[ks - 1]
+    e_sq = e * e
+    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
+    radius = pad[:-1] + pad[1:]
+    lo = np.full(ks.size, float(np.min(d - radius)) - 1.0)
+    hi = np.full(ks.size, float(np.max(d + radius)) + 1.0)
+    lanes = np.arange(ks.size)
+    steps = 0
+    while True:
+        # midpoints of the subtree below each bracket in heap order: row r
+        # halves its bracket, rows 2r + 1 and 2r + 2 halve the lower and upper half
+        left, right, mids = lo[None], hi[None], []
+        for _ in range(_LEVELS):
+            mid = 0.5 * (left + right)
+            mids.append(mid)
+            left = np.stack([left, mid], axis=1).reshape(-1, ks.size)
+            right = np.stack([mid, right], axis=1).reshape(-1, ks.size)
+        mids = np.concatenate(mids)
+        counts = _sturm_counts(d, e_sq, mids.ravel()).reshape(mids.shape)
+        node = np.zeros(ks.size, dtype=int)
+        for _ in range(_LEVELS):
+            if steps == 200 or float(np.max(hi - lo)) <= 1e-13:
+                return 0.5 * (lo + hi)
+            mid = mids[node, lanes]
+            take_hi = counts[node, lanes] >= ks
+            hi = np.where(take_hi, mid, hi)
+            lo = np.where(take_hi, lo, mid)
+            node = 2 * node + 2 - take_hi
+            steps += 1
+
+
+def _jacobi(rec, n):
+    """Diagonal and off-diagonal of the n x n truncated Jacobi matrix."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > len(rec):
         raise ValueError(f"n = {n} exceeds declared length {len(rec)}")
-    d = rec.b[:n].astype(float)
-    if n == 1:
-        return d.copy()
-    e = rec.a[: n - 1].astype(float)
-    e_sq = e * e
-    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
-    radius = pad[:-1] + pad[1:]
-    lo0 = float(np.min(d - radius)) - 1.0
-    hi0 = float(np.max(d + radius)) + 1.0
-    ks = np.arange(1, n + 1)
-    lo = np.full(n, lo0)
-    hi = np.full(n, hi0)
-    for _ in range(200):
-        if float(np.max(hi - lo)) <= 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        c = _sturm_counts(d, e_sq, mid)
-        take_hi = c >= ks
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
+    return rec.b[:n].astype(float), rec.a[: n - 1].astype(float)
+
+
+def poly_zeros(rec, n):
+    """All n zeros of p_n, strictly increasing: eigenvalues of the truncated
+    Jacobi matrix by Sturm multisection to bracket width 1e-13 (_bisect).
+    Costs O(n^2) per sweep; studies that read zeros near one point use
+    zeros_near."""
+    d, e = _jacobi(rec, n)
+    return _bisect(d, e, np.arange(1, n + 1))
+
+
+def zeros_near(rec, n, xi, k):
+    """(first, zeros): the zeros of p_n with indices [c - k - 2, c + k + 2)
+    clipped to [0, n), c the Sturm count at xi, so that
+    zeros == poly_zeros(rec, n)[first:first + zeros.size] bit for bit.
+
+    The window holds k + 1 zeros on each side of xi, or every zero on a side
+    with fewer: the margin of one more covers a computed zero that lands
+    within 1e-13 on the other side of xi.  Each sweep costs O(n k) here
+    against O(n^2) for all n zeros.  The window's widest bracket stands in
+    for the widest of all n, so a width within ulps of 1e-13 could stop it
+    one halving early; the tests check the gallery recurrences bit for bit.
+    """
+    d, e = _jacobi(rec, n)
+    c = int(_sturm_counts(d, e * e, [float(xi)])[0])
+    first = max(c - k - 2, 0)
+    return first, _bisect(d, e, np.arange(first, min(c + k + 2, n)) + 1)

@@ -21,13 +21,14 @@ from .limit_kernels import (
     eval_limit_kernel,
     fit_internal_scale,
 )
-from .oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd
+from .oprl import RecurrenceCoeffs, kernel_diag, rescaled_cd, zeros_near
 from .opuc import VerblunskyCoeffs, rescaled_cd_circle
 from .special import bessel_zero, gamma_cx, real_zeros
 
 __all__ = [
     "ConvergenceReport",
     "ZeroReport",
+    "ZeroWindowError",
     "SchrodingerSource",
     "SparseDiagnostics",
     "real_grid_pairs",
@@ -162,18 +163,39 @@ class ZeroReport:
     extras: dict = field(default_factory=dict)
 
 
-def _zeros_right_of(zeros, xi, k_max):
-    idx = int(np.searchsorted(zeros, xi, side="right"))
-    return zeros[idx: idx + k_max]
+class ZeroWindowError(ValueError):
+    """A zero study needs a zero of p_n near xi that it cannot have."""
+
+    def __init__(self, mode, n, xi, cause):
+        self.mode = mode
+        self.n = n
+        self.xi = xi
+        super().__init__(f"{mode} zero study: p_{n} {cause} (xi = {xi!r})")
+
+
+def _window(rec, n, xi, k, mode, right=False):
+    """(zeros, i): zeros of p_n near xi (zeros_near) and the index in them of
+    the first zero right of xi.
+
+    The window holds the k + 1 zeros on each side of xi, or every zero on a
+    side with fewer, so indexing relative to it matches the full spectrum.
+    With right=True there must be a zero right of xi.
+    """
+    first, zeros = zeros_near(rec, n, xi, k)
+    i = int(np.searchsorted(zeros, xi, side="right"))
+    if (i <= k and first > 0) or (zeros.size - i <= k and first + zeros.size < n):
+        raise ZeroWindowError(mode, n, xi, "has zeros too close to xi for its window")
+    if right and i == zeros.size:
+        raise ZeroWindowError(mode, n, xi, "has no zero right of xi")
+    return zeros, i
 
 
 def _clock_study(rec, xi, h, n_values, k_max):
     scaled = {}
     insufficient = []
     for n in n_values:
-        zeros = poly_zeros(rec, n)
+        zeros, idx = _window(rec, n, xi, k_max, "clock")
         tau = float(h(kernel_diag(rec, n, xi)))
-        idx = int(np.searchsorted(zeros, xi, side="right"))
         for j in range(-k_max, k_max + 1):
             # xi_j is zeros[idx + j - 1]; the gap j is xi_{j+1} - xi_j
             i_lo = idx + j - 1
@@ -210,7 +232,8 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
     first_zero = []
     hk_values = []
     for n in n_values:
-        zeros = _zeros_right_of(poly_zeros(rec, n), xi, k_max)
+        zeros, i = _window(rec, n, xi, k_max, "hard_edge", right=True)
+        zeros = zeros[i: i + k_max]
         if zeros.size < k_max:
             insufficient.append(n)
         hk = float(h(kernel_diag(rec, n, xi)))
@@ -281,11 +304,10 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
     errors = {"even": {}, "odd": {}}
     for n in n_values:
         for parity, degree, jz in (("even", 2 * n, j_even), ("odd", 2 * n + 1, j_odd)):
-            zeros = poly_zeros(rec, degree)
+            zeros, i = _window(rec, degree, xi + 1e-300, k_max, "even_fh", right=True)
             if parity == "odd":
-                mid = zeros[np.argmin(np.abs(zeros))]
-                odd_zero_at_origin[n] = float(abs(mid - xi))
-            pos = _zeros_right_of(zeros, xi + 1e-300, k_max)
+                odd_zero_at_origin[n] = float(np.min(np.abs(zeros - xi)))
+            pos = zeros[i: i + k_max]
             hk = float(h(kernel_diag(rec, degree, xi)))
             errs = []
             for k in range(1, min(k_max, pos.size) + 1):
@@ -313,9 +335,10 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
 
 def _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c):
     s1 = {}
-    for n in n_values:
-        zeros = _zeros_right_of(poly_zeros(rec, n), xi, 1)
-        s1[n] = float(h(kernel_diag(rec, n, xi))) * float(zeros[0] - xi)
+    for n in n_values:  # ascending: the last window and hk are n_top's
+        zeros, i = _window(rec, n, xi, k_max, "freud_levin", right=True)
+        hk = float(h(kernel_diag(rec, n, xi)))
+        s1[n] = hk * float(zeros[i] - xi)
     vals = np.array([s1[n] for n in n_values])
     spread = float(vals.max() - vals.min())
     kappa1 = float(vals[-1])
@@ -332,8 +355,7 @@ def _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c):
     scaled = {}
     errs = []
     n_top = max(n_values)
-    zeros_top = _zeros_right_of(poly_zeros(rec, n_top), xi, k_max)
-    hk = float(h(kernel_diag(rec, n_top, xi)))
+    zeros_top = zeros[i: i + k_max]
     for k in range(1, min(k_max, zeros_top.size) + 1):
         scaled[(n_top, k)] = hk * (zeros_top[k - 1] - xi)
         if k in preds and preds[k] != 0:
@@ -363,6 +385,11 @@ def zero_study(rec, xi, h, mode, n_values, k_max,
     even_fh:     even/odd-degree scaled zeros vs j_{beta/2-1,k} / j_{beta/2,k}
     freud_levin: remaining scaled zeros vs zeros of the limit kernel at the
                  empirical kappa_1 (limit_spec and fitted scale_c required)
+
+    Each study computes only a window of zeros around xi (oprl.zeros_near),
+    never the whole spectrum.  Raises ZeroWindowError when a mode other than
+    clock finds no zero right of xi; clock records missing gaps as
+    insufficient.
     """
     n_values = sorted(int(n) for n in n_values)
     if mode == "clock":

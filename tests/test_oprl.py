@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cdlab.oprl import (
     SupportTooSmallError,
     ZeroDiagonalError,
     _discretize,
+    _sturm_counts,
     cd_kernel,
     eval_polys,
     interp_kernel,
@@ -21,6 +23,7 @@ from cdlab.oprl import (
     poly_zeros,
     rescaled_cd,
     stieltjes_coeffs,
+    zeros_near,
 )
 
 
@@ -220,6 +223,131 @@ def test_zeros_interlace(n):
     hi = poly_zeros(rec, n + 1)
     assert np.all(hi[:-1] < lo)
     assert np.all(lo < hi[1:])
+
+
+def _reference_poly_zeros(rec, n):
+    """Plain Sturm bisection over all n eigenvalues at once, one halving per
+    count pass, as poly_zeros computed it before multisection."""
+    d = rec.b[:n].astype(float)
+    if n == 1:
+        return d.copy()
+    e = rec.a[: n - 1].astype(float)
+    e_sq = e * e
+    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
+    radius = pad[:-1] + pad[1:]
+    lo0 = float(np.min(d - radius)) - 1.0
+    hi0 = float(np.max(d + radius)) + 1.0
+    ks = np.arange(1, n + 1)
+    lo = np.full(n, lo0)
+    hi = np.full(n, hi0)
+    for _ in range(200):
+        if float(np.max(hi - lo)) <= 1e-13:
+            break
+        mid = 0.5 * (lo + hi)
+        c = _sturm_counts(d, e_sq, mid)
+        take_hi = c >= ks
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+# the gallery recurrences at the degrees the packaged zero configs use
+_ZERO_CASES = {
+    "power_hard_edge_1.5": (("power_hard_edge", {"beta": 1.5}), 300, (100, 200, 300)),
+    "power_hard_edge_2.0": (("power_hard_edge", {"beta": 2.0}), 300, (100, 200, 300)),
+    "even_fh_1.5": (("even_fh", {"beta": 1.5}), 401, (200, 201, 400, 401)),
+    "even_fh_3.0": (("even_fh", {"beta": 3.0}), 401, (200, 201, 400, 401)),
+    "legendre": (("legendre", {}), 201, (60, 121, 200)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_case_rec(case):
+    (name, params), n_max, _ = _ZERO_CASES[case]
+    return stieltjes_coeffs(gallery(name, **params), n_max)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_case(case, n):
+    """(rec, poly_zeros, reference zeros) of one gallery case at degree n."""
+    rec = _zero_case_rec(case)
+    return rec, poly_zeros(rec, n), _reference_poly_zeros(rec, n)
+
+
+_ZERO_CASE_DEGREES = [(case, n) for case, (_, _, ns) in _ZERO_CASES.items() for n in ns]
+
+
+@pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
+def test_poly_zeros_matches_bisection_on_gallery(case, n):
+    _, zeros, ref = _zero_case(case, n)
+    assert np.array_equal(zeros, ref)
+    assert np.all(np.diff(zeros) > 0)
+
+
+def _random_jacobi(seed):
+    """A seeded Jacobi matrix of size 2..60; every third one is mirror-symmetric
+    (b = 0), so that bisection's first shift lands on 0 exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 61))
+    b = np.zeros(n) if seed % 3 == 0 else rng.normal(scale=0.5, size=n)
+    return RecurrenceCoeffs(a=rng.uniform(0.05, 2.0, n), b=b), n
+
+
+def test_poly_zeros_matches_bisection_on_random_jacobi():
+    for seed in range(150):
+        rec, n = _random_jacobi(seed)
+        assert np.array_equal(poly_zeros(rec, n), _reference_poly_zeros(rec, n)), seed
+
+
+def _assert_window_is_slice(rec, n, xi, k, zeros):
+    first, window = zeros_near(rec, n, xi, k)
+    assert np.array_equal(window, zeros[first:first + window.size])
+    # k + 1 zeros on each side of xi, or all of a side's zeros
+    i = first + int(np.searchsorted(window, xi, side="right"))
+    j = int(np.searchsorted(zeros, xi, side="right"))
+    assert i == j
+    assert first <= max(j - k - 1, 0) and min(j + k + 1, n) <= first + window.size
+    return first, window
+
+
+@pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
+@pytest.mark.parametrize("k", [1, 3])
+def test_zeros_near_is_slice_of_poly_zeros(case, n, k):
+    rec, zeros, _ = _zero_case(case, n)
+    for xi in (0.0, 1e-300, 0.5, zeros[n // 3], -2.0, 2.0):
+        _assert_window_is_slice(rec, n, xi, k, zeros)
+
+
+@pytest.mark.parametrize("case", ["even_fh_1.5", "even_fh_3.0"])
+def test_zeros_near_zero_at_xi(case):
+    # odd degrees of an even measure vanish at 0 exactly; the windows around
+    # 0 and around 0 + 1e-300 both hold its computed zero, whichever side of
+    # xi that lands on
+    for n in (201, 401):
+        rec, zeros, _ = _zero_case(case, n)
+        mid = zeros[n // 2]
+        assert abs(mid) <= 1e-13
+        for xi in (0.0, 1e-300):
+            _, window = _assert_window_is_slice(rec, n, xi, 3, zeros)
+            assert mid in window
+
+
+def test_zeros_near_clipped_windows():
+    rec, zeros, _ = _zero_case("power_hard_edge_1.5", 300)
+    first, window = zeros_near(rec, 300, 0.0, 3)  # hard edge: every zero right of 0
+    assert first == 0 and np.array_equal(window, zeros[:5])
+    rec, zeros, _ = _zero_case("legendre", 200)
+    first, window = zeros_near(rec, 200, 1.5, 3)  # past the last zero
+    assert first == 195 and np.array_equal(window, zeros[195:])
+
+
+def test_zeros_near_on_random_jacobi():
+    for seed in range(60):
+        rec, n = _random_jacobi(seed)
+        zeros = _reference_poly_zeros(rec, n)
+        for xi in (0.0, zeros[n // 2], zeros[-1], -10.0):
+            for k in (0, 2):
+                _assert_window_is_slice(rec, n, xi, k, zeros)
 
 
 def test_diag_strictly_increasing(cheb):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from cdlab import universality
 from cdlab.limit_kernels import build_limit_kernel, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
-from cdlab.oprl import kernel_diag, stieltjes_coeffs
+from cdlab.oprl import kernel_diag, poly_zeros, stieltjes_coeffs
 from cdlab.universality import (
     SchrodingerSource,
     complex_grid_pairs,
@@ -147,6 +148,58 @@ def test_zero_study_scale_invariance(leg):
         out.append((zr.max_rel_error_ratios, zr.extras["ratio_errors_by_n"][100]))
     # the ratio law is computed from raw zeros, so it is bit-identical
     assert out[0] == out[1]
+
+
+def _zero_study_cases():
+    leg = stieltjes_coeffs(gallery("legendre"), 121)
+    hard = stieltjes_coeffs(gallery("power_hard_edge", beta=1.5), 150)
+    even = stieltjes_coeffs(gallery("even_fh", beta=2.0), 121)
+    spec = build_limit_kernel(1.0, 1.0, 1.0)
+    return [
+        (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
+        # past the last zero: the window is clipped at index n
+        (leg, 1.5, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
+        # a hard edge at 0: the window is clipped at index 0
+        (hard, 0.0, RegVarFn(scale=1.0, index=1.0 / 1.5), "hard_edge", [75, 150], 3, {}),
+        (even, 0.0, asymptotic_inverse(RegVarFn(scale=2.0, index=2.0)), "even_fh",
+         [30, 60], 3, {}),
+        (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "freud_levin", [90, 100, 110, 120], 4,
+         {"limit_spec": spec, "scale_c": math.pi}),
+    ]
+
+
+def test_zero_study_window_matches_full_spectrum(monkeypatch):
+    windowed = [zero_study(rec, xi, h, mode, ns, k, **kw)
+                for rec, xi, h, mode, ns, k, kw in _zero_study_cases()]
+    monkeypatch.setattr(universality, "zeros_near",
+                        lambda rec, n, xi, k: (0, poly_zeros(rec, n)))
+    for (rec, xi, h, mode, ns, k, kw), report in zip(_zero_study_cases(), windowed):
+        assert zero_study(rec, xi, h, mode, ns, k, **kw) == report, mode
+
+
+@pytest.mark.parametrize("mode, n_values", [
+    ("hard_edge", [30, 60]),
+    ("even_fh", [14, 29]),
+    ("freud_levin", [30, 60]),
+])
+def test_zero_study_without_zero_right_of_xi(leg, mode, n_values):
+    spec = build_limit_kernel(1.0, 1.0, 1.0)
+    with pytest.raises(universality.ZeroWindowError) as info:
+        zero_study(leg, 1.5, RegVarFn(scale=1.0, index=1.0), mode, n_values, 3,
+                   limit_spec=spec, scale_c=math.pi)
+    assert (info.value.mode, info.value.xi) == (mode, 1.5)
+    assert info.value.n in (n_values[0], 2 * n_values[0])
+    assert isinstance(info.value, ValueError)
+
+
+def test_zero_study_window_too_narrow(leg, monkeypatch):
+    # a window that misses a zero the study reads must raise, not shrink
+    def narrow(rec, n, xi, k):
+        return 1, poly_zeros(rec, n)[1:n // 2 + 1]
+
+    monkeypatch.setattr(universality, "zeros_near", narrow)
+    with pytest.raises(universality.ZeroWindowError, match="too close"):
+        zero_study(leg, -0.999, RegVarFn(scale=0.5, index=1.0), "clock", [60], 3)
 
 
 def test_sparse_jacobi_construction():
