@@ -307,16 +307,16 @@ class SchrodingerToleranceError(RuntimeError):
     """Step control failed or the two kernel forms disagree."""
 
 
-def _rk4_simpson(rhs, state, integrand, x, n_steps, a):
-    """n_steps of RK4 for state' = rhs(y, state) on [a, x], where state is a
+def _rk4_simpson(rhs, state, integrand, x, n_steps):
+    """n_steps of RK4 for state' = rhs(y, state) on [0, x], where state is a
     stacked complex array whose row 0 is u; also accumulates
-    m(x) = int_a^x integrand(u) dy by Simpson's rule on the RK4 substeps.
+    m(x) = int_0^x integrand(u) dy by Simpson's rule on the RK4 substeps.
 
     Returns (state at x, m).
     """
     m = 0.0
-    h = (x - a) / n_steps
-    y = a
+    h = x / n_steps
+    y = 0.0
     for _ in range(n_steps):
         k1 = rhs(y, state)
         k2 = rhs(y + 0.5 * h, state + 0.5 * h * k1)
@@ -332,10 +332,10 @@ def _rk4_simpson(rhs, state, integrand, x, n_steps, a):
     return state, m
 
 
-def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, a=0.0):
-    """RK4 for u'' = (V - lam) u with u(a) = sin(beta), u'(a) = -cos(beta),
+def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps):
+    """RK4 for u'' = (V - lam) u with u(0) = sin(beta), u'(0) = -cos(beta),
     batched over the spectral parameters lams; also accumulates
-    m(x) = int_a^x u(., lam_0) u(., lam_1) dy for consecutive pairs.
+    m(x) = int_0^x u(., lam_0) u(., lam_1) dy for consecutive pairs.
 
     Returns (u, u', m) arrays over lams (m has one entry per adjacent pair).
     """
@@ -347,32 +347,32 @@ def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, a=0.0):
     def rhs(y, s):
         return np.array([s[1], (v_fn(y) - lams) * s[0]])
 
-    (u, du), m = _rk4_simpson(rhs, state, lambda u: u[0::2] * u[1::2], x, n_steps, a)
+    (u, du), m = _rk4_simpson(rhs, state, lambda u: u[0::2] * u[1::2], x, n_steps)
     return u, du, m
 
 
-def schrodinger_kernel(v_fn, beta_bc, x, z, w, a=0.0, tol=1e-8):
-    """Reproducing kernel of -u'' + V u = lam u at (z, w):
+def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
+    """Reproducing kernel of -u'' + V u = lam u on [0, x] at (z, w):
 
-        int_a^x u(y,z) conj(u(y,w)) dy
+        int_0^x u(y,z) conj(u(y,w)) dy
       = (u(x,z) conj(u'(x,w)) - u'(x,z) conj(u(x,w))) / (z - conj w),
 
     both forms returned; Richardson step halving (at most 14 times) until they
     stabilize to tol, error if the two forms disagree beyond 10x tol.
     """
-    if x <= a:
-        raise ValueError("x must exceed the left endpoint")
+    if x <= 0:
+        raise ValueError("x must exceed the left endpoint 0")
     z, w = complex(z), complex(w)
     vbar = w.conjugate()
     confluent = abs(z - vbar) < DIAGONAL_SWITCH
 
-    n = max(64, int(8 * (x - a) * (1.0 + abs(z) ** 0.5 + abs(w) ** 0.5)))
+    n = max(64, int(8 * x * (1.0 + abs(z) ** 0.5 + abs(w) ** 0.5)))
     prev = None
     for _ in range(14):
         if confluent:
-            quad, wron = _schrodinger_confluent(v_fn, beta_bc, x, (z + vbar) / 2.0, n, a)
+            quad, wron = _schrodinger_confluent(v_fn, beta_bc, x, (z + vbar) / 2.0, n)
         else:
-            u, du, m = _schrodinger_sweep(v_fn, beta_bc, x, [z, vbar], n, a)
+            u, du, m = _schrodinger_sweep(v_fn, beta_bc, x, [z, vbar], n)
             quad = complex(m[0])
             wron = complex((u[0] * du[1] - du[0] * u[1]) / (z - vbar))
         if prev is not None and abs(quad - prev[0]) <= tol * (1.0 + abs(quad)) \
@@ -387,7 +387,7 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, a=0.0, tol=1e-8):
     raise SchrodingerToleranceError(f"step control failed at {n} steps")
 
 
-def _schrodinger_confluent(v_fn, beta_bc, x, lam, n_steps, a=0.0):
+def _schrodinger_confluent(v_fn, beta_bc, x, lam, n_steps):
     """Diagonal kernel via the lam-derivative system:
     udot'' = (V - lam) udot - u, so K = u'(x) udot(x) - u(x) udot'(x)."""
     lam = complex(lam)
@@ -397,5 +397,5 @@ def _schrodinger_confluent(v_fn, beta_bc, x, lam, n_steps, a=0.0):
         pot = v_fn(y) - lam
         return np.array([s[1], pot * s[0], s[3], pot * s[2] - s[0]])
 
-    (u, du, ud, dud), m = _rk4_simpson(rhs, state, lambda u: u * u, x, n_steps, a)
+    (u, du, ud, dud), m = _rk4_simpson(rhs, state, lambda u: u * u, x, n_steps)
     return complex(m), complex(du * ud - u * dud)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import canonical, measures, oprl, opuc
 from .identities import MODULES as IDENTITY_MODULES, run_identities
-from .limit_kernels import build_limit_kernel, sine_kernel
+from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .universality import (
     SchrodingerSource,
@@ -61,7 +61,7 @@ class ExperimentConfig:
     output_dir: str = ""
     scaling: dict = field(default_factory=dict)  # optional pins: eta / beta / scale
     k_max: int = 3
-    module_filter: str | None = None  # identities experiments only
+    module_filter: str | None = None  # identities experiment only
     params: dict = field(default_factory=dict)  # experiment-specific extras
 
 
@@ -190,13 +190,23 @@ def _emit(report_lines, passed, out_dir, data):
     return 0 if passed else 1
 
 
-def _estimated_scaling(mu, xi, pinned, default_beta=None):
+def _normalized_scaling(mu, xi):
+    """local_scaling data of the measure at xi with sigma+- divided by the total
+    mass (the kernels downstream belong to the probability-normalized measure),
+    and (sigma- + sigma+) / total, summed before the division."""
+    est = local_scaling(mu, xi, np.logspace(0.7, 4.2, 36))
+    total = mu.total_mass
+    scl = {"beta_hat": est.beta_hat, "sigma_minus_hat": est.sigma_minus_hat / total,
+           "sigma_plus_hat": est.sigma_plus_hat / total, "fit_residual": est.fit_residual}
+    return scl, (est.sigma_minus_hat + est.sigma_plus_hat) / total
+
+
+def _estimated_scaling(mu, xi, pinned):
     """Scaling function h for the rescaled kernels of the measure.
 
     Pins: scaling.eta (bulk, h(t) = eta t) or scaling.beta with unit scale.
-    Otherwise local_scaling estimates (beta, sigma+-); the sigma estimates are
-    divided by the total mass because the kernels downstream belong to the
-    probability-normalized measure.  h is the asymptotic inverse of
+    Otherwise the mass-normalized local_scaling estimates (beta, sigma+-) of
+    _normalized_scaling: h is the asymptotic inverse of
     g(r) = (2/(sigma- + sigma+)) r^beta, which makes the summed one-sided
     limits of the normalized measure equal 2.
     """
@@ -206,19 +216,8 @@ def _estimated_scaling(mu, xi, pinned, default_beta=None):
         beta = float(pinned["beta"])
         scale = float(pinned.get("scale", 1.0))
         return RegVarFn(scale=scale, index=1.0 / beta), {"beta": beta, "scale": scale}
-    r_grid = np.logspace(0.7, 4.2, 36)
-    est = local_scaling(mu, xi, r_grid)
-    total = mu.total_mass
-    sig = (est.sigma_minus_hat + est.sigma_plus_hat) / total
-    beta = est.beta_hat if default_beta is None else default_beta
-    g = RegVarFn(scale=2.0 / sig, index=beta)
-    h = measures.asymptotic_inverse(g)
-    return h, {
-        "beta_hat": est.beta_hat,
-        "sigma_minus_hat": est.sigma_minus_hat / total,
-        "sigma_plus_hat": est.sigma_plus_hat / total,
-        "fit_residual": est.fit_residual,
-    }
+    scl, sig = _normalized_scaling(mu, xi)
+    return measures.asymptotic_inverse(RegVarFn(scale=2.0 / sig, index=scl["beta_hat"])), scl
 
 
 def _fit_grid(cfg):
@@ -280,12 +279,9 @@ def _run_opuc_bulk(cfg, out_dir):
         v = opuc.verblunsky_from_measure(mu, n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
     report = _convergence(cfg, out_dir, v, cfg.xi, h, sine_kernel)
-    # internal scale against the printed two-sided kernel at sigma = 1, beta = 1
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
-    from .limit_kernels import fit_internal_scale
-    from .opuc import rescaled_cd_circle
-    fit_samples = rescaled_cd_circle(v, cfg.xi, h, n_top, _fit_grid(cfg))
-    fit = fit_internal_scale(fit_samples, spec)
+    # internal scale against the printed two-sided kernel at sigma = 1, beta = 1,
+    # on the samples the sine-kernel fit used
+    fit = fit_internal_scale(report.extras["fit_samples"], build_limit_kernel(1.0, 1.0, 1.0))
     c_ok = abs(fit.c - math.pi) <= 1e-3
     passed = report.passed and c_ok
     lines = [
@@ -376,9 +372,8 @@ def _run_fisher_hartwig(cfg, out_dir):
 
 def _run_jump(cfg, out_dir):
     mu = gallery(cfg.measure["name"], **cfg.measure.get("params", {}))
-    total = mu.total_mass
-    est = local_scaling(mu, cfg.xi, np.logspace(0.7, 4.2, 36))
-    sm, sp = est.sigma_minus_hat / total, est.sigma_plus_hat / total
+    scl, _ = _normalized_scaling(mu, cfg.xi)
+    sm, sp = scl["sigma_minus_hat"], scl["sigma_plus_hat"]
     spec = build_limit_kernel(sm, sp, 1.0)
     h = RegVarFn(scale=1.0, index=1.0)
     n_top = int(max(cfg.n_values))
@@ -413,8 +408,7 @@ def _run_sparse(cfg, out_dir):
     k2 = oprl.kernel_diag(rec, 2 * t_top, cfg.xi)
     ratio_k = k2 / k1
     ratio_ok = 1.9 <= ratio_k <= 2.1
-    h = diag.scaling_inverse(cfg.xi)
-    report = _convergence(cfg, out_dir, rec, cfg.xi, h, sine_kernel)
+    report = _convergence(cfg, out_dir, rec, cfg.xi, dat.scaling_inverse(), sine_kernel)
     passed = block_ok and ratio_ok and report.passed
     lines = [
         f"[{'PASS' if block_ok else 'FAIL'}] sparse: ||A_n||^2 constant between "
@@ -453,8 +447,8 @@ def _run_schrodinger(cfg, out_dir):
     return lines, passed, data
 
 
-def _run_identity_suite(cfg, module_filter):
-    results = run_identities(module_filter=module_filter, seed=cfg.seed)
+def _run_identity_suite(cfg, out_dir):
+    results = run_identities(module_filter=cfg.module_filter, seed=cfg.seed)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
     data = {f"{r.module}.{r.name}": {"error": r.error, "tol": r.tol, "passed": r.passed}
@@ -495,15 +489,12 @@ EXPERIMENTS = {
     "sparse": Experiment(
         _run_sparse, "sparse decaying Jacobi matrix: diagnostics and sine-kernel limit",
         [1000, 10000], 0.15),
-    "canonical_identities": Experiment(
-        lambda cfg, out_dir: _run_identity_suite(cfg, "canonical"),
-        "canonical-system identity suite only"),
     "schrodinger": Experiment(
         _run_schrodinger, "free Schrodinger kernels: two-form agreement and bulk limit",
         [50, 100, 200], 0.05),
     "identities": Experiment(
-        lambda cfg, out_dir: _run_identity_suite(cfg, cfg.module_filter),
-        "every exact-identity suite across all modules"),
+        _run_identity_suite,
+        "exact-identity suites, all modules or the one named by module_filter"),
 }
 
 

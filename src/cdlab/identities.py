@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,11 +197,11 @@ def _gram_positivity(rng):
 # OPRL
 # ---------------------------------------------------------------------------
 
-def _cached_rec(name, n_max=62):
-    key = (name, n_max)
-    if key not in _cached_rec.store:
-        _cached_rec.store[key] = oprl.stieltjes_coeffs(measures.gallery(name), n_max)
-    return _cached_rec.store[key]
+def _cached_rec(name):
+    """The first 62 recurrence coefficients of a gallery measure, computed once."""
+    if name not in _cached_rec.store:
+        _cached_rec.store[name] = oprl.stieltjes_coeffs(measures.gallery(name), 62)
+    return _cached_rec.store[name]
 
 
 _cached_rec.store = {}
@@ -423,13 +423,7 @@ def _rescale_kernel_identity(rng):
 def _rescale_weyl_identity(rng):
     # constant tail pushes the Weyl disks to negligible radius so the
     # truncated approximants obey the identity to full accuracy
-    mats = []
-    for _ in range(5):
-        m = rng.normal(size=(2, 2))
-        m = m @ m.T + 1e-3 * np.eye(2)
-        mats.append(m / np.trace(m))
-    h = canonical.Hamiltonian(rng.uniform(0.3, 1.5, 5), np.array(mats),
-                              tail=np.eye(2) / 2.0)
+    h = replace(_random_hamiltonian(rng, 5), tail=np.eye(2) / 2.0)
     g = measures.RegVarFn(scale=0.8, index=1.0)
     worst = 0.0
     t_max = 150.0

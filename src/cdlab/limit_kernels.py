@@ -46,7 +46,6 @@ __all__ = [
     "build_limit_kernel",
     "eval_limit_kernel",
     "kernel_components",
-    "kernel_components_prime",
     "sine_kernel",
     "fh_bessel_kernel",
     "fit_internal_scale",
@@ -109,24 +108,12 @@ def build_limit_kernel(sigma_minus, sigma_plus, beta):
     return spec
 
 
-def kernel_components(spec, z):
-    """The entire functions (A(z), B(z)) of the spec."""
-    z = complex(z)
-    if spec.case == "two-sided":
-        a, b, kap = spec.alpha, spec.beta, spec.kappa
-        u = -2j * kap * z
-        e = cmath.exp(1j * kap * z)
-        A = e * (kummer_m(a, b, u) + kummer_m(a + 1, b, u)) / 2.0
-        B = z * e * kummer_m(a + 1, b + 1, u)
-        return A, B
-    s, b = spec.sigma, spec.beta
-    return hyp0f1(b, -s * z), z * hyp0f1(b + 1, -s * z)
+def kernel_components(spec, z, derivative=False):
+    """The entire functions (A(z), B(z)) of the spec; with derivative=True,
+    (A(z), B(z), A'(z), B'(z)), each M and 0F1 summed once.
 
-
-def kernel_components_prime(spec, z):
-    """(A'(z), B'(z)) by term-wise differentiated series.
-
-    Uses d/dz M(a,b,cz) = c (a/b) M(a+1,b+1,cz) and
+    The derivatives are term-wise differentiated series, from
+    d/dz M(a,b,cz) = c (a/b) M(a+1,b+1,cz) and
     d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).
     """
     z = complex(z)
@@ -137,6 +124,9 @@ def kernel_components_prime(spec, z):
         m_a = kummer_m(a, b, u)
         m_a1 = kummer_m(a + 1, b, u)
         m_b = kummer_m(a + 1, b + 1, u)
+        A, B = e * (m_a + m_a1) / 2.0, z * e * m_b
+        if not derivative:
+            return A, B
         dA = 1j * kap * e * (m_a + m_a1) / 2.0 + e * (-2j * kap) * (
             (a / b) * m_b + ((a + 1) / b) * kummer_m(a + 2, b + 1, u)
         ) / 2.0
@@ -144,10 +134,13 @@ def kernel_components_prime(spec, z):
             1j * kap * e * m_b
             + e * (-2j * kap) * ((a + 1) / (b + 1)) * kummer_m(a + 2, b + 2, u)
         )
-        return dA, dB
+        return A, B, dA, dB
     s, b = spec.sigma, spec.beta
     f_b1 = hyp0f1(b + 1, -s * z)
-    return (-s / b) * f_b1, f_b1 + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z)
+    A, B = hyp0f1(b, -s * z), z * f_b1
+    if not derivative:
+        return A, B
+    return A, B, (-s / b) * f_b1, f_b1 + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z)
 
 
 def eval_limit_kernel(spec, z, w):
@@ -156,8 +149,7 @@ def eval_limit_kernel(spec, z, w):
     v = w.conjugate()
     if abs(z - v) < DIAGONAL_SWITCH:
         zeta = (z + v) / 2.0
-        A, B = kernel_components(spec, zeta)
-        dA, dB = kernel_components_prime(spec, zeta)
+        A, B, dA, dB = kernel_components(spec, zeta, derivative=True)
         return dB * A - dA * B
     Az, Bz = kernel_components(spec, z)
     Av, Bv = kernel_components(spec, v)

@@ -155,19 +155,20 @@ def _piece_nodes(piece, lo, hi, n_half):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _integrate_piece(piece, lo, hi, f=None, rtol=1e-10, max_doublings=12):
-    """Adaptive integral of f(x) w(x) dx over [lo,hi]; panels doubled until
-    two refinements agree to rtol."""
+def _integrate_piece(piece, lo, hi, f=None):
+    """Adaptive integral of f(x) w(x) dx over [lo,hi]: from 32 nodes, panels
+    doubled (at most 12 passes) until two refinements agree to relative
+    tolerance 1e-10."""
     lo = max(lo, piece.a)
     hi = min(hi, piece.b)
     if not lo < hi:
         return 0.0
     n = 32
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(12):
         x, w = _piece_nodes(piece, lo, hi, n)
         cur = np.sum(w * (1.0 if f is None else f(x)))
-        if prev is not None and abs(cur - prev) <= rtol * (1.0 + abs(cur)):
+        if prev is not None and abs(cur - prev) <= 1e-10 * (1.0 + abs(cur)):
             return cur
         prev = cur
         n *= 2

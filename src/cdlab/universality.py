@@ -58,11 +58,10 @@ def complex_grid_pairs(half_width, points_per_axis):
 
 @dataclass(frozen=True)
 class SchrodingerSource:
-    """Half-line Schrodinger operator -u'' + V u with boundary angle beta."""
+    """Half-line Schrodinger operator -u'' + V u on [0, x], boundary angle beta at 0."""
 
     v_fn: Callable[[float], float]
     beta_bc: float = 0.0
-    a: float = 0.0
 
 
 @dataclass
@@ -78,8 +77,8 @@ class ConvergenceReport:
 
 
 def _schrodinger_samples(src, x, xi, h, grid):
-    steps = max(1024, int(16 * (x - src.a)))
-    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps, src.a)
+    steps = max(1024, int(16 * x))
+    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps)
     kd = float(m[0].real)
     if not kd > 0:
         raise ValueError(f"Schrodinger diagonal kernel at x={x} is {kd}")
@@ -88,7 +87,7 @@ def _schrodinger_samples(src, x, xi, h, grid):
     lams = []
     for z, w in pairs:
         lams.extend([xi + z / tau, xi + np.conj(w) / tau])
-    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps, src.a)
+    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)
     return [
         KernelSample(z=z, w=w, value=complex(val) / kd)
         for (z, w), val in zip(pairs, m)
@@ -115,7 +114,8 @@ def convergence_study(source, xi, h, target, indices, grid, tolerance,
     The internal scale c is fitted once, at the largest index (on fit_grid if
     given -- complex samples make the fit sharp); sup-errors are then recorded
     per index after scale alignment.  Passed iff the errors decrease and the
-    final one meets the tolerance.
+    final one meets the tolerance.  extras holds the samples per index
+    ("samples_by_index") and those of the fit ("fit_samples"), for reuse.
     """
     indices = list(indices)
     if not indices:
@@ -145,7 +145,7 @@ def convergence_study(source, xi, h, target, indices, grid, tolerance,
         target=target_name or getattr(target, "__name__", "kernel"),
         tolerance=tolerance,
         passed=passed,
-        extras={"samples_by_index": samples_by_index},
+        extras={"samples_by_index": samples_by_index, "fit_samples": fit_samples},
     )
 
 
@@ -195,6 +195,8 @@ def _clock_study(rec, xi, h, n_values, k_max):
     insufficient = []
     for n in n_values:
         zeros, idx = _window(rec, n, xi, k_max, "clock")
+        if idx in (0, zeros.size):
+            raise ZeroWindowError("clock", n, xi, "has no zero on one side of xi")
         tau = float(h(kernel_diag(rec, n, xi)))
         for j in range(-k_max, k_max + 1):
             # xi_j is zeros[idx + j - 1]; the gap j is xi_{j+1} - xi_j
@@ -303,7 +305,7 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
     odd_zero_at_origin = {}
     errors = {"even": {}, "odd": {}}
     for n in n_values:
-        for parity, degree, jz in (("even", 2 * n, j_even), ("odd", 2 * n + 1, j_odd)):
+        for parity, degree in (("even", 2 * n), ("odd", 2 * n + 1)):
             zeros, i = _window(rec, degree, xi + 1e-300, k_max, "even_fh", right=True)
             if parity == "odd":
                 odd_zero_at_origin[n] = float(np.min(np.abs(zeros - xi)))
@@ -387,9 +389,9 @@ def zero_study(rec, xi, h, mode, n_values, k_max,
                  empirical kappa_1 (limit_spec and fitted scale_c required)
 
     Each study computes only a window of zeros around xi (oprl.zeros_near),
-    never the whole spectrum.  Raises ZeroWindowError when a mode other than
-    clock finds no zero right of xi; clock records missing gaps as
-    insufficient.
+    never the whole spectrum.  Raises ZeroWindowError when clock finds xi left
+    or right of every zero of p_n, or another mode finds no zero right of xi;
+    clock records gaps beyond the ends of the spectrum as insufficient.
     """
     n_values = sorted(int(n) for n in n_values)
     if mode == "clock":
@@ -414,8 +416,21 @@ class SparseDiagnosticsAt:
     xi: float
     norms_sq: np.ndarray          # ||A_n||^2 for n = 1..n_max
     block_deviation: float        # max |norms_sq - block value| within blocks
-    k_prediction: Callable        # t -> predicted K(t, xi, xi)
     g_xi: Callable                # n -> scaling function of the measure
+
+    def scaling_inverse(self):
+        """Numeric asymptotic inverse of g_xi: h(t) with g_xi(h(t)) = t,
+        index 1; usable directly as the h of the scaling-limit statements."""
+        ns = np.arange(1, self.norms_sq.size + 1, dtype=float)
+        g_vals = np.maximum.accumulate([self.g_xi(m) for m in range(1, ns.size + 1)])
+
+        class _H:
+            index = 1.0
+
+            def __call__(self, t):
+                return float(np.interp(t, g_vals, ns))
+
+        return _H()
 
 
 @dataclass
@@ -438,13 +453,9 @@ class SparseDiagnostics:
             am = rec.a[k - 2] if k >= 2 else 0.0
             ps[k] = ((xi - bk) * ps[k - 1] - am * pm) / ak
             pm = ps[k - 1]
-        n = np.arange(1, n_max + 1)
-        a_n = rec.a[n - 1]
-        p_n = ps[1:]
-        p_nm1 = ps[:-1]
-        norms_sq = 2.0 * (p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2) / (
-            4.0 - xi * xi
-        )
+        a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
+        q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
+        norms_sq = 2.0 * q / (4.0 - xi * xi)
         # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
         # exactly at n = N_j, where b_n is nonzero)
         edges = np.unique(np.concatenate([[1], self.bumps, [n_max + 1]])).astype(int)
@@ -455,44 +466,16 @@ class SparseDiagnostics:
                 block = norms_sq[lo_i:hi_i]
                 dev = max(dev, float(np.max(np.abs(block - block[0]))))
 
-        def k_prediction(t):
-            m = min(int(math.floor(t)), n_max) - 1
-            return 2.0 * t * (
-                p_n[m] ** 2 - xi * a_n[m] * p_n[m] * p_nm1[m] + (a_n[m] * p_nm1[m]) ** 2
-            ) / (4.0 - xi * xi)
-
         def g_xi(m):
             m = int(m)
-            i = min(m, n_max) - 1
-            return (2.0 * math.pi * m / math.sqrt(4.0 - xi * xi)) * (
-                p_n[i] ** 2 - xi * a_n[i] * p_n[i] * p_nm1[i] + (a_n[i] * p_nm1[i]) ** 2
-            )
+            return (2.0 * math.pi * m / math.sqrt(4.0 - xi * xi)) * q[min(m, n_max) - 1]
 
         return SparseDiagnosticsAt(
             xi=float(xi),
             norms_sq=norms_sq,
             block_deviation=dev,
-            k_prediction=k_prediction,
             g_xi=g_xi,
         )
-
-    def scaling_inverse(self, xi):
-        """Numeric asymptotic inverse of g_xi: h(t) with g_xi(h(t)) = t,
-        index 1; usable directly as the h of the scaling-limit statements."""
-        diag = self.at(xi)
-        n_max = len(self.rec)
-        ns = np.arange(1, n_max + 1, dtype=float)
-        g_vals = np.maximum.accumulate(
-            np.array([diag.g_xi(int(m)) for m in ns])
-        )
-
-        class _H:
-            index = 1.0
-
-            def __call__(self, t):
-                return float(np.interp(t, g_vals, ns))
-
-        return _H()
 
 
 def sparse_jacobi(v_values, growth, n_max):
@@ -500,8 +483,9 @@ def sparse_jacobi(v_values, growth, n_max):
 
     growth is either an explicit increasing sequence N_j or a rule
     ("geometric", first, ratio).  Returns the coefficients and a diagnostics
-    object exposing the oscillation vectors A_n, ||A_n||^2, the kernel
-    prediction, and the measure scaling function at any xi in (-2, 2).
+    object whose at(xi), for xi in (-2, 2), runs the recurrence at xi once and
+    holds ||A_n||^2 of the oscillation vectors A_n, their block constancy, the
+    measure scaling function g_xi and its inverse scaling_inverse().
     """
     v_values = np.asarray(v_values, dtype=float)
     if isinstance(growth, tuple) and growth and growth[0] == "geometric":

@@ -244,7 +244,7 @@ def test_criterion_10_sparse_kernel_limit(sparse_setup):
     # known-red: constant-ratio N_j = 4^j is not sparse in the required sense
     # (see notes); the decreasing trend holds, the 0.15 bound does not
     t_vals, rec, diag = sparse_setup
-    h = diag.scaling_inverse(0.0)
+    h = diag.at(0.0).scaling_inverse()
     sups = [_sup_vs_sine(rescaled_cd(rec, 0.0, h, t, GRID2)) for t in t_vals]
     decreasing = sups[1] < sups[0]
     passed = decreasing and sups[1] <= 0.15

@@ -112,14 +112,19 @@ def test_identities_experiment_exit_status(tmp_path):
     assert all("measures." in key for key in data)
 
 
-def test_canonical_identities_experiment(tmp_path):
+def test_identities_experiment_canonical_filter(tmp_path):
+    # the canonical-system suite is the identities experiment with a filter;
+    # there is no separate canonical_identities experiment
     cfg = parse_config({
-        "experiment": "canonical_identities",
+        "experiment": "identities",
+        "module_filter": "canonical",
         "output_dir": str(tmp_path / "cid"),
     })
     lines, passed, data = run_experiment(cfg)
     assert passed
-    assert all(key.startswith("canonical.") for key in data)
+    assert data and all(key.startswith("canonical.") for key in data)
+    with pytest.raises(ConfigError):
+        parse_config({"experiment": "canonical_identities"})
 
 
 def test_hard_edge_run_writes_zero_csv(tmp_path):

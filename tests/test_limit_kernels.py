@@ -64,6 +64,21 @@ def test_one_sided_sigma():
     assert abs(spec2.sigma + 1.0 / math.pi) <= 1e-14
 
 
+@pytest.mark.parametrize("sigmas_beta", [(0.5, 1.0, 1.5), (0.0, 1.0, 2.5)])
+def test_kernel_components_derivative(sigmas_beta):
+    # one two-sided and one one-sided spec: derivative=True returns the plain
+    # (A, B) bit for bit, and (A', B') match a central difference
+    spec = build_limit_kernel(*sigmas_beta)
+    h = 1e-5
+    for z in (0.7, -1.3 + 0.4j, 2.1 - 0.8j):
+        a, b, da, db = kernel_components(spec, z, derivative=True)
+        assert (a, b) == kernel_components(spec, z)
+        ap, bp = kernel_components(spec, z + h)
+        am, bm = kernel_components(spec, z - h)
+        assert abs(da - (ap - am) / (2 * h)) <= 1e-8 * max(1.0, abs(da))
+        assert abs(db - (bp - bm) / (2 * h)) <= 1e-8 * max(1.0, abs(db))
+
+
 def test_kappa_legendre_duplication():
     for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
         spec = build_limit_kernel(1.0, 1.0, beta)

@@ -6,7 +6,7 @@ import pytest
 from cdlab import universality
 from cdlab.limit_kernels import build_limit_kernel, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
-from cdlab.oprl import kernel_diag, poly_zeros, stieltjes_coeffs
+from cdlab.oprl import kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
 from cdlab.universality import (
     SchrodingerSource,
     complex_grid_pairs,
@@ -33,18 +33,18 @@ def test_grid_contains_origin():
 def test_convergence_study_bulk_small(leg):
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(2.0, 5)
+    fit_grid = complex_grid_pairs(1.0, 3)
     rep = convergence_study(leg, 0.0, h, sine_kernel, [30, 60, 120], grid, 0.05,
-                            fit_grid=complex_grid_pairs(1.0, 3),
-                            target_name="sine kernel")
+                            fit_grid=fit_grid, target_name="sine kernel")
     assert rep.passed
     assert rep.sup_errors[0] > rep.sup_errors[-1]
     assert abs(rep.fitted_scale - 1.0) <= 1e-3
+    # the report keeps the fit's samples: those of the largest index on fit_grid
+    assert rep.extras["fit_samples"] == rescaled_cd(leg, 0.0, h, 120, fit_grid)
 
 
 def test_convergence_study_self_target(leg):
     # target = the source's own rescaled kernel at the same index -> error 0
-    from cdlab.oprl import rescaled_cd
-
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(1.0, 4)
 
@@ -157,8 +157,8 @@ def _zero_study_cases():
     spec = build_limit_kernel(1.0, 1.0, 1.0)
     return [
         (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
-        # past the last zero: the window is clipped at index n
-        (leg, 1.5, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
+        # only two zeros right of xi at n = 60: the window is clipped at index n
+        (leg, 0.99, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
         # a hard edge at 0: the window is clipped at index 0
         (hard, 0.0, RegVarFn(scale=1.0, index=1.0 / 1.5), "hard_edge", [75, 150], 3, {}),
         (even, 0.0, asymptotic_inverse(RegVarFn(scale=2.0, index=2.0)), "even_fh",
@@ -175,6 +175,14 @@ def test_zero_study_window_matches_full_spectrum(monkeypatch):
                         lambda rec, n, xi, k: (0, poly_zeros(rec, n)))
     for (rec, xi, h, mode, ns, k, kw), report in zip(_zero_study_cases(), windowed):
         assert zero_study(rec, xi, h, mode, ns, k, **kw) == report, mode
+
+
+@pytest.mark.parametrize("xi", [1.5, -1.5])
+def test_clock_study_outside_the_zeros(leg, xi):
+    # right (or left) of every zero of p_n there is no gap around xi to scale
+    with pytest.raises(universality.ZeroWindowError, match="no zero on one side") as info:
+        zero_study(leg, xi, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3)
+    assert (info.value.mode, info.value.n, info.value.xi) == ("clock", 60, xi)
 
 
 @pytest.mark.parametrize("mode, n_values", [
@@ -220,8 +228,13 @@ def test_sparse_free_diagnostics():
     # free Jacobi: ||A_n||^2 = 1/2 and K(n,0,0)/n -> 1/2 against direct sums
     assert np.max(np.abs(dat.norms_sq - 0.5)) <= 1e-12
     assert abs(kernel_diag(rec, 2000, 0.0) / 2000.0 - 0.5) <= 1e-3
-    assert abs(dat.k_prediction(2000.0) - kernel_diag(rec, 2000, 0.0)) <= 1.0
+    # at xi = 0, K(t, 0, 0) is predicted as g_xi(t) / (2 pi)
+    assert abs(dat.g_xi(2000) / (2.0 * math.pi) - kernel_diag(rec, 2000, 0.0)) <= 1.0
     assert abs(dat.g_xi(1000) - math.pi * 1000.0) <= 1e-9
+    # its inverse: g_xi(t) = pi t, so h(pi t) = t
+    h = dat.scaling_inverse()
+    assert h.index == 1.0
+    assert abs(h(math.pi * 1000.0) - 1000.0) <= 1e-9
     # the diagnostics divide by 4 - xi^2: only the bulk (-2, 2) is valid
     for xi in (2.0, -2.5):
         with pytest.raises(ValueError):
