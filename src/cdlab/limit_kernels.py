@@ -23,7 +23,9 @@ hard-coding a guess (candidates reported by the experiments are
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +117,23 @@ def kernel_components(spec, z, derivative=False):
     The derivatives are term-wise differentiated series, from
     d/dz M(a,b,cz) = c (a/b) M(a+1,b+1,cz) and
     d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).
+
+    Results are memoized in a bounded LRU keyed on the spec, the bits of z
+    (so x + 0j and x - 0j are different points) and derivative: a kernel on
+    N^2 sample pairs needs A and B at only N points.  A hit returns the bits
+    a fresh evaluation gives; failures are not cached, and a z holding a NaN
+    is never looked up.
     """
     z = complex(z)
+    key = struct.pack("<2d", z.real, z.imag)
+    if z != z:
+        return _kernel_components.__wrapped__(spec, key, derivative)
+    return _kernel_components(spec, key, derivative)
+
+
+@functools.lru_cache(maxsize=256)
+def _kernel_components(spec, key, derivative):
+    z = complex(*struct.unpack("<2d", key))
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         u = -2j * kap * z
@@ -196,7 +213,8 @@ class ScaleFit:
 
 
 class ScaleFitError(ValueError):
-    """No scale in the fit's scan gives a finite sup-error."""
+    """No scale in the fit's scan gives a finite sup-error, or the best
+    scanned scale is an end of the scan range."""
 
 
 def fit_internal_scale(samples, target):
@@ -205,7 +223,9 @@ def fit_internal_scale(samples, target):
     Coarse log-spaced scan of c in [1e-2, 1e2] followed by golden-section
     refinement.  Samples must be normalized (value 1 at (0,0)) and number at
     least 10.  Raises ScaleFitError when no scanned scale gives a finite
-    sup-error (non-finite samples, or a target that fails everywhere).
+    sup-error (non-finite samples, or a target that fails everywhere), and
+    when the scan's minimum is c = 1e-2 or c = 1e2: the best scale may then
+    lie outside the range.
     """
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
@@ -235,8 +255,10 @@ def fit_internal_scale(samples, target):
     i = int(np.argmin(vals_grid))
     if not math.isfinite(vals_grid[i]):
         raise ScaleFitError("no scale in [1e-2, 1e2] gives a finite sup-error")
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
+    if i in (0, len(grid) - 1):
+        edge = "1e-2" if i == 0 else "1e2"
+        raise ScaleFitError(f"the scan's best scale is the boundary c = {edge} of [1e-2, 1e2]")
+    a, b = grid[i - 1], grid[i + 1]
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)

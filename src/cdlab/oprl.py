@@ -16,6 +16,7 @@ strictly increasing, and the same bits whether all n zeros are asked for
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,12 +62,13 @@ class ZeroDiagonalError(ValueError):
 
 
 class KernelOverflowError(OverflowError):
-    """K(index, xi, xi) exceeds the double range."""
+    """K(index, xi, w) exceeds the double range; w defaults to xi (the diagonal)."""
 
-    def __init__(self, index, xi):
+    def __init__(self, index, xi, w=None):
         self.index = index
         self.xi = xi
-        super().__init__(f"K({index}, {xi}, {xi}) overflows double precision")
+        self.w = xi if w is None else w
+        super().__init__(f"K({index}, {xi}, {self.w}) overflows double precision")
 
 
 @dataclass(frozen=True)
@@ -271,27 +273,36 @@ def cd_kernel(rec, n, z, w, method="cd_formula"):
     """K(n,z,w) = sum_{j<n} p_j(z) conj(p_j(w)); n >= 1.
 
     method "sum" sums the series; "cd_formula" uses the Christoffel-Darboux
-    identity with a derivative branch near the diagonal.
+    identity with a derivative branch near the diagonal.  Raises
+    KernelOverflowError when the value is outside the double range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    z, w = complex(z), complex(w)
-    if method == "sum":
-        pv_z = eval_polys(rec, n - 1, z)
-        pv_w = eval_polys(rec, n - 1, w)
-        s = np.sum(pv_z.values * np.conj(pv_w.values))
-        return complex(s * math.exp(pv_z.log_scale + pv_w.log_scale))
-    if method != "cd_formula":
+    if method not in ("sum", "cd_formula"):
         raise ValueError(f"unknown method {method!r}")
-    an = rec.a[n - 1]
-    if abs(z - w.conjugate()) < DIAGONAL_SWITCH:
-        zeta = (z + w.conjugate()) / 2.0
-        lev = _batch_levels(rec, [n], [zeta])[n]
-        pm, pn, dpm, dpn = lev[0][0], lev[1][0], lev[2][0], lev[3][0]
-        return complex(_cd_confluent(an, pn, pm, dpn, dpm))
-    lev = _batch_levels(rec, [n], [z, w])[n]
-    pm, pn = lev[0], lev[1]
-    return complex(_cd_from_values(an, pn[0], pm[0], pn[1], pm[1], z, w))
+    z, w = complex(z), complex(w)
+    # an overflow surfaces as inf or nan in the value and is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "sum":
+            pv_z = eval_polys(rec, n - 1, z)
+            pv_w = eval_polys(rec, n - 1, w)
+            s = np.sum(pv_z.values * np.conj(pv_w.values))
+            try:
+                out = complex(s * math.exp(pv_z.log_scale + pv_w.log_scale))
+            except OverflowError:
+                out = cmath.inf
+        elif abs(z - w.conjugate()) < DIAGONAL_SWITCH:
+            zeta = (z + w.conjugate()) / 2.0
+            lev = _batch_levels(rec, [n], [zeta])[n]
+            pm, pn, dpm, dpn = lev[0][0], lev[1][0], lev[2][0], lev[3][0]
+            out = complex(_cd_confluent(rec.a[n - 1], pn, pm, dpn, dpm))
+        else:
+            lev = _batch_levels(rec, [n], [z, w])[n]
+            pm, pn = lev[0], lev[1]
+            out = complex(_cd_from_values(rec.a[n - 1], pn[0], pm[0], pn[1], pm[1], z, w))
+    if not cmath.isfinite(out):
+        raise KernelOverflowError(n, z, w)
+    return out
 
 
 def interp_kernel(rec, t, z, w):

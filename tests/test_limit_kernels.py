@@ -1,11 +1,13 @@
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlab import limit_kernels
 from cdlab.limit_kernels import (
     KernelSample,
     ScaleFitError,
@@ -16,7 +18,12 @@ from cdlab.limit_kernels import (
     kernel_components,
     sine_kernel,
 )
-from cdlab.special import GammaOverflowError, gamma_cx
+from cdlab.special import (
+    GammaOverflowError,
+    SeriesConvergenceError,
+    SeriesPrecisionError,
+    gamma_cx,
+)
 
 
 def sine_closed(z, w):
@@ -77,6 +84,63 @@ def test_kernel_components_derivative(sigmas_beta):
         am, bm = kernel_components(spec, z - h)
         assert abs(da - (ap - am) / (2 * h)) <= 1e-8 * max(1.0, abs(da))
         assert abs(db - (bp - bm) / (2 * h)) <= 1e-8 * max(1.0, abs(db))
+
+
+def _bits(values):
+    return [struct.pack("<2d", v.real, v.imag) for v in values]
+
+
+def _fresh(spec, z, derivative=False):
+    # an evaluation that neither reads nor fills the memo
+    return limit_kernels._kernel_components.__wrapped__(
+        spec, struct.pack("<2d", z.real, z.imag), derivative)
+
+
+@pytest.mark.parametrize("sigmas_beta", [(0.5, 1.0, 1.5), (0.0, 1.0, 2.5)])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_memo_returns_fresh_bits(sigmas_beta, derivative):
+    limit_kernels._kernel_components.cache_clear()
+    spec = build_limit_kernel(*sigmas_beta)
+    for z in (0.7 + 0j, -1.3 + 0.4j, 2.1 - 0.8j):
+        first = kernel_components(spec, z, derivative)
+        again = kernel_components(spec, z, derivative)
+        assert _bits(first) == _bits(again) == _bits(_fresh(spec, z, derivative))
+    assert limit_kernels._kernel_components.cache_info().hits == 3
+
+
+def test_memo_keeps_the_sign_of_zero():
+    # the real points of a conjugated w arrive as x - 0j; on the one-sided
+    # spec at x < 0 the sign of the zero imaginary part reaches B
+    limit_kernels._kernel_components.cache_clear()
+    spec = build_limit_kernel(0.0, 1.0, 2.5)
+    plus, minus = complex(-0.7, 0.0), complex(-0.7, -0.0)
+    assert _bits(_fresh(spec, plus)) != _bits(_fresh(spec, minus))
+    for z in (plus, minus, plus, minus):
+        assert _bits(kernel_components(spec, z)) == _bits(_fresh(spec, z))
+
+
+def test_memo_separates_specs():
+    limit_kernels._kernel_components.cache_clear()
+    z = 0.4 - 0.2j
+    specs = (build_limit_kernel(1.0, 1.0, 1.5), build_limit_kernel(1.0, 2.0, 1.5),
+             build_limit_kernel(0.0, 1.0, 1.5))
+    for spec in specs + specs:
+        assert _bits(kernel_components(spec, z)) == _bits(_fresh(spec, z))
+
+
+def test_memo_does_not_cache_failures():
+    limit_kernels._kernel_components.cache_clear()
+    spec = build_limit_kernel(1, 1, 1)
+    for _ in range(2):
+        with pytest.raises(SeriesPrecisionError):
+            kernel_components(spec, 20)
+    info = limit_kernels._kernel_components.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+    # a NaN point is not looked up at all
+    for _ in range(2):
+        with pytest.raises(SeriesConvergenceError):
+            kernel_components(spec, complex(math.nan, 0.0))
+    assert limit_kernels._kernel_components.cache_info() == info
 
 
 def test_kappa_legendre_duplication():
@@ -143,6 +207,35 @@ def test_fit_internal_scale_sine_vs_printed():
     fit = fit_internal_scale(_samples_from(sine_kernel, pts), spec)
     assert abs(fit.c - math.pi) <= 1e-6
     assert fit.residual <= 1e-10
+
+
+def test_fit_evaluates_each_point_once_per_scale(monkeypatch):
+    # 9 points and their 9 conjugates per scale instead of 162 evaluations;
+    # a deterministic stand-in for the fit's wall time (60,719 calls without
+    # the memo)
+    limit_kernels._kernel_components.cache_clear()
+    calls = []
+    real_kummer_m = limit_kernels.kummer_m
+
+    def counting_kummer_m(*args):
+        calls.append(args)
+        return real_kummer_m(*args)
+
+    monkeypatch.setattr(limit_kernels, "kummer_m", counting_kummer_m)
+    ax = np.linspace(-0.75, 0.75, 3)
+    pts = [complex(x, y) for x in ax for y in ax]
+    fit = fit_internal_scale(_samples_from(sine_kernel, pts), build_limit_kernel(1, 1, 1))
+    assert len(calls) <= 10_000
+    assert abs(fit.c - math.pi) <= 1e-6
+
+
+@pytest.mark.parametrize("scale, edge", [(500.0, "1e2"), (1 / 500.0, "1e-2")])
+def test_fit_rejects_a_scale_at_the_scan_boundary(scale, edge):
+    # the true scale lies outside [1e-2, 1e2]: the scan's best point is an end
+    pts = [-0.75, -0.31, 0.05, 0.42, 0.7]
+    samples = _samples_from(lambda z, w: sine_kernel(scale * z, scale * w), pts)
+    with pytest.raises(ScaleFitError, match=f"c = {edge} "):
+        fit_internal_scale(samples, sine_kernel)
 
 
 def test_fit_internal_scale_self():

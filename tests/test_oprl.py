@@ -485,3 +485,23 @@ def test_kernel_diag_overflow_is_typed():
         kernel_diag(rec, 2000, 2.5)
     assert (exc.value.index, exc.value.xi) == (2000, 2.5)
     assert "2000" in str(exc.value) and "2.5" in str(exc.value)
+
+
+@pytest.mark.parametrize("n, method", [(1000, "sum"), (1000, "cd_formula"),
+                                       (4000, "sum"), (4000, "cd_formula")])
+def test_cd_kernel_overflow_is_typed(n, method):
+    # free Jacobi matrix at 0.3 + 1i: |p_n| grows like 1.62^n, so K(1000) is
+    # ~1e420 (nan from the raw products) and the rescaled sum at 4000 has a
+    # scale factor beyond the double range
+    rec = RecurrenceCoeffs(a=np.ones(n + 1), b=np.zeros(n + 1))
+    z = 0.3 + 1j
+    assert math.isfinite(abs(cd_kernel(rec, 300, z, z, method=method)))
+    with pytest.raises(KernelOverflowError) as exc:
+        cd_kernel(rec, n, z, z, method=method)
+    assert (exc.value.index, exc.value.xi, exc.value.w) == (n, z, z)
+
+
+def test_cd_kernel_overflow_names_both_points():
+    rec = RecurrenceCoeffs(a=np.ones(1001), b=np.zeros(1001))
+    with pytest.raises(KernelOverflowError, match=r"K\(1000, \(0\.3\+1j\), \(-0\.2\+1j\)\)"):
+        cd_kernel(rec, 1000, 0.3 + 1j, -0.2 + 1j)
