@@ -135,7 +135,39 @@ def _discretize(mu, n_max):
 
 
 def _lanczos(x, w, m):
-    """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i)."""
+    """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i).
+
+    The block reads only the moments of degree <= 2m - 1.  While there are
+    more than 2B nodes, B = 32 m, each run of B consecutive nodes is replaced
+    by its m-point Gauss rule (Golub-Welsch on the run's own Jacobi block),
+    which keeps those moments, so the Krylov basis is m x O(N/32) instead of
+    m x N (discretize-and-merge: Gautschi 2004, Sec. 2.2; Fischer & Golub
+    1992).  A run whose own Jacobi block breaks down keeps its atoms.
+    """
+    block = 32 * m
+    while x.size > 2 * block:
+        xs, ws = zip(*(_gauss_rule(x[s : s + block], w[s : s + block], m)
+                       for s in range(0, x.size, block)))
+        if sum(r.size for r in xs) == x.size:  # no run could be merged
+            break
+        x, w = np.concatenate(xs), np.concatenate(ws)
+    return _krylov(x, w, m)
+
+
+def _gauss_rule(x, w, m):
+    """m-point Gauss rule (nodes, weights) of sum w_i delta(x_i), exact to
+    degree 2m - 1; (x, w) itself when it has no m x m Jacobi block (fewer
+    than m distinct nodes, or a breakdown)."""
+    try:
+        d, e = _krylov(x, w, m)  # the start vector is normalized: unit mass
+    except PositivityLossError:
+        return x, w
+    nodes, vectors = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
+    return nodes, w.sum() * vectors[0] ** 2
+
+
+def _krylov(x, w, m):
+    """The Lanczos loop of _lanczos on the nodes as given."""
     Q = np.empty((m, x.size))
     Q[0] = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
     d, e = np.empty(m), np.empty(m - 1)
@@ -181,7 +213,8 @@ def stieltjes_coeffs(mu, n_max):
 
     The measure is discretized exactly for degree 2*n_max + 1 (_discretize)
     and normalized to unit mass; the original mass is recorded on the result.
-    A bit-exact mirror-symmetric discretization is folded (b = 0).
+    A bit-exact mirror-symmetric discretization is folded (b = 0).  Folded or
+    not, Lanczos merges a large node set into Gauss rules first (_lanczos).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

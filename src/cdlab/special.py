@@ -6,10 +6,11 @@ transcendental building blocks the limit kernels need; no asymptotic
 expansions, no arbitrary precision.
 
 The series rules are fixed module constants.  A series that does not
-converge raises SeriesConvergenceError; only kummer_m also estimates its
-cancellation error and raises the subclass SeriesPrecisionError (overflow, or
-an estimate beyond _MAX_REL_ERROR).  hyp0f1 and bessel_f do not, so at large
-|z| they can return finite values without correct digits.  gamma_cx raises
+converge raises SeriesConvergenceError.  Every series also estimates its
+cancellation error and raises the subclass SeriesPrecisionError beyond it: the
+double series (hyp0f1, bessel_f, kummer_m for |z| <= 10) when the absolute
+estimate eps * max|term| exceeds _MAX_ABS_ERROR, the 80-bit Kummer series on
+overflow or a relative estimate beyond _MAX_REL_ERROR.  gamma_cx raises
 GammaOverflowError outside the normal double range.
 """
 
@@ -51,6 +52,11 @@ _KUMMER_THRESHOLD = 40.0
 # with estimates up to ~1e-8.
 _MAX_REL_ERROR = 1e-6
 _LONGDOUBLE_ROUNDOFF = np.finfo(np.longdouble).eps / 2
+# Largest accepted absolute error estimate eps * max|term| of the double
+# series.  It is absolute, not relative: zero scans (bessel_zero) evaluate
+# where |sum| vanishes, and the relative form reaches ~8 there.
+_MAX_ABS_ERROR = 1e-6
+_DOUBLE_ROUNDOFF = sys.float_info.epsilon
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -64,7 +70,8 @@ class SeriesConvergenceError(RuntimeError):
 
 class SeriesPrecisionError(SeriesConvergenceError):
     """Series converged, but its double value is not finite or its estimated
-    relative error exceeds _MAX_REL_ERROR."""
+    error exceeds _MAX_ABS_ERROR (double series) or _MAX_REL_ERROR (80-bit
+    Kummer series)."""
 
 
 class GammaPoleError(ValueError):
@@ -158,17 +165,27 @@ def gamma_cx(z):
 def _sum_series(name, first_term, step):
     """Sum term_0 + term_1 + ... with term_{n+1} = step(n, term_n).
 
-    Stops after three consecutive terms below _REL_TOL * |sum|.
+    Stops after three consecutive terms below _REL_TOL * |sum|.  Raises
+    SeriesPrecisionError when the absolute cancellation estimate
+    eps * max|term| exceeds _MAX_ABS_ERROR.
     """
     total = first_term
     term = first_term
+    biggest = abs(first_term)
     small = 0
     for n in range(_MAX_TERMS):
         term = step(n, term)
         total += term
-        if abs(term) <= _REL_TOL * max(abs(total), 1e-300):
+        size = abs(term)
+        if size > biggest:
+            biggest = size
+        if size <= _REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
+                error = _DOUBLE_ROUNDOFF * biggest
+                if not error <= _MAX_ABS_ERROR:
+                    raise SeriesPrecisionError(name, abs(total), f"value {total} with "
+                                               f"estimated absolute error {error:.1e}")
                 return total
         else:
             small = 0

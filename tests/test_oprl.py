@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cdlab.oprl import (
     SupportTooSmallError,
     ZeroDiagonalError,
     _discretize,
+    _lanczos,
     _sturm_counts,
     cd_kernel,
     eval_polys,
@@ -416,6 +418,41 @@ def test_stieltjes_matches_full_reorthogonalization(name, params):
     a, b = _reference_coeffs(mu, 201)
     assert np.max(np.abs(rec.a - a) / a) <= 1e-12
     assert np.max(np.abs(rec.b - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["folded", "unfolded"])
+def test_stieltjes_merged_runs_match_full_reorthogonalization(half):
+    # 20,000 atoms (of x^2 when folded) are more than 64 m, m = 101 folded and
+    # 202 unfolded at n = 201, so _lanczos replaces each run of 32 m nodes by
+    # its Gauss rule first
+    mu = gallery("pure_point_bulk", cutoff=20000)
+    if half:
+        right = mu.atom_positions > 0
+        mu = Measure(mu.atom_positions[right], mu.atom_masses[right])
+    rec = stieltjes_coeffs(mu, 201)
+    a, b = _reference_coeffs(mu, 201)
+    assert np.max(np.abs(rec.a - a) / a) <= 1e-12
+    assert np.max(np.abs(rec.b - b)) <= 1e-12
+
+
+def test_lanczos_positivity_loss_index_survives_merging():
+    # 100,000 atoms at 50 distinct positions: no run of 32 m nodes can be
+    # merged, and the index is the measure's own
+    x = np.repeat(np.linspace(0.02, 1.0, 50), 2000)
+    with pytest.raises(PositivityLossError) as exc:
+        _lanczos(x, np.ones(x.size), 60)
+    assert exc.value.index == 50
+
+
+def test_stieltjes_pure_point_peak_memory():
+    # the unmerged folded basis alone is 201 x 100,000 doubles (161 MB)
+    tracemalloc.start()
+    try:
+        stieltjes_coeffs(gallery("pure_point_bulk", cutoff=100000), 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 _FOUR_ATOMS_A = [math.sqrt(0.625), 0.375 / math.sqrt(0.625), math.sqrt(0.4)]

@@ -145,6 +145,14 @@ def test_bessel_f_even_and_real():
     assert abs(bessel_f(0.7, -1.9) - val) <= 1e-15
 
 
+@pytest.mark.parametrize("f, args", [(hyp0f1, (1.0, -1e4)), (bessel_f, (0.5, 80.0))])
+def test_double_series_cancellation_raises(f, args):
+    # terms up to ~1e84 and ~1e32 cancel to -0.0154 and -0.0140; the sums
+    # came out as 3.2e68 and -2.5e15
+    with pytest.raises(SeriesPrecisionError):
+        f(*args)
+
+
 def test_bessel_zero_half_order():
     for k in (1, 2, 3):
         assert abs(bessel_zero(0.5, k) - k * math.pi) <= 1e-10
