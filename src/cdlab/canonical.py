@@ -26,6 +26,7 @@ import numpy as np
 from .limit_kernels import DIAGONAL_SWITCH, KernelSample
 from .oprl import ZeroDiagonalError, eval_polys
 from .opuc import szego_eval
+from .special import sine_ratio
 
 __all__ = [
     "Hamiltonian",
@@ -110,13 +111,6 @@ class WeylValue:
     disk_radius: float
 
 
-def _sinc(theta):
-    if abs(theta) < 1e-6:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return cmath.sin(theta) / theta
-
-
 def _piece_factor(m, ell, z, derivative=False):
     """Exact transfer factor of a constant piece, optionally with d/dz."""
     d = float(np.linalg.det(m))
@@ -125,7 +119,7 @@ def _piece_factor(m, ell, z, derivative=False):
     c = m @ _J_INV
     theta = ell * z * s
     eye = np.eye(2)
-    w = cmath.cos(theta) * eye + (ell * z * _sinc(theta)) * c
+    w = cmath.cos(theta) * eye + (ell * z * sine_ratio(theta)) * c
     if not derivative:
         return w, None
     dw = (-ell * s * cmath.sin(theta)) * eye + (ell * cmath.cos(theta)) * c
@@ -307,48 +301,71 @@ class SchrodingerToleranceError(RuntimeError):
     """Step control failed or the two kernel forms disagree."""
 
 
-def _rk4_simpson(rhs, state, integrand, x, n_steps):
-    """n_steps of RK4 for state' = rhs(y, state) on [0, x], where state is a
-    stacked complex array whose row 0 is u; also accumulates
-    m(x) = int_0^x integrand(u) dy by Simpson's rule on the RK4 substeps.
+# RK4 steps per block of step matrices; keeps the block arrays near 3 MB at 162 lanes
+_CHAIN_BLOCK = 64
 
-    Returns (state at x, m).
+
+def _rk4_step_matrices(a1, a2, a3, h, derivative):
+    """Closed-form RK4 step matrices of (u, u')' = [[0, 1], [a, 0]] (u, u'),
+    a1, a2, a3 = a at y, y + h/2, y + h over (steps, lanes); returns shape
+    (steps, 2, 2, lanes), or (steps, 4, 4, lanes) for [[M, 0], [dM/dlam, M]]
+    (da/dlam = -1)."""
+    h2 = h * h
+    d = 4 if derivative else 2
+    m = np.zeros((a1.shape[0], d, d, a1.shape[1]), dtype=complex)
+    m[:, 0, 0] = 1.0 + (h2 / 6.0) * (a1 + 2.0 * a2) + (h2 * h2 / 24.0) * a1 * a2
+    m[:, 0, 1] = h + (h * h2 / 6.0) * a2
+    m[:, 1, 0] = (h / 6.0) * (a1 + 4.0 * a2 + a3) + (h * h2 / 12.0) * a2 * (a1 + a3)
+    m[:, 1, 1] = 1.0 + (h2 / 6.0) * (2.0 * a2 + a3) + (h2 * h2 / 24.0) * a2 * a3
+    if derivative:
+        m[:, 2:, 2:] = m[:, :2, :2]
+        m[:, 2, 0] = -h2 / 2.0 - (h2 * h2 / 24.0) * (a1 + a2)
+        m[:, 2, 1] = -h * h2 / 6.0
+        m[:, 3, 0] = -h - (h * h2 / 12.0) * (a1 + 2.0 * a2 + a3)
+        m[:, 3, 1] = -h2 / 2.0 - (h2 * h2 / 24.0) * (a2 + a3)
+    return m
+
+
+def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, derivative=False):
+    """RK4 in n_steps steps for u'' = (V - lam) u on [0, x] with
+    u(0) = sin(beta), u'(0) = -cos(beta), batched over the spectral
+    parameters lams, as a chain of closed-form step matrices: per block of
+    _CHAIN_BLOCK steps their entries are formed over (steps x lams) at once,
+    and only the matrix-vector product runs step by step.  derivative=True
+    also carries (d/dlam u, d/dlam u'), since RK4 commutes with d/dlam.
+
+    Returns (state, m): state rows u, u' (then d/dlam u, d/dlam u') over lams,
+    and m = int_0^x u(., lam_0) u(., lam_1) dy for each adjacent pair, by
+    Simpson's rule on the RK4 substeps.
     """
-    m = 0.0
+    # each distinct lam is propagated once; lane maps the given lams to them
+    lams, lane = np.unique(np.asarray(lams, dtype=complex), return_inverse=True)
+    left, right = lane[0::2], lane[1::2]
     h = x / n_steps
-    y = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(y, state)
-        k2 = rhs(y + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(y + h, state + h * k3)
-        new = state + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        # third-order dense output at the midpoint keeps Simpson at O(h^4)
-        u_mid = 0.5 * (state[0] + new[0]) + (h / 8.0) * (k1[0] - k4[0])
-        m += (h / 6.0) * (integrand(state[0]) + 4.0 * integrand(u_mid)
-                          + integrand(new[0]))
-        state = new
-        y += h
-    return state, m
-
-
-def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps):
-    """RK4 for u'' = (V - lam) u with u(0) = sin(beta), u'(0) = -cos(beta),
-    batched over the spectral parameters lams; also accumulates
-    m(x) = int_0^x u(., lam_0) u(., lam_1) dy for consecutive pairs.
-
-    Returns (u, u', m) arrays over lams (m has one entry per adjacent pair).
-    """
-    lams = np.asarray(lams, dtype=complex)
-    state = np.empty((2, lams.size), dtype=complex)
-    state[0] = math.sin(beta_bc)
-    state[1] = -math.cos(beta_bc)
-
-    def rhs(y, s):
-        return np.array([s[1], (v_fn(y) - lams) * s[0]])
-
-    (u, du), m = _rk4_simpson(rhs, state, lambda u: u[0::2] * u[1::2], x, n_steps)
-    return u, du, m
+    ys = np.concatenate(([0.0], np.cumsum(np.full(n_steps, h))))  # y += h per step
+    v = np.array([v_fn(y) for y in ys.tolist()])
+    v_mid = np.array([v_fn(y + 0.5 * h) for y in ys[:-1].tolist()])
+    state = np.zeros((4 if derivative else 2, lams.size), dtype=complex)
+    state[:2] = [[math.sin(beta_bc)], [-math.cos(beta_bc)]]
+    m = 0.0
+    for s in range(0, n_steps, _CHAIN_BLOCK):
+        e = min(s + _CHAIN_BLOCK, n_steps)
+        a1 = v[s:e, None] - lams
+        a2 = v_mid[s:e, None] - lams
+        mats = _rk4_step_matrices(a1, a2, v[s + 1 : e + 1, None] - lams, h, derivative)
+        states = np.empty((e - s + 1,) + state.shape, dtype=complex)
+        states[0] = state
+        for k, step in enumerate(mats):
+            np.einsum("ijl,jl->il", step, states[k], out=states[k + 1])
+        u, du = states[:, 0], states[:, 1]
+        # third-order dense output at the midpoint, (h/8)(k1 - k4) of u, keeps
+        # Simpson at O(h^4)
+        u_mid = 0.5 * (u[:-1] + u[1:]) - (h * h / 8.0) * a2 * (
+            (1.0 + (h * h / 4.0) * a1) * u[:-1] + (h / 2.0) * du[:-1])
+        f = u[:, left] * u[:, right]
+        m = m + (h / 6.0) * (f[:-1] + 4.0 * u_mid[:, left] * u_mid[:, right] + f[1:]).sum(axis=0)
+        state = states[-1]
+    return state[:, lane], m
 
 
 def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
@@ -366,14 +383,15 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
     vbar = w.conjugate()
     confluent = abs(z - vbar) < DIAGONAL_SWITCH
 
+    lams = [(z + vbar) / 2.0] * 2 if confluent else [z, vbar]
     n = max(64, int(8 * x * (1.0 + abs(z) ** 0.5 + abs(w) ** 0.5)))
     prev = None
     for _ in range(14):
-        if confluent:
-            quad, wron = _schrodinger_confluent(v_fn, beta_bc, x, (z + vbar) / 2.0, n)
+        (u, du, *dot), m = _schrodinger_sweep(v_fn, beta_bc, x, lams, n, derivative=confluent)
+        quad = complex(m[0])
+        if confluent:  # udot'' = (V - lam) udot - u, so K = u'(x) udot(x) - u(x) udot'(x)
+            wron = complex(du[0] * dot[0][0] - u[0] * dot[1][0])
         else:
-            u, du, m = _schrodinger_sweep(v_fn, beta_bc, x, [z, vbar], n)
-            quad = complex(m[0])
             wron = complex((u[0] * du[1] - du[0] * u[1]) / (z - vbar))
         if prev is not None and abs(quad - prev[0]) <= tol * (1.0 + abs(quad)) \
                 and abs(wron - prev[1]) <= tol * (1.0 + abs(wron)):
@@ -385,17 +403,3 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
         prev = (quad, wron)
         n *= 2
     raise SchrodingerToleranceError(f"step control failed at {n} steps")
-
-
-def _schrodinger_confluent(v_fn, beta_bc, x, lam, n_steps):
-    """Diagonal kernel via the lam-derivative system:
-    udot'' = (V - lam) udot - u, so K = u'(x) udot(x) - u(x) udot'(x)."""
-    lam = complex(lam)
-    state = np.array([math.sin(beta_bc), -math.cos(beta_bc), 0.0, 0.0], dtype=complex)
-
-    def rhs(y, s):
-        pot = v_fn(y) - lam
-        return np.array([s[1], pot * s[0], s[3], pot * s[2] - s[0]])
-
-    (u, du, ud, dud), m = _rk4_simpson(rhs, state, lambda u: u * u, x, n_steps)
-    return complex(m), complex(du * ud - u * dud)

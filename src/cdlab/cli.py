@@ -298,10 +298,8 @@ def _run_opuc_bulk(cfg, out_dir):
 
 def _zeros_rows(zr):
     raw = zr.extras.get("raw_zeros", {})
-    rows = []
-    for (n, k), val in sorted(zr.scaled_zeros.items()):
-        rows.append((n, k, raw.get((n, k), math.nan), val))
-    return rows
+    return [(n, k, raw.get((n, k), math.nan), val)
+            for (n, k), val in sorted(zr.scaled_zeros.items())]
 
 
 def _run_hard_edge(cfg, out_dir):

@@ -113,7 +113,7 @@ def _bessel_zero_half(rng):
     worst = 0.0
     for k in (1, 2, 3):
         worst = max(worst, abs(special.bessel_zero(0.5, k) - k * math.pi))
-        worst = max(worst, abs(special.bessel_zero(-0.5, 1) - math.pi / 2.0))
+    worst = max(worst, abs(special.bessel_zero(-0.5, 1) - math.pi / 2.0))
     return worst, 1e-10
 
 

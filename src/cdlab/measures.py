@@ -122,10 +122,8 @@ def _half_nodes(piece, lo, hi, edge, gamma, n):
     """Nodes/weights for int_lo^hi w(x) dx on a half adjacent to `edge`."""
     k = _subst_exponent(gamma)
     sgn = 1.0 if edge <= lo else -1.0  # edge is the left end if sgn > 0
-    u_lo = abs(lo - edge) ** (1.0 / k)
-    u_hi = abs(hi - edge) ** (1.0 / k)
-    if sgn < 0:
-        u_lo, u_hi = abs(hi - edge) ** (1.0 / k), abs(lo - edge) ** (1.0 / k)
+    near, far = (lo, hi) if sgn > 0 else (hi, lo)
+    u_lo, u_hi = abs(near - edge) ** (1.0 / k), abs(far - edge) ** (1.0 / k)
     t, wq = _leggauss(n)
     u = 0.5 * (u_hi - u_lo) * t + 0.5 * (u_hi + u_lo)
     du = 0.5 * (u_hi - u_lo) * wq
@@ -143,16 +141,13 @@ def _piece_nodes(piece, lo, hi, n_half):
         return np.empty(0), np.empty(0)
     mid = 0.5 * (piece.a + piece.b)
     ga, gb = piece.singular_exponents
-    xs, ws = [], []
+    halves = []
     if lo < min(mid, hi):
-        x, w = _half_nodes(piece, lo, min(mid, hi), piece.a, ga, n_half)
-        xs.append(x)
-        ws.append(w)
+        halves.append(_half_nodes(piece, lo, min(mid, hi), piece.a, ga, n_half))
     if max(mid, lo) < hi:
-        x, w = _half_nodes(piece, max(mid, lo), hi, piece.b, gb, n_half)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+        halves.append(_half_nodes(piece, max(mid, lo), hi, piece.b, gb, n_half))
+    x, w = zip(*halves)
+    return np.concatenate(x), np.concatenate(w)
 
 
 def _integrate_piece(piece, lo, hi, f=None):

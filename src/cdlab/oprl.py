@@ -142,8 +142,12 @@ def _lanczos(x, w, m):
     by its m-point Gauss rule (Golub-Welsch on the run's own Jacobi block),
     which keeps those moments, so the Krylov basis is m x O(N/32) instead of
     m x N (discretize-and-merge: Gautschi 2004, Sec. 2.2; Fischer & Golub
-    1992).  A run whose own Jacobi block breaks down keeps its atoms.
+    1992).  A run whose own Jacobi block breaks down keeps its atoms.  Equal
+    adjacent nodes are first made one node, so no run boundary splits them.
     """
+    if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
+        distinct = np.append(True, x[1:] != x[:-1])
+        x, w = x[distinct], np.add.reduceat(w, np.flatnonzero(distinct))
     block = 32 * m
     while x.size > 2 * block:
         xs, ws = zip(*(_gauss_rule(x[s : s + block], w[s : s + block], m)
@@ -248,8 +252,7 @@ def eval_polys(rec, n, z, second_kind=False):
         q[0] = 0.0
     log_scale = 0.0
     for k in range(1, n + 1):
-        prev2 = p[k - 2] if k >= 2 else 0.0
-        p[k] = ((z - b[k - 1]) * p[k - 1] - (a[k - 2] * prev2 if k >= 2 else 0.0)) / a[k - 1]
+        p[k] = ((z - b[k - 1]) * p[k - 1] - (a[k - 2] * p[k - 2] if k >= 2 else 0.0)) / a[k - 1]
         if second_kind:
             if k == 1:
                 q[1] = 1.0 / a[0]

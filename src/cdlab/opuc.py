@@ -134,9 +134,7 @@ def _szego_last_batch(v, n, zetas, derivative=False):
             new_dphs = r * (dphs - al * phi - al * zetas * dphi)
             dphi, dphs = new_dphi, new_dphs
         phi, phs = new_phi, new_phs
-    if derivative:
-        return phi, phs, dphi, dphs
-    return phi, phs
+    return (phi, phs, dphi, dphs) if derivative else (phi, phs)
 
 
 def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):

@@ -57,6 +57,7 @@ _LONGDOUBLE_ROUNDOFF = np.finfo(np.longdouble).eps / 2
 # where |sum| vanishes, and the relative form reaches ~8 there.
 _MAX_ABS_ERROR = 1e-6
 _DOUBLE_ROUNDOFF = sys.float_info.epsilon
+_MAX_ZERO_ERROR = 1e-8  # largest accepted error estimate of a bessel_zero zero
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -70,8 +71,8 @@ class SeriesConvergenceError(RuntimeError):
 
 class SeriesPrecisionError(SeriesConvergenceError):
     """Series converged, but its double value is not finite or its estimated
-    error exceeds _MAX_ABS_ERROR (double series) or _MAX_REL_ERROR (80-bit
-    Kummer series)."""
+    error exceeds _MAX_ABS_ERROR (double series), _MAX_REL_ERROR (80-bit
+    Kummer series) or _MAX_ZERO_ERROR (a zero from bessel_zero)."""
 
 
 class GammaPoleError(ValueError):
@@ -318,20 +319,29 @@ def bessel_zero(nu, k):
     """k-th positive zero of F_nu (equivalently of J_nu), k >= 1.
 
     real_zeros with step pi/4 (zero spacing tends to pi) on a window of 16
-    times the expected position of the k-th zero.
+    times the expected position of the k-th zero.  Raises SeriesPrecisionError
+    when the zero's estimated error, eps * sum|t_n| / |F_nu'(x0)| over the
+    series terms t_n of F_nu(x0), exceeds _MAX_ZERO_ERROR.
     """
     if nu <= -1:
         raise ValueError(f"bessel_zero requires nu > -1, got {nu}")
     if k < 1:
         raise ValueError("k must be >= 1")
     window = max(20.0, (k + max(nu, 0.0) / 2.0) * math.pi + 10.0)
-    return real_zeros(lambda x: bessel_f(nu, x).real,
-                      0.0, k, math.pi / 4.0, 16 * window)[-1]
+    x0 = real_zeros(lambda x: bessel_f(nu, x).real,
+                    0.0, k, math.pi / 4.0, 16 * window)[-1]
+    # sum|t_n| = 0F1(nu + 1, x0^2 / 4) / Gamma(nu + 1): positive terms, no cancellation
+    terms = hyp0f1(nu + 1.0, x0 * x0 / 4.0) / gamma_cx(nu + 1.0)
+    error = _DOUBLE_ROUNDOFF * abs(terms) / abs(bessel_f_prime(nu, x0))
+    if not error <= _MAX_ZERO_ERROR:
+        raise SeriesPrecisionError("bessel_zero", abs(bessel_f(nu, x0)), f"zero {x0} of "
+                                   f"F_{nu} with estimated error {error:.1e}")
+    return x0
 
 
 def sine_ratio(u):
-    """sin(u)/u, series branch near 0; accepts complex u."""
-    u = complex(u)
+    """sin(u)/u, series branch near 0; accepts complex u, and keeps the
+    arithmetic of its type (a numpy scalar divides as numpy does)."""
     if abs(u) < 1e-6:
         u2 = u * u
         return 1.0 - u2 / 6.0 + u2 * u2 / 120.0

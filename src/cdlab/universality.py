@@ -21,7 +21,7 @@ from .limit_kernels import (
     eval_limit_kernel,
     fit_internal_scale,
 )
-from .oprl import RecurrenceCoeffs, kernel_diag, rescaled_cd, zeros_near
+from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, rescaled_cd, zeros_near
 from .opuc import VerblunskyCoeffs, rescaled_cd_circle
 from .special import bessel_zero, gamma_cx, real_zeros
 
@@ -78,16 +78,14 @@ class ConvergenceReport:
 
 def _schrodinger_samples(src, x, xi, h, grid):
     steps = max(1024, int(16 * x))
-    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps)
+    _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps)
     kd = float(m[0].real)
     if not kd > 0:
         raise ValueError(f"Schrodinger diagonal kernel at x={x} is {kd}")
     tau = float(h(kd))
     pairs = [(complex(z), complex(w)) for z, w in grid]
-    lams = []
-    for z, w in pairs:
-        lams.extend([xi + z / tau, xi + np.conj(w) / tau])
-    _, _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)
+    lams = [lam for z, w in pairs for lam in (xi + z / tau, xi + np.conj(w) / tau)]
+    _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)
     return [
         KernelSample(z=z, w=w, value=complex(val) / kd)
         for (z, w), val in zip(pairs, m)
@@ -444,15 +442,8 @@ class SparseDiagnostics:
             raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
         rec = self.rec
         n_max = len(rec)
-        # forward recurrence for p_n(xi)
-        ps = np.empty(n_max + 1)
-        ps[0] = 1.0
-        pm = 0.0
-        for k in range(1, n_max + 1):
-            ak, bk = rec.a[k - 1], rec.b[k - 1]
-            am = rec.a[k - 2] if k >= 2 else 0.0
-            ps[k] = ((xi - bk) * ps[k - 1] - am * pm) / ak
-            pm = ps[k - 1]
+        pv = eval_polys(rec, n_max, xi)
+        ps = pv.values.real * math.exp(pv.log_scale)
         a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
         q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
         norms_sq = 2.0 * q / (4.0 - xi * xi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdlab.canonical import (
+    _CHAIN_BLOCK,
     DomainError,
     Hamiltonian,
     J,
@@ -17,6 +18,7 @@ from cdlab.canonical import (
     transfer_form_integral,
     transfer_matrix,
     weyl,
+    _schrodinger_sweep,
 )
 from cdlab.measures import RegVarFn, cauchy_transform, gallery
 from cdlab.oprl import interp_kernel, stieltjes_coeffs
@@ -261,6 +263,95 @@ def test_schrodinger_with_potential_two_forms_agree():
     val = schrodinger_kernel(lambda y: 0.3 * math.cos(y), 0.7, 4.0,
                              1.3 + 0.1j, 0.9 - 0.2j, tol=1e-9)
     assert abs(val.quadrature - val.wronskian) <= 1e-8 * (1 + abs(val.quadrature))
+
+
+def _stage_rk4(rhs, state, integrand, x, n_steps):
+    """Oracle: RK4 stage by stage for state' = rhs(y, state) on [0, x] (row 0
+    of state is u), with m = int integrand(u) by Simpson's rule on the
+    substeps and the third-order dense output at the midpoint."""
+    m = 0.0
+    h = x / n_steps
+    y = 0.0
+    for _ in range(n_steps):
+        k1 = rhs(y, state)
+        k2 = rhs(y + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(y + h, state + h * k3)
+        new = state + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        u_mid = 0.5 * (state[0] + new[0]) + (h / 8.0) * (k1[0] - k4[0])
+        m += (h / 6.0) * (integrand(state[0]) + 4.0 * integrand(u_mid)
+                          + integrand(new[0]))
+        state = new
+        y += h
+    return state, m
+
+
+def _stage_sweep(v_fn, beta_bc, x, lams, n_steps):
+    lams = np.asarray(lams, dtype=complex)
+    state = np.empty((2, lams.size), dtype=complex)
+    state[0] = math.sin(beta_bc)
+    state[1] = -math.cos(beta_bc)
+
+    def rhs(y, s):
+        return np.array([s[1], (v_fn(y) - lams) * s[0]])
+
+    return _stage_rk4(rhs, state, lambda u: u[0::2] * u[1::2], x, n_steps)
+
+
+def _stage_confluent(v_fn, beta_bc, x, lam, n_steps):
+    """The lam-derivative system: udot'' = (V - lam) udot - u."""
+    state = np.array([math.sin(beta_bc), -math.cos(beta_bc), 0.0, 0.0], dtype=complex)
+
+    def rhs(y, s):
+        pot = v_fn(y) - lam
+        return np.array([s[1], pot * s[0], s[3], pot * s[2] - s[0]])
+
+    return _stage_rk4(rhs, state, lambda u: u * u, x, n_steps)
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+_COS_V = (lambda y: 0.3 * math.cos(y), 0.7)
+_FREE_V = (lambda y: 0.0, 0.0)
+_LAMS = [1.3 + 0.1j, 0.9 - 0.2j, 2.0, 2.0, -0.5 + 0.3j, 0.4, 1.0 + 0.01j, 1.0]
+
+
+@pytest.mark.parametrize("potential, x, n_steps", [
+    (_COS_V, 4.0, 64),
+    (_COS_V, 50.0, 800),
+    (_FREE_V, 200.0, 3200),
+    (_COS_V, 4.0, 3 * _CHAIN_BLOCK + 5),  # crosses block boundaries, partial last block
+])
+def test_step_matrix_chain_matches_stage_rk4(potential, x, n_steps):
+    v_fn, beta = potential
+    (u, du), m = _schrodinger_sweep(v_fn, beta, x, _LAMS, n_steps)
+    (u_ref, du_ref), m_ref = _stage_sweep(v_fn, beta, x, _LAMS, n_steps)
+    assert _rel(u, u_ref) <= 1e-11
+    assert _rel(du, du_ref) <= 1e-11
+    assert _rel(m, m_ref) <= 1e-11
+
+
+@pytest.mark.parametrize("lam", [2.0, 1.3 + 0.1j])
+@pytest.mark.parametrize("potential, x, n_steps", [
+    (_COS_V, 4.0, 64),
+    (_COS_V, 50.0, 800),
+    (_FREE_V, 200.0, 3200),
+    (_COS_V, 4.0, _CHAIN_BLOCK + 1),
+])
+def test_step_matrix_chain_confluent_matches_stage_rk4(lam, potential, x, n_steps):
+    # the chain [[M, 0], [dM/dlam, M]] that schrodinger_kernel runs on the diagonal
+    v_fn, beta = potential
+    state, m = _schrodinger_sweep(v_fn, beta, x, [lam, lam], n_steps, derivative=True)
+    state_ref, m_ref = _stage_confluent(v_fn, beta, x, lam, n_steps)
+    for row, row_ref in zip(state, state_ref):
+        assert _rel(row, row_ref) <= 1e-11
+    assert _rel(m[0], m_ref) <= 1e-11
+    u, du, ud, dud = state[:, 0]
+    u_r, du_r, ud_r, dud_r = state_ref
+    assert _rel(du * ud - u * dud, du_r * ud_r - u_r * dud_r) <= 1e-11
 
 
 def test_kernel_diag_nondecreasing_in_t():

@@ -436,12 +436,24 @@ def test_stieltjes_merged_runs_match_full_reorthogonalization(half):
 
 
 def test_lanczos_positivity_loss_index_survives_merging():
-    # 100,000 atoms at 50 distinct positions: no run of 32 m nodes can be
-    # merged, and the index is the measure's own
+    # 100,000 atoms at 50 distinct positions: the equal nodes are summed to
+    # 50 nodes before any merge, and the index is the measure's own
     x = np.repeat(np.linspace(0.02, 1.0, 50), 2000)
     with pytest.raises(PositivityLossError) as exc:
         _lanczos(x, np.ones(x.size), 60)
     assert exc.value.index == 50
+
+
+def test_lanczos_equal_nodes_across_run_boundaries():
+    # 10,000 copies of 2.0 would straddle the runs of 32 m nodes; summed into
+    # one node first, the block matches the unmerged reference
+    x = np.concatenate([np.linspace(0.0, 1.0, 20000), np.full(10000, 2.0)])
+    w = np.ones(x.size)
+    m = 202
+    d, e = _lanczos(x, w, m)
+    a, b = _full_reorth_lanczos(x, w / w.sum(), m)
+    assert np.max(np.abs(d - b)) <= 1e-12
+    assert np.max(np.abs(e - a[: m - 1]) / a[: m - 1]) <= 1e-12
 
 
 def test_stieltjes_pure_point_peak_memory():

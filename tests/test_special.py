@@ -159,6 +159,18 @@ def test_bessel_zero_half_order():
     assert abs(bessel_zero(-0.5, 1) - math.pi / 2.0) <= 1e-10
 
 
+def test_bessel_zero_half_order_within_error_contract():
+    for k in range(1, 6):
+        assert abs(bessel_zero(0.5, k) - k * math.pi) <= 1e-8
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_bessel_zero_raises_beyond_error_contract(k):
+    # the error of the zero is ~eps sum|t_n| / |F'|: 1.7e-8, 3.9e-7 and 9.1e-6
+    with pytest.raises(SeriesPrecisionError):
+        bessel_zero(0.5, k)
+
+
 def test_bessel_zero_j0():
     # frozen: bisection at tightened tolerance on the truncated series
     assert abs(bessel_zero(0.0, 1) - 2.404825557695773) <= 1e-10
