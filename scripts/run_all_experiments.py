@@ -3,33 +3,86 @@
 
 Usage: python scripts/run_all_experiments.py [--out-root DIR]
 
+The summary also gives, per config, the result of perfbench's reference check
+(`check_output` in perfbench/run.py: exit status, verdict tags, `passed` and
+every report.json value against perfbench/reference.json) and the largest
+relative change of a report.json number against that reference (numbers at
+rounding level, at most perfbench's ATOL on both sides, are left out: the check
+compares them to ATOL only).
+
 Note: the sparse experiment's sine-kernel clause is expected to fail for the
 packaged constant-ratio bump positions; see the report it writes.
 """
 
 import argparse
+import importlib.util
+import json
+import math
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from cdlab.cli import main as cdlab_main  # noqa: E402
+
+
+def _perfbench():
+    """perfbench/run.py as a module, for its reference check; no bytecode is
+    written under perfbench/."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def largest_change(got, ref, atol):
+    """(relative change, field) of the number in got furthest from ref, over
+    the numbers above atol in size."""
+    worst = (0.0, "-")
+    for key, old in ref.items():
+        new = got.get(key)
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+               for x in (old, new)) and old != new and max(abs(old), abs(new)) > atol:
+            worst = max(worst, (abs(new - old) / max(abs(old), abs(new)), key))
+    return worst
+
+
+def reference_check(bench, reference, path, code, out):
+    """One summary phrase: the reference check of a run and its largest change."""
+    ref = reference["configs"].get(path.stem)
+    if ref is None:
+        return "no reference entry"
+    seed = json.loads(path.read_text()).get("seed", bench.DEFAULT_SEED)
+    problems = bench.check_output(code, str(out), ref, seed == reference["seed"])
+    verdict = "reference ok" if not problems else \
+        f"reference FAILS ({len(problems)}): {problems[0]}"
+    try:
+        got = bench.summarize_output(code, str(out))["values"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return verdict
+    change, key = largest_change(got, ref["values"], bench.ATOL)
+    return f"{verdict}; largest relative change {change:.2g} ({key})"
+
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-root", default="out")
     args = parser.parse_args()
-    cfg_dir = pathlib.Path(__file__).resolve().parents[1] / "configs"
-    statuses = {}
-    for path in sorted(cfg_dir.glob("*.json")):
+    bench = _perfbench()
+    reference = json.loads(pathlib.Path(bench.REFERENCE).read_text())
+    statuses, checks = {}, {}
+    for path in sorted((ROOT / "configs").glob("*.json")):
         out = pathlib.Path(args.out_root) / path.stem
         print(f"\n=== {path.name} ===")
         statuses[path.name] = cdlab_main(
             ["run", "--config", str(path), "--out", str(out)]
         )
+        checks[path.name] = reference_check(bench, reference, path, statuses[path.name], out)
     print("\nsummary:")
     for name, status in statuses.items():
-        print(f"  {'ok  ' if status == 0 else 'FAIL'} {name}")
+        print(f"  {'ok  ' if status == 0 else 'FAIL'} {name:22s} {checks[name]}")
     return max(statuses.values())
 
 

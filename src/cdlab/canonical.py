@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit_kernels import DIAGONAL_SWITCH, KernelSample
-from .oprl import ZeroDiagonalError, eval_polys
+from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, pair_kernel
+from .oprl import eval_polys
 from .opuc import szego_eval
 from .special import sine_ratio
 
@@ -160,32 +160,24 @@ def transfer_matrix(h, t, z, derivative=False):
 
 
 def kernel_kh(h, t, z, w):
-    """K_H(t,z,w) = (w22(t,z) conj(w21(t,w)) - w21(t,z) conj(w22(t,w))) / (z - conj w)."""
-    z, w = complex(z), complex(w)
-    v = w.conjugate()
-    if abs(z - v) < DIAGONAL_SWITCH:
-        zeta = (z + v) / 2.0
-        tm, dm = transfer_matrix(h, t, zeta, derivative=True)
-        e = tm.entries
-        return complex(e[1, 0] * dm[1, 1] - e[1, 1] * dm[1, 0])
-    ez = transfer_matrix(h, t, z).entries
-    ew = transfer_matrix(h, t, w).entries
-    return complex((ez[1, 1] * np.conj(ew[1, 0]) - ez[1, 0] * np.conj(ew[1, 1])) / (z - v))
+    """K_H(t,z,w) = (w22(t,z) conj(w21(t,w)) - w21(t,z) conj(w22(t,w))) / (z - conj w):
+    pair_kernel of (w21, w22)."""
+    def components(x, derivative):
+        if not derivative:
+            return tuple(transfer_matrix(h, t, x).entries[1])
+        tm, dm = transfer_matrix(h, t, x, derivative=True)
+        return tuple(tm.entries[1]) + tuple(dm[1])
+
+    return complex(pair_kernel(components, complex(z), complex(w)))
 
 
 def rescaled_kernel_kh(h, t, xi, scaling, grid):
     """Samples of K_H(t, xi + z/tau, xi + w/tau) / K_H(t, xi, xi),
     tau = scaling(K_H(t, xi, xi))."""
-    kd = kernel_kh(h, t, xi, xi).real
-    if not kd > 0:
-        raise ZeroDiagonalError(f"K_H({t}, {xi}, {xi}) = {kd}")
-    tau = float(scaling(kd))
-    out = []
-    for z, w in grid:
-        z, w = complex(z), complex(w)
-        val = kernel_kh(h, t, xi + z / tau, xi + w / tau)
-        out.append(KernelSample(z=z, w=w, value=val / kd))
-    return out
+    def kernel(xs, pairs):
+        return [kernel_kh(h, t, xs[i], xs[j]) for i, j in pairs]
+
+    return _rescaled_samples(kernel_kh(h, t, xi, xi).real, xi, scaling, grid, kernel)
 
 
 def mobius(matrix, tau):

@@ -43,11 +43,13 @@ from .special import (
 __all__ = [
     "LimitKernelSpec",
     "KernelSample",
+    "ZeroDiagonalError",
     "ScaleFit",
     "ScaleFitError",
     "build_limit_kernel",
     "eval_limit_kernel",
     "kernel_components",
+    "pair_kernel",
     "sine_kernel",
     "fh_bessel_kernel",
     "fit_internal_scale",
@@ -63,6 +65,63 @@ class KernelSample:
     z: complex
     w: complex
     value: complex
+
+
+class ZeroDiagonalError(ValueError):
+    """K(xi, xi) is not positive (zero, or NaN); cannot rescale."""
+
+
+def pair_kernel(components, z, w):
+    """The de Branges kernel (B(z)A(conj w) - A(z)B(conj w)) / (z - conj w) of a
+    real pair (A, B) (de Branges 1968), where components(x, derivative) returns
+    (A(x), B(x)), or (A, B, A', B') with derivative=True.  Within
+    DIAGONAL_SWITCH of the diagonal it is the confluent limit B'A - A'B at the
+    midpoint (z + conj w) / 2.  Off it, A(conj w) is read as conj(A(w)), as A
+    and B are real entire: K(w, z) = conj(K(z, w)) holds exactly.  Plain
+    Python complex arithmetic: no numpy overhead on scalar calls.
+    """
+    v = w.conjugate()
+    if abs(z - v) < DIAGONAL_SWITCH:
+        A, B, dA, dB = components((z + v) / 2.0, True)
+        return dB * A - dA * B
+    Az, Bz = components(z, False)
+    Aw, Bw = components(w, False)
+    return (Bz * Aw.conjugate() - Az * Bw.conjugate()) / (z - v)
+
+
+def _tabulated(evaluate, points):
+    """components(x, derivative) that read (A, B, A', B') at x off one
+    evaluate(xs) pass over points, evaluate returning the four as arrays over
+    xs; any other x gets a pass of its own."""
+    def rows(xs):
+        return zip(*(c.tolist() for c in evaluate(xs)))
+
+    points = list(dict.fromkeys(points))
+    table = dict(zip(points, rows(points)))
+
+    def components(x, derivative):
+        row = table[x] if x in table else next(rows([x]))
+        return row if derivative else row[:2]
+
+    return components
+
+
+def _rescaled_samples(kd, xi, h, grid, kernel):
+    """Samples of K(xi + z/tau, xi + w/tau) / kd at the (z, w) of grid, where
+    kd = K(xi, xi) and tau = h(kd): the exact left-hand side of the scaling
+    limits.  kernel(xs, pairs) returns K at the index pairs into
+    xs = xi + p/tau, p the distinct points of the grid.  Raises
+    ZeroDiagonalError unless kd > 0.
+    """
+    if not kd > 0:
+        raise ZeroDiagonalError(f"K({xi}, {xi}) = {kd}")
+    tau = float(h(kd))
+    pairs = [(complex(z), complex(w)) for z, w in grid]
+    pts = sorted({p for zw in pairs for p in zw}, key=lambda c: (c.real, c.imag))
+    index = {p: i for i, p in enumerate(pts)}
+    xs = xi + np.array(pts, dtype=complex) / tau
+    values = kernel(xs, [(index[z], index[w]) for z, w in pairs])
+    return [KernelSample(z=z, w=w, value=complex(val) / kd) for (z, w), val in zip(pairs, values)]
 
 
 @dataclass(frozen=True)
@@ -116,15 +175,18 @@ def kernel_components(spec, z, derivative=False):
 
     The derivatives are term-wise differentiated series, from
     d/dz M(a,b,cz) = c (a/b) M(a+1,b+1,cz) and
-    d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).
+    d/dz 0F1(b,cz) = (c/b) 0F1(b+1,cz).  A and B are real entire, so a z
+    whose imaginary part has its sign bit set (x - 0j too) gets the
+    conjugates of the components at conj z: the kernel is exactly Hermitian.
 
     Results are memoized in a bounded LRU keyed on the spec, the bits of z
-    (so x + 0j and x - 0j are different points) and derivative: a kernel on
-    N^2 sample pairs needs A and B at only N points.  A hit returns the bits
-    a fresh evaluation gives; failures are not cached, and a z holding a NaN
-    is never looked up.
+    and derivative: a kernel on N^2 sample pairs needs A and B at only N
+    points.  A hit returns the bits a fresh evaluation gives; failures are
+    not cached, and a z holding a NaN is never looked up.
     """
     z = complex(z)
+    if math.copysign(1.0, z.imag) < 0:
+        return tuple(c.conjugate() for c in kernel_components(spec, z.conjugate(), derivative))
     key = struct.pack("<2d", z.real, z.imag)
     if z != z:
         return _kernel_components.__wrapped__(spec, key, derivative)
@@ -162,15 +224,7 @@ def _kernel_components(spec, key, derivative):
 
 def eval_limit_kernel(spec, z, w):
     """K(z,w) = (B(z)A(conj w) - A(z)B(conj w)) / (z - conj w)."""
-    z, w = complex(z), complex(w)
-    v = w.conjugate()
-    if abs(z - v) < DIAGONAL_SWITCH:
-        zeta = (z + v) / 2.0
-        A, B, dA, dB = kernel_components(spec, zeta, derivative=True)
-        return dB * A - dA * B
-    Az, Bz = kernel_components(spec, z)
-    Av, Bv = kernel_components(spec, v)
-    return (Bz * Av - Az * Bv) / (z - v)
+    return pair_kernel(functools.partial(kernel_components, spec), complex(z), complex(w))
 
 
 def sine_kernel(z, w):
@@ -190,20 +244,18 @@ def fh_bessel_kernel(beta, z, w):
     if beta <= 0:
         raise ValueError("beta must be > 0")
     kap = build_limit_kernel(1.0, 1.0, beta).kappa
-    nu_a = beta / 2.0 - 1.0
-    nu_b = beta / 2.0
-    pref = gamma_cx(beta / 2.0 + 1.0).real * gamma_cx(beta / 2.0).real
-    z, w = complex(z), complex(w)
-    v = w.conjugate()
-    if abs(z - v) < DIAGONAL_SWITCH:
-        zeta = (z + v) / 2.0
-        g = bessel_f(nu_b, kap * zeta)  # B / z without its Gamma factor
-        dg = g + zeta * kap * bessel_f_prime(nu_b, kap * zeta)
-        df = kap * bessel_f_prime(nu_a, kap * zeta)
-        return pref * (dg * bessel_f(nu_a, kap * zeta) - df * (zeta * g))
-    num = (z * bessel_f(nu_b, kap * z) * bessel_f(nu_a, kap * v)
-           - bessel_f(nu_a, kap * z) * v * bessel_f(nu_b, kap * v))
-    return pref * num / (z - v)
+    nu = beta / 2.0
+    g_a, g_b = gamma_cx(nu).real, gamma_cx(nu + 1.0).real
+
+    def components(x, derivative):
+        f_a, f_b = bessel_f(nu - 1.0, kap * x), bessel_f(nu, kap * x)
+        pair = (g_a * f_a, g_b * x * f_b)
+        if not derivative:
+            return pair
+        return pair + (g_a * kap * bessel_f_prime(nu - 1.0, kap * x),
+                       g_b * (f_b + x * kap * bessel_f_prime(nu, kap * x)))
+
+    return pair_kernel(components, complex(z), complex(w))
 
 
 @dataclass(frozen=True)

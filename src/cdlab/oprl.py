@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limit_kernels import DIAGONAL_SWITCH, KernelSample
+from .limit_kernels import ZeroDiagonalError, _rescaled_samples, _tabulated, pair_kernel
 
 __all__ = [
     "RecurrenceCoeffs",
@@ -55,10 +55,6 @@ class PositivityLossError(RuntimeError):
     def __init__(self, index):
         self.index = index
         super().__init__(f"a_{index} lost positivity (ill-conditioned discretization)")
-
-
-class ZeroDiagonalError(ValueError):
-    """K(index, xi, xi) vanished; cannot rescale."""
 
 
 class KernelOverflowError(OverflowError):
@@ -296,21 +292,22 @@ def _batch_levels(rec, levels, zs):
     return out
 
 
-def _cd_from_values(an, pn_z, pm_z, pn_w, pm_w, z, w):
-    return an * (pn_z * np.conj(pm_w) - pm_z * np.conj(pn_w)) / (z - np.conj(w))
+def _cd_pair(rec, n, points):
+    """components of the de Branges pair (A, B) = (p_{n-1}, a_n p_n) of
+    K(n, ., .) for pair_kernel, tabulated over points by one _batch_levels pass."""
+    def evaluate(xs):
+        pm, pn, dpm, dpn = _batch_levels(rec, [n], xs)[n]
+        return pm, rec.a[n - 1] * pn, dpm, rec.a[n - 1] * dpn
 
-
-def _cd_confluent(an, pn, pm, dpn, dpm):
-    # limit of the CD formula as conj(w) -> z
-    return an * (dpn * pm - dpm * pn)
+    return _tabulated(evaluate, points)
 
 
 def cd_kernel(rec, n, z, w, method="cd_formula"):
     """K(n,z,w) = sum_{j<n} p_j(z) conj(p_j(w)); n >= 1.
 
-    method "sum" sums the series; "cd_formula" uses the Christoffel-Darboux
-    identity with a derivative branch near the diagonal.  Raises
-    KernelOverflowError when the value is outside the double range.
+    method "sum" sums the series; "cd_formula" is the Christoffel-Darboux
+    identity, pair_kernel of (p_{n-1}, a_n p_n).  Raises KernelOverflowError
+    when the value is outside the double range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -327,15 +324,8 @@ def cd_kernel(rec, n, z, w, method="cd_formula"):
                 out = complex(s * math.exp(pv_z.log_scale + pv_w.log_scale))
             except OverflowError:
                 out = cmath.inf
-        elif abs(z - w.conjugate()) < DIAGONAL_SWITCH:
-            zeta = (z + w.conjugate()) / 2.0
-            lev = _batch_levels(rec, [n], [zeta])[n]
-            pm, pn, dpm, dpn = lev[0][0], lev[1][0], lev[2][0], lev[3][0]
-            out = complex(_cd_confluent(rec.a[n - 1], pn, pm, dpn, dpm))
         else:
-            lev = _batch_levels(rec, [n], [z, w])[n]
-            pm, pn = lev[0], lev[1]
-            out = complex(_cd_from_values(rec.a[n - 1], pn[0], pm[0], pn[1], pm[1], z, w))
+            out = pair_kernel(_cd_pair(rec, n, [z, w]), z, w)
     if not cmath.isfinite(out):
         raise KernelOverflowError(n, z, w)
     return out
@@ -375,40 +365,22 @@ def rescaled_cd(rec, xi, h, index, grid):
     """Samples of K(index, xi + z/tau, xi + w/tau) / K(index, xi, xi),
     tau = h(K(index, xi, xi)) -- the exact left-hand side of the scaling
     limits."""
-    kd = kernel_diag(rec, index, xi)
-    if not kd > 0:
-        raise ZeroDiagonalError(f"K({index}, {xi}, {xi}) = {kd}")
-    tau = float(h(kd))
-    pairs = [(complex(z), complex(w)) for z, w in grid]
-    pts = sorted({p for zw in pairs for p in zw}, key=lambda c: (c.real, c.imag))
-    pt_index = {p: i for i, p in enumerate(pts)}
-    zs = xi + np.array(pts, dtype=complex) / tau
-
     n = int(math.floor(index))
     s = index - n
-    levels = [n] if s == 0.0 else [n, n + 1]
-    levels = [lv for lv in levels if lv >= 0]
-    batch = _batch_levels(rec, [lv for lv in levels if lv > 0], zs)
 
-    def level_value(lv, iz, iw, z_s, w_s):
-        if lv == 0:
-            return 0.0 + 0.0j
-        pm, pn, dpm, dpn = batch[lv]
-        an = rec.a[lv - 1]
-        if abs(z_s - w_s.conjugate()) < DIAGONAL_SWITCH:
-            return _cd_confluent(an, pn[iz], pm[iz], dpn[iz], dpm[iz])
-        return _cd_from_values(an, pn[iz], pm[iz], pn[iw], pm[iw], z_s, w_s)
+    def kernel(xs, pairs):
+        xs = xs.tolist()
 
-    out = []
-    for z, w in pairs:
-        iz, iw = pt_index[z], pt_index[w]
-        z_s, w_s = zs[iz], zs[iw]
-        val = level_value(levels[0], iz, iw, z_s, w_s)
-        if s != 0.0:
-            val_hi = level_value(levels[-1], iz, iw, z_s, w_s)
-            val = val + s * (val_hi - val)
-        out.append(KernelSample(z=z, w=w, value=complex(val) / kd))
-    return out
+        def level(lv):  # K(lv, ., .) at the pairs; K(0, ., .) = 0
+            if lv == 0:
+                return np.zeros(len(pairs))
+            pair = _cd_pair(rec, lv, xs)
+            return np.array([pair_kernel(pair, xs[i], xs[j]) for i, j in pairs])
+
+        val = level(n)
+        return val if s == 0.0 else val + s * (level(n + 1) - val)
+
+    return _rescaled_samples(kernel_diag(rec, index, xi), xi, h, grid, kernel)
 
 
 def nevai_ratio(rec, xi, n):

@@ -13,13 +13,14 @@ by rotating kernel arguments, never by re-deriving coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .limit_kernels import DIAGONAL_SWITCH, KernelSample
-from .oprl import ZeroDiagonalError, _discretize
+from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
+from .oprl import _discretize
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -119,6 +120,8 @@ def szego_eval(v, n, zeta):
 
 def _szego_last_batch(v, n, zetas, derivative=False):
     """(phi_n, phi*_n [, phi'_n, phi*'_n]) at many points."""
+    if n > len(v):
+        raise ValueError(f"n = {n} exceeds declared length {len(v)}")
     zetas = np.asarray(zetas, dtype=complex)
     phi = np.ones_like(zetas)
     phs = np.ones_like(zetas)
@@ -137,6 +140,24 @@ def _szego_last_batch(v, n, zetas, derivative=False):
     return (phi, phs, dphi, dphs) if derivative else (phi, phs)
 
 
+def _circle_kernel(components, zeta, omega):
+    """k_n(zeta, omega) = (phi*_n(zeta) conj(phi*_n(omega)) - phi_n(zeta)
+    conj(phi_n(omega))) / (1 - zeta conj(omega)), where components(x,
+    derivative) is (phi_n(x), phi*_n(x) [, phi'_n(x), phi*'_n(x)]), as
+    _tabulated reads them off _szego_last_batch.  Within
+    DIAGONAL_SWITCH of zeta conj(omega) = 1 it is the limit
+    (phi_n(zeta) conj(phi'_n(r)) - phi*_n(zeta) conj(phi*'_n(r))) / zeta at the
+    reflected point r = 1 / conj(zeta).
+    """
+    denom = 1.0 - zeta * omega.conjugate()
+    phi, phs = components(zeta, False)
+    if abs(denom) < DIAGONAL_SWITCH:
+        _, _, dphi, dphs = components(1.0 / zeta.conjugate(), True)
+        return (phi * dphi.conjugate() - phs * dphs.conjugate()) / zeta
+    phi_w, phs_w = components(omega, False)
+    return (phs * phs_w.conjugate() - phi * phi_w.conjugate()) / denom
+
+
 def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
     """k_n(zeta, omega) = sum_{j<n} phi_j(zeta) conj(phi_j(omega))."""
     if n < 1:
@@ -148,97 +169,58 @@ def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
         return complex(np.sum(sz.phi * np.conj(sw.phi)))
     if method != "cd_formula":
         raise ValueError(f"unknown method {method!r}")
-    denom = 1.0 - zeta * np.conj(omega)
-    if abs(denom) >= DIAGONAL_SWITCH:
-        phi, phs = _szego_last_batch(v, n, [zeta, omega])
-        num = phs[0] * np.conj(phs[1]) - phi[0] * np.conj(phi[1])
-        return complex(num / denom)
-    # derivative branch at zeta conj(omega) = 1:
-    # k = (phi_n(zeta) conj(phi'_n(w0)) - phi*_n(zeta) conj(phi*'_n(w0))) / zeta
-    # with w0 = 1/conj(zeta) the reflected point
-    w0 = 1.0 / np.conj(zeta)
-    phi, phs, dphi, dphs = _szego_last_batch(v, n, [zeta, w0], derivative=True)
-    num = phi[0] * np.conj(dphi[1]) - phs[0] * np.conj(dphs[1])
-    return complex(num / zeta)
+    pair = _tabulated(functools.partial(_szego_last_batch, v, n, derivative=True), [zeta, omega])
+    return _circle_kernel(pair, zeta, omega)
 
 
 def kernel_diag_circle(v, n, xi):
-    """k_n(e^{i xi}, e^{i xi}) via the sum."""
-    sz = szego_eval(v, n - 1, cmath.exp(1j * xi))
-    return float(np.sum(np.abs(sz.phi) ** 2))
+    """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0."""
+    sz = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
+    return float(np.sum(np.abs(sz.phi[:n]) ** 2))
 
 
 def rescaled_cd_circle(v, xi, h, n, grid):
     """e^{-in(z - conj w)/(2 tau)} k_n(e^{i(xi+z/tau)}, e^{i(xi+w/tau)}) / k_n,
     where k_n = k_n(e^{i xi}, e^{i xi}) and tau = h(k_n)."""
-    kd = kernel_diag_circle(v, n, xi)
-    if not kd > 0:
-        raise ZeroDiagonalError(f"k_{n} at xi = {xi} is {kd}")
-    tau = float(h(kd))
-    pairs = [(complex(z), complex(w)) for z, w in grid]
-    pts = sorted({p for zw in pairs for p in zw}, key=lambda c: (c.real, c.imag))
-    idx = {p: i for i, p in enumerate(pts)}
-    zetas = np.exp(1j * (xi + np.array(pts, dtype=complex) / tau))
-    phi, phs, dphi, dphs = _szego_last_batch(v, n, zetas, derivative=True)
-    out = []
-    for z, w in pairs:
-        iz, iw = idx[z], idx[w]
-        zz, ww = zetas[iz], zetas[iw]
-        if abs(1.0 - zz * np.conj(ww)) < DIAGONAL_SWITCH:
-            # derivative branch as in cd_kernel_circle; on the exact diagonal
-            # the reflected point coincides with the node itself
-            val = (phi[iz] * np.conj(dphi[iw]) - phs[iz] * np.conj(dphs[iw])) / zz
-        else:
-            val = (phs[iz] * np.conj(phs[iw]) - phi[iz] * np.conj(phi[iw])) / (
-                1.0 - zz * np.conj(ww)
-            )
-        u = z - np.conj(w)
-        pref = np.exp(-1j * n * u / (2.0 * tau))
-        out.append(KernelSample(z=z, w=w, value=complex(pref * val / kd)))
-    return out
+    def kernel(xs, pairs):
+        zetas = np.exp(1j * xs).tolist()
+        # the diagonal reads derivatives at the reflected points: one pass for all
+        pair = _tabulated(functools.partial(_szego_last_batch, v, n, derivative=True),
+                          zetas + [1.0 / x.conjugate() for x in zetas])
+        return [cmath.exp(-1j * n * (xs[i] - xs[j].conjugate()) / 2.0)
+                * _circle_kernel(pair, zetas[i], zetas[j]) for i, j in pairs]
+
+    return _rescaled_samples(kernel_diag_circle(v, n, xi), xi, h, grid, kernel)
 
 
 def opuc_canonical_kernel(v, t, z, w):
-    """Reproducing kernel K(n+s, z, w) of the circle chain, t = n + s.
+    """Reproducing kernel K(n+s, z, w) of the circle chain, t = n + s:
 
     K(n+s,z,w) = e^{-in u/2} / (2i u) * [ e^{is u/2} phi_n(e^{iz}) conj(phi_n(e^{iw}))
                  - e^{-is u/2} phi*_n(e^{iz}) conj(phi*_n(e^{iw})) ],  u = z - conj w,
 
-    oriented so the diagonal is positive.  Derivative branch on |u| < 1e-8.
+    oriented so the diagonal is positive.  It is pair_kernel of
+    A = (F + G)/2, B = i(G - F)/2, with F(x) = e^{-i(n-s)x/2} phi_n(e^{ix})
+    and G(x) = e^{-i(n+s)x/2} phi*_n(e^{ix}) = conj(F(conj x)).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     n = int(math.floor(t))
     s = t - n
-    z, w = complex(z), complex(w)
-    u = z - w.conjugate()
-    if abs(u) >= DIAGONAL_SWITCH:
-        phi, phs = _szego_last_batch(v, n, [cmath.exp(1j * z), cmath.exp(1j * w)])
-        br = (
-            cmath.exp(1j * s * u / 2.0) * phi[0] * np.conj(phi[1])
-            - cmath.exp(-1j * s * u / 2.0) * phs[0] * np.conj(phs[1])
-        )
-        return complex(cmath.exp(-1j * n * u / 2.0) * br / (2j * u))
-    # confluent: K = (i/2) d/dv H(z,v) at v = (z + conj w)/2, where
-    # H(z,v) = e^{-in(z-v)/2}[e^{is(z-v)/2} P(z)T(v) - e^{-is(z-v)/2} S(z)U(v)],
-    # P(t) = phi_n(e^{it}), S(t) = phi*_n(e^{it}), T(v) = conj(P(conj v)),
-    # U(v) = conj(S(conj v)); T'(v) = -i conj(e^{i conj v} phi'_n(e^{i conj v})).
-    zeta0 = (z + w.conjugate()) / 2.0
-    ez = cmath.exp(1j * zeta0)
-    ezc = cmath.exp(1j * zeta0.conjugate())
-    phi_d, phs_d = _szego_last_batch(v, n, [ez])
-    phi_c, phs_c, dphi_c, dphs_c = _szego_last_batch(v, n, [ezc], derivative=True)
-    big_p, big_s = phi_d[0], phs_d[0]
-    t_val, u_val = np.conj(phi_c[0]), np.conj(phs_c[0])
-    t_prime = -1j * np.conj(ezc * dphi_c[0])
-    u_prime = -1j * np.conj(ezc * dphs_c[0])
-    h_v = (
-        (1j * n / 2.0) * (big_p * t_val - big_s * u_val)  # = 0 by the CD identity
-        + (-1j * s / 2.0) * (big_p * t_val + big_s * u_val)
-        + big_p * t_prime
-        - big_s * u_prime
-    )
-    return complex((1j / 2.0) * h_v)
+
+    def components(x, derivative):
+        e = cmath.exp(1j * x)
+        phi, phs, *d = (c[0] for c in _szego_last_batch(v, n, [e], derivative))
+        e_f, e_g = cmath.exp(-0.5j * (n - s) * x), cmath.exp(-0.5j * (n + s) * x)
+        f, g = e_f * phi, e_g * phs
+        pair = ((f + g) / 2.0, 0.5j * (g - f))
+        if not derivative:
+            return pair
+        df = e_f * (-0.5j * (n - s) * phi + 1j * e * d[0])
+        dg = e_g * (-0.5j * (n + s) * phs + 1j * e * d[1])
+        return pair + ((df + dg) / 2.0, 0.5j * (dg - df))
+
+    return complex(pair_kernel(components, complex(z), complex(w)))
 
 
 def opuc_interp_kernel(v, t, z, w):

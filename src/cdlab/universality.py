@@ -17,7 +17,7 @@ import numpy as np
 
 from .canonical import Hamiltonian, _schrodinger_sweep, rescaled_kernel_kh
 from .limit_kernels import (
-    KernelSample,
+    _rescaled_samples,
     eval_limit_kernel,
     fit_internal_scale,
 )
@@ -79,17 +79,12 @@ class ConvergenceReport:
 def _schrodinger_samples(src, x, xi, h, grid):
     steps = max(1024, int(16 * x))
     _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps)
-    kd = float(m[0].real)
-    if not kd > 0:
-        raise ValueError(f"Schrodinger diagonal kernel at x={x} is {kd}")
-    tau = float(h(kd))
-    pairs = [(complex(z), complex(w)) for z, w in grid]
-    lams = [lam for z, w in pairs for lam in (xi + z / tau, xi + np.conj(w) / tau)]
-    _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)
-    return [
-        KernelSample(z=z, w=w, value=complex(val) / kd)
-        for (z, w), val in zip(pairs, m)
-    ]
+
+    def kernel(xs, pairs):
+        lams = [lam for i, j in pairs for lam in (xs[i], xs[j].conjugate())]
+        return _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)[1]
+
+    return _rescaled_samples(float(m[0].real), xi, h, grid, kernel)
 
 
 def _sample_fn(source, xi, h):

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlab import limit_kernels
+from cdlab.canonical import jacobi_hamiltonian, kernel_kh
 from cdlab.limit_kernels import (
+    DIAGONAL_SWITCH,
     KernelSample,
     ScaleFitError,
     build_limit_kernel,
@@ -16,8 +18,11 @@ from cdlab.limit_kernels import (
     fh_bessel_kernel,
     fit_internal_scale,
     kernel_components,
+    pair_kernel,
     sine_kernel,
 )
+from cdlab.oprl import RecurrenceCoeffs, cd_kernel
+from cdlab.opuc import VerblunskyCoeffs, opuc_canonical_kernel
 from cdlab.special import (
     GammaOverflowError,
     SeriesConvergenceError,
@@ -91,7 +96,10 @@ def _bits(values):
 
 
 def _fresh(spec, z, derivative=False):
-    # an evaluation that neither reads nor fills the memo
+    # an evaluation that neither reads nor fills the memo; like
+    # kernel_components, it reflects a z whose imaginary part has its sign bit set
+    if math.copysign(1.0, z.imag) < 0:
+        return [c.conjugate() for c in _fresh(spec, z.conjugate(), derivative)]
     return limit_kernels._kernel_components.__wrapped__(
         spec, struct.pack("<2d", z.real, z.imag), derivative)
 
@@ -109,8 +117,8 @@ def test_memo_returns_fresh_bits(sigmas_beta, derivative):
 
 
 def test_memo_keeps_the_sign_of_zero():
-    # the real points of a conjugated w arrive as x - 0j; on the one-sided
-    # spec at x < 0 the sign of the zero imaginary part reaches B
+    # x - 0j is read as the conjugate of x + 0j: on the one-sided spec at
+    # x < 0 the two differ in the sign of a zero imaginary part
     limit_kernels._kernel_components.cache_clear()
     spec = build_limit_kernel(0.0, 1.0, 2.5)
     plus, minus = complex(-0.7, 0.0), complex(-0.7, -0.0)
@@ -309,3 +317,46 @@ def test_confluent_consistency():
     for h in (1e-6, 1e-7):
         k_off = eval_limit_kernel(spec, z + h, z.conjugate())
         assert abs(k_off - k_diag) <= 1e-6 * (1.0 + abs(k_diag))
+
+
+def test_pair_kernel_of_cos_sin_is_the_sine_kernel():
+    # (A, B) = (cos, sin): K = sin(z - conj w) / (z - conj w), K(x, x) = 1
+    def components(x, derivative):
+        pair = (cmath.cos(x), cmath.sin(x))
+        return pair + (-cmath.sin(x), cmath.cos(x)) if derivative else pair
+
+    for z, w in ((0.3, 0.3), (0.4 + 0.2j, -1.1 + 0.5j), (1.2 - 0.3j, 1.2 + 0.3j)):
+        assert abs(pair_kernel(components, complex(z), complex(w)) - sine_closed(z, w)) <= 1e-15
+
+
+def _pair_sources():
+    """Every kernel built on pair_kernel, at level n = 20 where it has one."""
+    n = np.arange(1, 21)
+    rec = RecurrenceCoeffs(a=n / np.sqrt(4.0 * n * n - 1.0), b=np.zeros(20))  # Legendre
+    ham = jacobi_hamiltonian(rec, 20)
+    rng = np.random.default_rng(5)
+    v = VerblunskyCoeffs(rng.uniform(-0.4, 0.4, 20) + 1j * rng.uniform(-0.4, 0.4, 20))
+    two_sided, one_sided = build_limit_kernel(0.5, 2.0, 1.3), build_limit_kernel(0.0, 2.0, 0.8)
+    return {
+        "cd_kernel": lambda z, w: cd_kernel(rec, 20, z, w),
+        "kernel_kh": lambda z, w: kernel_kh(ham, 19.5, z, w),
+        "two-sided": lambda z, w: eval_limit_kernel(two_sided, z, w),
+        "one-sided": lambda z, w: eval_limit_kernel(one_sided, z, w),
+        "fh_bessel_kernel": lambda z, w: fh_bessel_kernel(1.5, z, w),
+        "opuc_canonical_kernel": lambda z, w: opuc_canonical_kernel(v, 19.5, z, w),
+    }
+
+
+@pytest.mark.parametrize("source", sorted(_pair_sources()))
+def test_kernels_agree_across_the_diagonal_switch(source):
+    # |z - conj w| = 0.99 x DIAGONAL_SWITCH takes the confluent branch at the
+    # midpoint, 1.01 x the difference quotient; both sides are Hermitian
+    kernel = _pair_sources()[source]
+    for z in (0.3 + 0j, -1.2 + 0.5j, 1.7 - 0.4j, 0.05 + 1.9j):
+        for angle in (0.0, 1.0, math.pi / 2, 2.5):
+            near, far = (complex(z - r * DIAGONAL_SWITCH * cmath.exp(1j * angle)).conjugate()
+                         for r in (0.99, 1.01))
+            k_near, k_far = kernel(z, near), kernel(z, far)
+            assert abs(k_near - k_far) <= 1e-6 * (1.0 + abs(k_near))
+            for w, k in ((near, k_near), (far, k_far)):
+                assert abs(k - kernel(w, z).conjugate()) <= 1e-12 * (1.0 + abs(k))

@@ -203,3 +203,14 @@ def test_rescaled_free_rate_bound():
                       / (math.pi * (s.z - s.w).real))
                   if s.z != s.w else abs(s.value - 1.0) for s in samples)
         assert sup <= 10.0 / n
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda v: cd_kernel_circle(v, 6, 0.3, 0.5),
+    lambda v: rescaled_cd_circle(v, 0.0, RegVarFn(), 6, [(0.0, 0.0)]),
+    lambda v: opuc_canonical_kernel(v, 6.0, 0.3, 0.5),
+])
+def test_level_beyond_the_coefficients_is_a_value_error(kernel):
+    # the szego_eval error, not a bare IndexError, at n = len(v) + 1
+    with pytest.raises(ValueError, match="n = 6 exceeds declared length 5"):
+        kernel(VerblunskyCoeffs.free(5))

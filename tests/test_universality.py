@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from cdlab import universality
-from cdlab.limit_kernels import build_limit_kernel, sine_kernel
+from cdlab.canonical import Hamiltonian
+from cdlab.limit_kernels import ZeroDiagonalError, build_limit_kernel, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
-from cdlab.oprl import kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
+from cdlab.oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
+from cdlab.opuc import VerblunskyCoeffs
 from cdlab.universality import (
     SchrodingerSource,
     complex_grid_pairs,
@@ -290,3 +292,15 @@ def test_weyl_disk_radius():
     h = Hamiltonian.constant(np.eye(2) / 2.0, length=50.0, tail=True)
     assert weyl(h, 1j, 40.0).disk_radius < 1e-8
     assert weyl(h, 1j, 0.5).disk_radius >= 1e-12
+
+
+@pytest.mark.parametrize("source, index", [
+    (RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5)), 0),  # K(0, ., .) = 0
+    (VerblunskyCoeffs.free(5), 0),  # k_0 = 0
+    (Hamiltonian.constant(np.eye(2)), 0.0),  # K_H(0, ., .) = 0
+    (SchrodingerSource(v_fn=lambda y: math.nan), 1.0),  # a NaN diagonal
+])
+def test_every_sampler_raises_zero_diagonal(source, index):
+    sampler = universality._sample_fn(source, 0.0, RegVarFn())
+    with pytest.raises(ZeroDiagonalError):
+        sampler(index, [(0.0, 0.0)])
