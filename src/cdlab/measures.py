@@ -80,6 +80,10 @@ class Measure:
         object.__setattr__(self, "atom_masses", mas)
         if pos.shape != mas.shape:
             raise ValueError("atom positions/masses shape mismatch")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("atom positions must be finite")
+        if not np.all(np.isfinite(mas)):
+            raise ValueError("atom masses must be finite")
         if pos.size and not np.all(np.diff(pos) > 0):
             raise ValueError("atom positions must be strictly increasing")
         if np.any(mas <= 0):

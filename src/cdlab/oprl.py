@@ -140,6 +140,9 @@ def _lanczos(x, w, m):
     m x N (discretize-and-merge: Gautschi 2004, Sec. 2.2; Fischer & Golub
     1992).  A run whose own Jacobi block breaks down keeps its atoms.  Equal
     adjacent nodes are first made one node, so no run boundary splits them.
+    Every run and the final block go through _krylov, which reorthogonalizes
+    only where Simon's estimate passes sqrt(eps): never on the narrow runs
+    of a pure-point measure near its accumulation point.
     """
     if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
         distinct = np.append(True, x[1:] != x[:-1])
@@ -167,11 +170,24 @@ def _gauss_rule(x, w, m):
 
 
 def _krylov(x, w, m):
-    """The Lanczos loop of _lanczos on the nodes as given."""
+    """The Lanczos loop of _lanczos on the nodes as given, with partial
+    reorthogonalization (Simon 1984, Math. Comp. 42).
+
+    Simon's recurrence estimates omega_{k+1,j} ~ q_{k+1} . q_j from d, e and
+    the two previous rows, plus a rounding term eps max|x| / e_k.  Only when
+    some |omega_{k+1,j}| exceeds sqrt(eps) are q_{k+1} and then q_{k+2}
+    reorthogonalized against the whole stored basis (twice when the first
+    pass cancels, Kahan-Parlett), and their rows reset to eps.  The basis
+    stays semi-orthogonal, which keeps d and e accurate to working precision;
+    the threshold and the rounding term come from that theory, not options.
+    """
     Q = np.empty((m, x.size))
     Q[0] = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
     d, e = np.empty(m), np.empty(m - 1)
-    breakdown = 1e-14 * np.max(np.abs(x))  # relative to the scale of the nodes
+    scale, eps = np.max(np.abs(x)), np.finfo(float).eps
+    breakdown = 1e-14 * scale  # relative to the scale of the nodes
+    omega, omega_prev = np.ones(1), np.zeros(0)  # rows k and k - 1 of the estimate
+    again = False  # q_{k+1} follows a reorthogonalized q_k
     for k in range(m):
         v = x * Q[k]
         d[k] = Q[k] @ v
@@ -180,11 +196,19 @@ def _krylov(x, w, m):
         v -= d[k] * Q[k]
         if k > 0:
             v -= e[k - 1] * Q[k - 1]
-        before = np.linalg.norm(v)
-        v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
-        if np.linalg.norm(v) < before / math.sqrt(2.0):  # cancelled: pass twice (Kahan-Parlett)
-            v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
         e[k] = np.linalg.norm(v)
+        if e[k] > breakdown:
+            t = (d[:k] - d[k]) * omega[:k] + e[:k] * omega[1:] - e[k - 1] * omega_prev
+            t[1:] += e[:k][:-1] * omega[: k - 1]
+            row = np.append((t + np.copysign(eps * scale, t)) / e[k], eps)
+            if again or np.max(np.abs(row)) > math.sqrt(eps):
+                v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+                if np.linalg.norm(v) < e[k] / math.sqrt(2.0):  # cancelled: pass twice
+                    v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
+                e[k] = np.linalg.norm(v)
+                row[:] = eps
+                again = not again
+            omega, omega_prev = np.append(row, 1.0), omega
         if not e[k] > breakdown:
             raise PositivityLossError(k + 1)
         Q[k + 1] = v / e[k]
@@ -495,6 +519,10 @@ def zeros_near(rec, n, xi, k):
     for the widest of all n, so a width within ulps of 1e-13 could stop it
     one halving early; the tests check the gallery recurrences bit for bit.
     """
+    if math.isnan(xi):
+        raise ValueError("xi must not be NaN")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     d, e = _jacobi(rec, n)
     c = int(_sturm_counts(d, e * e, [float(xi)])[0])
     first = max(c - k - 2, 0)

@@ -27,6 +27,20 @@ def test_measure_validation():
         AcPiece(0.0, 1.0, lambda x: x, singular_exponents=(-1.5, 0.0))
 
 
+@pytest.mark.parametrize("positions, masses, cause", [
+    # a NaN mass passed the positivity check, and the coefficients came out finite
+    ([0.0, 0.5, 1.0], [1.0, np.nan, 1.0], "masses must be finite"),
+    ([0.0, 0.5, 1.0], [1.0, np.inf, 1.0], "masses must be finite"),
+    ([0.0, 0.5, 1.0], [1.0, -np.inf, 1.0], "masses must be finite"),
+    ([0.0, 0.5, np.inf], [1.0, 1.0, 1.0], "positions must be finite"),
+    ([-np.inf, 0.5, 1.0], [1.0, 1.0, 1.0], "positions must be finite"),
+    ([0.0, np.nan, 1.0], [1.0, 1.0, 1.0], "positions must be finite"),
+])
+def test_measure_rejects_non_finite_atoms(positions, masses, cause):
+    with pytest.raises(ValueError, match=cause):
+        Measure(np.array(positions), np.array(masses))
+
+
 def test_gallery_names_and_unknown():
     assert "legendre" in gallery_names()
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from cdlab.oprl import (
     SupportTooSmallError,
     ZeroDiagonalError,
     _discretize,
+    _krylov,
     _lanczos,
     _sturm_counts,
     cd_kernel,
@@ -352,6 +353,16 @@ def test_zeros_near_on_random_jacobi():
                 _assert_window_is_slice(rec, n, xi, k, zeros)
 
 
+def test_zeros_near_rejects_nan_xi_and_negative_k(leg):
+    # a NaN xi counted no eigenvalue below it and returned the lowest window
+    with pytest.raises(ValueError, match="NaN"):
+        zeros_near(leg, 20, float("nan"), 2)
+    # k = -1 shrank the window; k = -5 failed inside numpy
+    for k in (-1, -5):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            zeros_near(leg, 20, 0.0, k)
+
+
 def test_diag_strictly_increasing(cheb):
     vals = [cd_kernel(cheb, n, 0.3, 0.3).real for n in range(1, 40)]
     assert all(b > a - 1e-12 * abs(b) for a, b in zip(vals, vals[1:]))
@@ -374,9 +385,10 @@ def test_stieltjes_positivity_loss():
     assert exc.value.index >= 1
 
 
-def _full_reorth_lanczos(x, w, m):
+def _full_reorth_lanczos(x, w, m, passes=2):
     """Reference: m steps of Lanczos with classical Gram-Schmidt run twice
-    against the whole stored basis at every step."""
+    (passes) against the whole stored basis at every step; passes=0 is plain
+    Lanczos."""
     Q = np.empty((m + 1, x.size))
     q = np.sqrt(w)
     q /= np.linalg.norm(q)
@@ -389,7 +401,7 @@ def _full_reorth_lanczos(x, w, m):
         v -= b[k] * Q[k]
         if k > 0:
             v -= a[k - 1] * Q[k - 1]
-        for _ in range(2):
+        for _ in range(passes):
             c = Q[: k + 1] @ v
             v -= Q[: k + 1].T @ c
         nb = np.linalg.norm(v)
@@ -454,6 +466,47 @@ def test_lanczos_equal_nodes_across_run_boundaries():
     a, b = _full_reorth_lanczos(x, w / w.sum(), m)
     assert np.max(np.abs(d - b)) <= 1e-12
     assert np.max(np.abs(e - a[: m - 1]) / a[: m - 1]) <= 1e-12
+
+
+def _folded_pure_point_run(lo, hi):
+    """Nodes 1/j^2, lo < j <= hi, ascending, with masses 1/(j (j + 1)) of
+    unit total: one run of the folded pure_point_bulk measure."""
+    j = np.arange(hi, lo, -1, dtype=float)
+    w = 1.0 / (j * (j + 1.0))
+    return 1.0 / j ** 2, w / w.sum()
+
+
+def _krylov_error(x, w, m, passes=None):
+    """Largest relative change of _krylov's block (or of the reference with
+    that many passes) against full reorthogonalization."""
+    a, b = _full_reorth_lanczos(x, w, m)
+    if passes is None:
+        d, e = _krylov(x, w, m)
+    else:
+        e, d = _full_reorth_lanczos(x, w, m, passes)
+    return max(np.max(np.abs(e[: m - 1] - a[: m - 1]) / a[: m - 1]),
+               np.max(np.abs(d[:m] - b[:m]) / np.abs(b[:m])))
+
+
+@pytest.mark.parametrize("lo, hi, fires", [
+    (0, 3520, True),  # the wide last run: plain Lanczos loses orthogonality by step 7
+    (93568, 100000, False),  # a narrow merge run, within 8.1e-8 of 0
+])
+def test_krylov_partial_reorthogonalization_on_pure_point_runs(lo, hi, fires):
+    # the block of the omega-triggered loop matches full reorthogonalization;
+    # plain Lanczos fails it exactly where the trigger has to fire
+    x, w = _folded_pure_point_run(lo, hi)
+    assert _krylov_error(x, w, 201) <= 1e-12
+    assert (_krylov_error(x, w, 201, passes=0) > 1e-8) == fires
+
+
+def test_krylov_isolated_atoms_next_to_a_continuum():
+    # three outliers converge first as Ritz values, so orthogonality to them
+    # is lost early while the continuum is still being resolved
+    x = np.concatenate([np.linspace(0.0, 1.0, 5000), [1.5, 2.0, 3.0]])
+    w = np.full(x.size, 1.0 / x.size)
+    assert _krylov_error(x, w, 201) <= 1e-12
+    assert _krylov_error(x, w, 201, passes=0) > 1e-8
 
 
 def test_stieltjes_pure_point_peak_memory():
