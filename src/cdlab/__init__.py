@@ -69,7 +69,6 @@ from .universality import (
     ConvergenceReport,
     ZeroReport,
     ZeroWindowError,
-    SchrodingerSource,
     convergence_study,
     zero_study,
     sparse_jacobi,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, pair_kernel
-from .oprl import eval_polys
-from .opuc import szego_eval
+from .oprl import RecurrenceCoeffs, eval_polys
+from .opuc import VerblunskyCoeffs, szego_eval
 from .special import sine_ratio
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "transfer_matrix",
     "kernel_kh",
     "rescaled_kernel_kh",
+    "rescaled_schrodinger",
     "weyl",
     "rescale_h",
     "jacobi_hamiltonian",
@@ -69,8 +70,8 @@ class Hamiltonian:
         object.__setattr__(self, "matrices", mats)
         if lengths.ndim != 1 or mats.shape != (lengths.size, 2, 2):
             raise ValueError("need k lengths and (k,2,2) matrices")
-        if np.any(lengths <= 0):
-            raise ValueError("piece lengths must be > 0")
+        if not np.all(np.isfinite(lengths)) or np.any(lengths <= 0):
+            raise ValueError("piece lengths must be finite and > 0")
         for m in mats:
             _check_psd(m)
         if self.tail is not None:
@@ -89,6 +90,8 @@ class Hamiltonian:
 
 
 def _check_psd(m):
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"Hamiltonian pieces must be finite, got {m.tolist()}")
     if abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + abs(m[0, 1])):
         raise ValueError("Hamiltonian pieces must be symmetric")
     tr = m[0, 0] + m[1, 1]
@@ -171,7 +174,7 @@ def kernel_kh(h, t, z, w):
     return complex(pair_kernel(components, complex(z), complex(w)))
 
 
-def rescaled_kernel_kh(h, t, xi, scaling, grid):
+def rescaled_kernel_kh(h, xi, scaling, t, grid):
     """Samples of K_H(t, xi + z/tau, xi + w/tau) / K_H(t, xi, xi),
     tau = scaling(K_H(t, xi, xi))."""
     def kernel(xs, pairs):
@@ -225,12 +228,16 @@ def rescale_h(h, g, r):
 
 
 def jacobi_hamiltonian(rec, n_max):
-    """Unit-length rank-one pieces [[q_n(0)^2, -p_n q_n],[-p_n q_n, p_n(0)^2]]."""
+    """Unit-length rank-one pieces [[q_n(0)^2, -p_n q_n],[-p_n q_n, p_n(0)^2]]; the
+    second kind q_0 = 0, q_n = p^(1)_{n-1} / a_1 from the shifted coefficients."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if n_max > len(rec):
         raise ValueError(f"n_max = {n_max} exceeds declared length {len(rec)}")
-    pv = eval_polys(rec, n_max - 1, 0.0, second_kind=True)
+    pv = eval_polys(rec, n_max - 1, 0.0)
+    pv1 = eval_polys(RecurrenceCoeffs(rec.a[1:], rec.b[1:]), max(n_max - 2, 0), 0.0)
     p = pv.values.real * math.exp(pv.log_scale)
-    q = pv.q_values.real * math.exp(pv.log_scale)
+    q = np.append(0.0, pv1.values.real[: n_max - 1] * math.exp(pv1.log_scale) / rec.a[0])
     mats = np.empty((n_max, 2, 2))
     for n in range(n_max):
         mats[n] = [[q[n] ** 2, -p[n] * q[n]], [-p[n] * q[n], p[n] ** 2]]
@@ -244,14 +251,18 @@ def opuc_hamiltonian(v, n_max):
                [Im(psi_n(1) conj(phi_n(1))), |phi_n(1)|^2]];
 
     the 1/2 normalizes the pieces so kernel_kh reproduces the circle-chain
-    kernels K(n+s,.,.) exactly (free case: H = I/2, K(t,0,0) = t/2).
+    kernels K(n+s,.,.) exactly (free case: H = I/2, K(t,0,0) = t/2).  The
+    second kind psi_n is the phi_n of the coefficients -alpha.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if n_max > len(v):
         raise ValueError(f"n_max = {n_max} exceeds declared length {len(v)}")
-    sz = szego_eval(v, n_max - 1, 1.0)
+    phis = szego_eval(v, n_max - 1, 1.0).phi
+    psis = szego_eval(VerblunskyCoeffs(-v.alpha), n_max - 1, 1.0).phi
     mats = np.empty((n_max, 2, 2))
     for n in range(n_max):
-        phi, psi = sz.phi[n], sz.psi[n]
+        phi, psi = phis[n], psis[n]
         off = float(np.imag(psi * np.conj(phi)))
         mats[n] = 0.5 * np.array([[abs(psi) ** 2, off], [off, abs(phi) ** 2]])
     return Hamiltonian(np.ones(n_max), mats)
@@ -358,6 +369,20 @@ def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, derivative=False):
         m = m + (h / 6.0) * (f[:-1] + 4.0 * u_mid[:, left] * u_mid[:, right] + f[1:]).sum(axis=0)
         state = states[-1]
     return state[:, lane], m
+
+
+def rescaled_schrodinger(v_fn, beta_bc, xi, h, x, grid):
+    """Samples of K(x, xi + z/tau, xi + w/tau) / K(x, xi, xi), tau = h(K(x, xi, xi)),
+    of the Schrodinger kernel on [0, x]: each K is an m of _schrodinger_sweep
+    in max(1024, 16 x) steps."""
+    steps = max(1024, int(16 * x))
+    _, m = _schrodinger_sweep(v_fn, beta_bc, x, [xi, xi], steps)
+
+    def kernel(xs, pairs):
+        lams = [lam for i, j in pairs for lam in (xs[i], xs[j].conjugate())]
+        return _schrodinger_sweep(v_fn, beta_bc, x, lams, steps)[1]
+
+    return _rescaled_samples(float(m[0].real), xi, h, grid, kernel)
 
 
 def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):

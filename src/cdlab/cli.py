@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,7 +29,6 @@ from .identities import MODULES as IDENTITY_MODULES, run_identities
 from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .universality import (
-    SchrodingerSource,
     complex_grid_pairs,
     convergence_study,
     real_grid_pairs,
@@ -225,12 +225,11 @@ def _fit_grid(cfg):
     return complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
 
 
-def _convergence(cfg, out_dir, source, xi, h, target, target_name="sine kernel",
-                 index=int):
-    """convergence_study of the source at every configured index (cast by
-    index) on the configured real grid; writes kernel_<index>.csv per index."""
+def _convergence(cfg, out_dir, sampler, target, target_name="sine kernel", index=int):
+    """convergence_study of sampler(index, grid) at every configured index (cast
+    by index) on the configured real grid; writes kernel_<index>.csv per index."""
     grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    report = convergence_study(source, xi, h, target,
+    report = convergence_study(sampler, target,
                                [index(n) for n in cfg.n_values], grid,
                                cfg.tolerance, fit_grid=_fit_grid(cfg),
                                target_name=target_name)
@@ -245,7 +244,7 @@ def _run_bulk(cfg, out_dir):
     h, scl = _estimated_scaling(mu, cfg.xi, cfg.scaling)
     n_top = int(max(cfg.n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    report = _convergence(cfg, out_dir, rec, cfg.xi, h, sine_kernel)
+    report = _convergence(cfg, out_dir, partial(oprl.rescaled_cd, rec, cfg.xi, h), sine_kernel)
     nev = oprl.nevai_ratio(rec, cfg.xi, n_top)
     nev_ok = abs(nev - 1.0) <= cfg.tolerance
     passed = report.passed and nev_ok
@@ -278,7 +277,7 @@ def _run_opuc_bulk(cfg, out_dir):
         mu = gallery(name, **cfg.measure.get("params", {}))
         v = opuc.verblunsky_from_measure(mu, n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
-    report = _convergence(cfg, out_dir, v, cfg.xi, h, sine_kernel)
+    report = _convergence(cfg, out_dir, partial(opuc.rescaled_cd_circle, v, cfg.xi, h), sine_kernel)
     # internal scale against the printed two-sided kernel at sigma = 1, beta = 1,
     # on the samples the sine-kernel fit used
     fit = fit_internal_scale(report.extras["fit_samples"], build_limit_kernel(1.0, 1.0, 1.0))
@@ -376,7 +375,7 @@ def _run_jump(cfg, out_dir):
     h = RegVarFn(scale=1.0, index=1.0)
     n_top = int(max(cfg.n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    report = _convergence(cfg, out_dir, rec, cfg.xi, h, spec,
+    report = _convergence(cfg, out_dir, partial(oprl.rescaled_cd, rec, cfg.xi, h), spec,
                           target_name=f"two-sided limit kernel ({sm:.3f},{sp:.3f},1)")
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] jump: rescaled CD kernel -> "
@@ -406,7 +405,8 @@ def _run_sparse(cfg, out_dir):
     k2 = oprl.kernel_diag(rec, 2 * t_top, cfg.xi)
     ratio_k = k2 / k1
     ratio_ok = 1.9 <= ratio_k <= 2.1
-    report = _convergence(cfg, out_dir, rec, cfg.xi, dat.scaling_inverse(), sine_kernel)
+    sampler = partial(oprl.rescaled_cd, rec, cfg.xi, dat.scaling_inverse())
+    report = _convergence(cfg, out_dir, sampler, sine_kernel)
     passed = block_ok and ratio_ok and report.passed
     lines = [
         f"[{'PASS' if block_ok else 'FAIL'}] sparse: ||A_n||^2 constant between "
@@ -423,15 +423,14 @@ def _run_sparse(cfg, out_dir):
 
 
 def _run_schrodinger(cfg, out_dir):
-    src = SchrodingerSource(v_fn=lambda y: 0.0, beta_bc=0.0)
-    val = canonical.schrodinger_kernel(src.v_fn, src.beta_bc, 5.0,
-                                       1.0 + 0.2j, 2.0, tol=1e-10)
+    val = canonical.schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
     agree = abs(val.quadrature - val.wronskian) / (1.0 + abs(val.quadrature))
     agree_ok = agree <= 1e-8
     xi = float(cfg.params.get("xi", 1.0))
     eta = math.sqrt(xi) / math.pi
     h = RegVarFn(scale=eta, index=1.0)
-    report = _convergence(cfg, out_dir, src, xi, h, sine_kernel, index=float)
+    sampler = partial(canonical.rescaled_schrodinger, lambda y: 0.0, 0.0, xi, h)
+    report = _convergence(cfg, out_dir, sampler, sine_kernel, index=float)
     passed = agree_ok and report.passed
     lines = [
         f"[{'PASS' if agree_ok else 'FAIL'}] schrodinger: quadrature form = "

@@ -60,6 +60,8 @@ class AcPiece:
     singular_exponents: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"piece endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError("piece needs a < b")
         if min(self.singular_exponents) <= -1:

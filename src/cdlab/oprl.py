@@ -5,7 +5,9 @@ Recurrence convention (orthonormal, probability measure):
     a_{n+1} p_{n+1}(x) = (x - b_{n+1}) p_n(x) - a_n p_{n-1}(x),
     p_{-1} = 0, p_0 = 1,  a_n > 0.
 
-Second-kind polynomials use the same recurrence with q_0 = 0, q_1 = 1/a_1.
+Second-kind polynomials are not a separate sequence: q_n = p^(1)_{n-1} / a_1
+(q_0 = 0), where p^(1) are the polynomials of the shifted coefficients
+(a_{n+1}, b_{n+1}), so eval_polys of RecurrenceCoeffs(a[1:], b[1:]) gives them.
 Coefficients come from a quadrature discretization of the measure followed by
 Lanczos tridiagonalization (folded onto x^2 for symmetric measures).  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
@@ -92,7 +94,6 @@ class RecurrenceCoeffs:
 class PolyValues:
     z: complex
     values: np.ndarray  # p_0(z) .. p_n(z), times exp(log_scale)
-    q_values: np.ndarray | None = None
     log_scale: float = 0.0
 
 
@@ -106,7 +107,8 @@ def _discretize(mu, n_max):
     Each half of each piece gets k (n_max + 2) + 8 Gauss-Legendre nodes, k
     the substitution power of its endpoint exponent, so the substituted
     integrand of a degree-(2 n_max + 1) moment is integrated exactly.  Nodes
-    of zero weight are dropped; raises SupportTooSmallError unless more than
+    of zero weight are dropped; raises ValueError on a non-finite weight (a
+    density that returns NaN or inf) and SupportTooSmallError unless more than
     n_max nodes remain.
     """
     from .measures import _piece_nodes, _subst_exponent  # shared quadrature plumbing
@@ -120,6 +122,8 @@ def _discretize(mu, n_max):
         ws.append(w)
     x = np.concatenate(xs)
     w = np.real(np.concatenate(ws))
+    if not np.all(np.isfinite(w)):
+        raise ValueError("the measure has non-finite weights (a density returned NaN or inf)")
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
     x, w = x[w > 0], w[w > 0]
@@ -255,72 +259,54 @@ def stieltjes_coeffs(mu, n_max):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_polys(rec, n, z, second_kind=False):
-    """p_0(z)..p_n(z) by forward recurrence (optionally second kind too).
+def eval_polys(rec, n, z):
+    """p_0(z)..p_n(z) by forward recurrence.
 
     If values exceed 1e280 in modulus, the whole sequence is rescaled by a
     common factor and log_scale records its logarithm.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > len(rec):
         raise ValueError(f"n = {n} exceeds declared length {len(rec)}")
     z = complex(z)
     a, b = rec.a, rec.b
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
-    q = np.empty(n + 1, dtype=complex) if second_kind else None
-    if second_kind:
-        q[0] = 0.0
     log_scale = 0.0
     for k in range(1, n + 1):
         p[k] = ((z - b[k - 1]) * p[k - 1] - (a[k - 2] * p[k - 2] if k >= 2 else 0.0)) / a[k - 1]
-        if second_kind:
-            if k == 1:
-                q[1] = 1.0 / a[0]
-            else:
-                q[k] = ((z - b[k - 1]) * q[k - 1] - a[k - 2] * q[k - 2]) / a[k - 1]
-        top = abs(p[k])
-        if second_kind:
-            top = max(top, abs(q[k]))
-        if top > _RESCALE_LIMIT:
+        if abs(p[k]) > _RESCALE_LIMIT:
             p[: k + 1] *= 1.0 / _RESCALE_LIMIT
-            if second_kind:
-                q[: k + 1] *= 1.0 / _RESCALE_LIMIT
             log_scale += math.log(_RESCALE_LIMIT)
-    return PolyValues(z=z, values=p, q_values=q, log_scale=log_scale)
+    return PolyValues(z=z, values=p, log_scale=log_scale)
 
 
-def _batch_levels(rec, levels, zs):
-    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at each requested level, vectorized in z."""
-    levels = sorted(set(int(v) for v in levels))
-    if levels and levels[-1] > len(rec):
-        raise ValueError(f"level {levels[-1]} exceeds declared length {len(rec)}")
+def _batch_level(rec, n, zs):
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at level n >= 1, vectorized in z."""
+    if n > len(rec):
+        raise ValueError(f"level {n} exceeds declared length {len(rec)}")
     zs = np.asarray(zs, dtype=complex)
     a, b = rec.a, rec.b
     p_prev = np.zeros_like(zs)
     p = np.ones_like(zs)
     dp_prev = np.zeros_like(zs)
     dp = np.zeros_like(zs)
-    out = {}
-    if levels and levels[0] == 0:
-        out[0] = (p_prev.copy(), p.copy(), dp_prev.copy(), dp.copy())
-    top = levels[-1] if levels else 0
-    for k in range(1, top + 1):
+    for k in range(1, n + 1):
         ak, bk = a[k - 1], b[k - 1]
         am = a[k - 2] if k >= 2 else 0.0
         p_next = ((zs - bk) * p - am * p_prev) / ak
         dp_next = (p + (zs - bk) * dp - am * dp_prev) / ak
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
-        if k in levels:
-            out[k] = (p_prev.copy(), p.copy(), dp_prev.copy(), dp.copy())
-    return out
+    return p_prev, p, dp_prev, dp
 
 
 def _cd_pair(rec, n, points):
     """components of the de Branges pair (A, B) = (p_{n-1}, a_n p_n) of
-    K(n, ., .) for pair_kernel, tabulated over points by one _batch_levels pass."""
+    K(n, ., .) for pair_kernel, tabulated over points by one _batch_level pass."""
     def evaluate(xs):
-        pm, pn, dpm, dpn = _batch_levels(rec, [n], xs)[n]
+        pm, pn, dpm, dpn = _batch_level(rec, n, xs)
         return pm, rec.a[n - 1] * pn, dpm, rec.a[n - 1] * dpn
 
     return _tabulated(evaluate, points)
@@ -370,6 +356,8 @@ def interp_kernel(rec, t, z, w):
 
 def kernel_diag(rec, index, xi):
     """K(index, xi, xi) for integer or real (interpolated) index."""
+    if index < 0:
+        raise ValueError("index must be >= 0")
     xi = float(xi)
     n = int(math.floor(index))
     s = index - n

@@ -5,7 +5,9 @@ Szego recursion for orthonormal polynomials (phi_0 = 1):
     phi_{k+1}(zeta)  = (zeta phi_k - conj(alpha_k) phi*_k) / sqrt(1-|alpha_k|^2)
     phi*_{k+1}(zeta) = (phi*_k - alpha_k zeta phi_k) / sqrt(1-|alpha_k|^2)
 
-Second-kind polynomials psi_k use the same recursion with alpha_k -> -alpha_k.
+Second-kind polynomials psi_k are not a separate sequence: they are the phi_k
+of the coefficients -alpha_k, so szego_eval of VerblunskyCoeffs(-alpha) gives
+them (Simon 2005, OPUC Part 1, Sec. 3.2).
 The measure is a probability measure; rotation to a point e^{i xi} is handled
 by rotating kernel arguments, never by re-deriving coefficients.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
-from .oprl import _discretize
+from .oprl import KernelOverflowError, _discretize
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -60,7 +62,6 @@ class SzegoValues:
     zeta: complex
     phi: np.ndarray
     phi_star: np.ndarray
-    psi: np.ndarray
 
 
 def verblunsky_from_measure(mu_circle, n_max):
@@ -99,23 +100,21 @@ def verblunsky_from_measure(mu_circle, n_max):
 
 
 def szego_eval(v, n, zeta):
-    """phi_0..phi_n, phi*_0..phi*_n, psi_0..psi_n at zeta."""
+    """phi_0..phi_n and phi*_0..phi*_n at zeta."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n > len(v):
         raise ValueError(f"n = {n} exceeds declared length {len(v)}")
     zeta = complex(zeta)
     phi = np.empty(n + 1, dtype=complex)
     phs = np.empty(n + 1, dtype=complex)
-    psi = np.empty(n + 1, dtype=complex)
-    pss = np.empty(n + 1, dtype=complex)
-    phi[0] = phs[0] = psi[0] = pss[0] = 1.0
+    phi[0] = phs[0] = 1.0
     for k in range(n):
         al = v.alpha[k]
         r = 1.0 / math.sqrt(1.0 - abs(al) ** 2)
         phi[k + 1] = r * (zeta * phi[k] - np.conj(al) * phs[k])
         phs[k + 1] = r * (phs[k] - al * zeta * phi[k])
-        psi[k + 1] = r * (zeta * psi[k] + np.conj(al) * pss[k])
-        pss[k + 1] = r * (pss[k] + al * zeta * psi[k])
-    return SzegoValues(zeta=zeta, phi=phi, phi_star=phs, psi=psi)
+    return SzegoValues(zeta=zeta, phi=phi, phi_star=phs)
 
 
 def _szego_last_batch(v, n, zetas, derivative=False):
@@ -159,22 +158,32 @@ def _circle_kernel(components, zeta, omega):
 
 
 def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
-    """k_n(zeta, omega) = sum_{j<n} phi_j(zeta) conj(phi_j(omega))."""
+    """k_n(zeta, omega) = sum_{j<n} phi_j(zeta) conj(phi_j(omega)); raises
+    KernelOverflowError when the value is outside the double range."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    zeta, omega = complex(zeta), complex(omega)
-    if method == "sum":
-        sz = szego_eval(v, n - 1, zeta)
-        sw = szego_eval(v, n - 1, omega)
-        return complex(np.sum(sz.phi * np.conj(sw.phi)))
-    if method != "cd_formula":
+    if method not in ("sum", "cd_formula"):
         raise ValueError(f"unknown method {method!r}")
-    pair = _tabulated(functools.partial(_szego_last_batch, v, n, derivative=True), [zeta, omega])
-    return _circle_kernel(pair, zeta, omega)
+    zeta, omega = complex(zeta), complex(omega)
+    # an overflow surfaces as inf or nan in the value and is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "sum":
+            sz = szego_eval(v, n - 1, zeta)
+            sw = szego_eval(v, n - 1, omega)
+            out = complex(np.sum(sz.phi * np.conj(sw.phi)))
+        else:
+            pair = _tabulated(functools.partial(_szego_last_batch, v, n, derivative=True),
+                              [zeta, omega])
+            out = _circle_kernel(pair, zeta, omega)
+    if not cmath.isfinite(out):
+        raise KernelOverflowError(n, zeta, omega)
+    return out
 
 
 def kernel_diag_circle(v, n, xi):
     """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     sz = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
     return float(np.sum(np.abs(sz.phi[:n]) ** 2))
 
@@ -201,7 +210,8 @@ def opuc_canonical_kernel(v, t, z, w):
 
     oriented so the diagonal is positive.  It is pair_kernel of
     A = (F + G)/2, B = i(G - F)/2, with F(x) = e^{-i(n-s)x/2} phi_n(e^{ix})
-    and G(x) = e^{-i(n+s)x/2} phi*_n(e^{ix}) = conj(F(conj x)).
+    and G(x) = e^{-i(n+s)x/2} phi*_n(e^{ix}) = conj(F(conj x)).  Raises
+    KernelOverflowError when the value is outside the double range.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -220,7 +230,15 @@ def opuc_canonical_kernel(v, t, z, w):
         dg = e_g * (-0.5j * (n + s) * phs + 1j * e * d[1])
         return pair + ((df + dg) / 2.0, 0.5j * (dg - df))
 
-    return complex(pair_kernel(components, complex(z), complex(w)))
+    # an overflow surfaces as inf or nan, or as OverflowError from cmath.exp
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = complex(pair_kernel(components, complex(z), complex(w)))
+    except OverflowError:
+        out = cmath.inf
+    if not cmath.isfinite(out):
+        raise KernelOverflowError(t, z, w)
+    return out
 
 
 def opuc_interp_kernel(v, t, z, w):

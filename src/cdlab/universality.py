@@ -15,21 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .canonical import Hamiltonian, _schrodinger_sweep, rescaled_kernel_kh
-from .limit_kernels import (
-    _rescaled_samples,
-    eval_limit_kernel,
-    fit_internal_scale,
-)
-from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, rescaled_cd, zeros_near
-from .opuc import VerblunskyCoeffs, rescaled_cd_circle
+from .limit_kernels import eval_limit_kernel, fit_internal_scale
+from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
 from .special import bessel_zero, gamma_cx, real_zeros
 
 __all__ = [
     "ConvergenceReport",
     "ZeroReport",
     "ZeroWindowError",
-    "SchrodingerSource",
     "SparseDiagnostics",
     "real_grid_pairs",
     "complex_grid_pairs",
@@ -56,14 +49,6 @@ def complex_grid_pairs(half_width, points_per_axis):
     return [(z, w) for z in pts for w in pts]
 
 
-@dataclass(frozen=True)
-class SchrodingerSource:
-    """Half-line Schrodinger operator -u'' + V u on [0, x], boundary angle beta at 0."""
-
-    v_fn: Callable[[float], float]
-    beta_bc: float = 0.0
-
-
 @dataclass
 class ConvergenceReport:
     indices: list
@@ -76,33 +61,11 @@ class ConvergenceReport:
     extras: dict = field(default_factory=dict)
 
 
-def _schrodinger_samples(src, x, xi, h, grid):
-    steps = max(1024, int(16 * x))
-    _, m = _schrodinger_sweep(src.v_fn, src.beta_bc, x, [xi, xi], steps)
-
-    def kernel(xs, pairs):
-        lams = [lam for i, j in pairs for lam in (xs[i], xs[j].conjugate())]
-        return _schrodinger_sweep(src.v_fn, src.beta_bc, x, lams, steps)[1]
-
-    return _rescaled_samples(float(m[0].real), xi, h, grid, kernel)
-
-
-def _sample_fn(source, xi, h):
-    """index, grid -> kernel samples, for any supported source kind."""
-    if isinstance(source, RecurrenceCoeffs):
-        return lambda idx, grid: rescaled_cd(source, xi, h, idx, grid)
-    if isinstance(source, VerblunskyCoeffs):
-        return lambda idx, grid: rescaled_cd_circle(source, xi, h, int(idx), grid)
-    if isinstance(source, Hamiltonian):
-        return lambda idx, grid: rescaled_kernel_kh(source, float(idx), xi, h, grid)
-    if isinstance(source, SchrodingerSource):
-        return lambda idx, grid: _schrodinger_samples(source, float(idx), xi, h, grid)
-    raise TypeError(f"unsupported source type {type(source).__name__}")
-
-
-def convergence_study(source, xi, h, target, indices, grid, tolerance,
+def convergence_study(sampler, target, indices, grid, tolerance,
                       fit_grid=None, target_name=""):
-    """Rescaled kernels of the source vs target(c z, c w) with fitted c.
+    """Rescaled kernels sampler(index, grid) vs target(c z, c w) with fitted c;
+    sampler is a rescaled sampler with its source, xi and h bound, such as
+    functools.partial(oprl.rescaled_cd, rec, xi, h).
 
     The internal scale c is fitted once, at the largest index (on fit_grid if
     given -- complex samples make the fit sharp); sup-errors are then recorded
@@ -115,7 +78,6 @@ def convergence_study(source, xi, h, target, indices, grid, tolerance,
         raise ValueError("need at least one index")
     if not any(z == 0 and w == 0 for z, w in grid):
         raise ValueError("grid must include (0, 0)")
-    sampler = _sample_fn(source, xi, h)
     largest = max(indices)
     fit_samples = sampler(largest, fit_grid if fit_grid is not None else grid)
     fit = fit_internal_scale(fit_samples, target)

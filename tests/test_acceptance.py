@@ -8,12 +8,13 @@ sine-kernel bound for the pinned constant-ratio bump positions (criterion 10).
 Both are asserted as stated rather than weakened.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from cdlab.canonical import Hamiltonian, kernel_kh, schrodinger_kernel
+from cdlab.canonical import Hamiltonian, kernel_kh, rescaled_schrodinger, schrodinger_kernel
 from cdlab.identities import run_identities
 from cdlab.limit_kernels import (
     build_limit_kernel,
@@ -32,7 +33,6 @@ from cdlab.oprl import (
 )
 from cdlab.opuc import VerblunskyCoeffs, rescaled_cd_circle
 from cdlab.universality import (
-    SchrodingerSource,
     complex_grid_pairs,
     convergence_study,
     real_grid_pairs,
@@ -103,8 +103,9 @@ def test_criterion_03_opuc_lebesgue_oracle():
 def test_criterion_04_bulk_universality(name, eta):
     rec = stieltjes_coeffs(gallery(name), 201)
     h = RegVarFn(scale=eta, index=1.0)
-    rep = convergence_study(rec, 0.0, h, sine_kernel, [50, 100, 200], GRID2,
-                            0.05, fit_grid=FIT_GRID, target_name="sine kernel")
+    rep = convergence_study(functools.partial(rescaled_cd, rec, 0.0, h), sine_kernel,
+                            [50, 100, 200], GRID2, 0.05, fit_grid=FIT_GRID,
+                            target_name="sine kernel")
     nev = nevai_ratio(rec, 0.0, 200)
     passed = rep.passed and nev - 1.0 <= 0.05
     _report(4, f"bulk universality ({name})", passed,
@@ -203,9 +204,9 @@ def test_criterion_09_canonical_and_schrodinger():
                          / max(1.0, abs(expected)))
     val = schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
     err_forms = abs(val.quadrature - val.wronskian) / (1.0 + abs(val.quadrature))
-    src = SchrodingerSource(v_fn=lambda y: 0.0, beta_bc=0.0)
     h = RegVarFn(scale=math.sqrt(1.0) / math.pi, index=1.0)
-    rep = convergence_study(src, 1.0, h, sine_kernel, [50.0, 100.0, 200.0],
+    sampler = functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0, h)
+    rep = convergence_study(sampler, sine_kernel, [50.0, 100.0, 200.0],
                             real_grid_pairs(1.0, 9), 0.05, fit_grid=FIT_GRID,
                             target_name="sine kernel")
     passed = err_closed <= 1e-12 and err_forms <= 1e-8 and rep.passed

@@ -21,8 +21,8 @@ from cdlab.canonical import (
     _schrodinger_sweep,
 )
 from cdlab.measures import RegVarFn, cauchy_transform, gallery
-from cdlab.oprl import interp_kernel, stieltjes_coeffs
-from cdlab.opuc import VerblunskyCoeffs, opuc_canonical_kernel
+from cdlab.oprl import RecurrenceCoeffs, eval_polys, interp_kernel, kernel_diag, stieltjes_coeffs
+from cdlab.opuc import VerblunskyCoeffs, kernel_diag_circle, opuc_canonical_kernel, szego_eval
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,46 @@ def test_hamiltonian_validation():
         Hamiltonian(np.array([1.0]), np.array([[[1.0, 0.0], [0.0, -0.5]]]))
     with pytest.raises(ValueError):
         Hamiltonian(np.array([-1.0]), np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("lengths, mats, tail", [
+    ([np.nan], [np.eye(2)], None),
+    ([np.inf], [np.eye(2)], None),
+    ([1.0], [[[np.nan, 0.0], [0.0, 1.0]]], None),
+    ([1.0], [[[1.0, np.inf], [np.inf, 1.0]]], None),
+    ([1.0], [np.eye(2)], [[1.0, 0.0], [0.0, np.inf]]),
+])
+def test_hamiltonian_rejects_non_finite(lengths, mats, tail):
+    with pytest.raises(ValueError, match="finite"):
+        Hamiltonian(np.array(lengths), np.array(mats), tail=tail)
+
+
+def test_opuc_hamiltonian_overflow_is_named():
+    # |phi_n(1)| grows like 4.4^n and overflows: the pieces used to be NaN
+    v = VerblunskyCoeffs(np.full(3000, 0.9))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="pieces must be finite"):
+        opuc_hamiltonian(v, 3000)
+
+
+_REC5 = RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5))
+_FREE5 = VerblunskyCoeffs.free(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_polys(_REC5, -1, 0.0),
+    lambda: szego_eval(_FREE5, -1, 1.0),
+    lambda: kernel_diag(_REC5, -2, 0.0),
+    lambda: kernel_diag(_REC5, -0.5, 0.0),
+    lambda: kernel_diag_circle(_FREE5, -3, 0.0),
+    lambda: jacobi_hamiltonian(_REC5, 0),
+    lambda: opuc_hamiltonian(_FREE5, 0),
+], ids=["eval_polys", "szego_eval", "kernel_diag", "kernel_diag_real",
+        "kernel_diag_circle", "jacobi_hamiltonian", "opuc_hamiltonian"])
+def test_negative_sizes_raise(call):
+    # kernel_diag and kernel_diag_circle returned 0.0, the others a bare IndexError
+    with pytest.raises(ValueError, match=">= "):
+        call()
 
 
 def test_rank_one_transfer_alpha_zero():
@@ -195,6 +235,15 @@ def test_jacobi_hamiltonian_blocks(cheb):
     assert np.allclose(ham.matrices[0], [[0.0, 0.0], [0.0, 1.0]])
     assert np.allclose(ham.matrices[1], [[2.0, 0.0], [0.0, 0.0]], atol=1e-9)
     assert np.allclose(np.linalg.det(ham.matrices), 0.0, atol=1e-12)
+
+
+def test_jacobi_hamiltonian_second_kind(cheb):
+    # pieces [[q_n^2, -p_n q_n], [-p_n q_n, p_n^2]] at 0, with the second kind
+    # q_0 = 0 and q_1 = 1/a_1 read off the shifted coefficients
+    mats = jacobi_hamiltonian(cheb, 3).matrices
+    assert np.array_equal(mats[0], [[0.0, 0.0], [0.0, 1.0]])
+    assert abs(mats[1][0, 0] - 1.0 / cheb.a[0] ** 2) <= 1e-12
+    assert np.array_equal(jacobi_hamiltonian(cheb, 1).matrices, mats[:1])
 
 
 def test_jacobi_kernel_equals_interpolated_cd(cheb):

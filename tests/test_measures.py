@@ -16,6 +16,7 @@ from cdlab.measures import (
     local_scaling,
     mass,
 )
+from cdlab.oprl import stieltjes_coeffs
 
 
 def test_measure_validation():
@@ -39,6 +40,22 @@ def test_measure_validation():
 def test_measure_rejects_non_finite_atoms(positions, masses, cause):
     with pytest.raises(ValueError, match=cause):
         Measure(np.array(positions), np.array(masses))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)])
+def test_ac_piece_rejects_non_finite_endpoints(a, b):
+    # [0, inf) used to end in SupportTooSmallError, "support has 0 points"
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        AcPiece(a, b, lambda x: np.exp(-x))
+
+
+@pytest.mark.parametrize("density", [lambda x: np.full_like(x, np.nan),
+                                     lambda x: np.where(x > 0.5, np.inf, 1.0)],
+                         ids=["nan", "inf"])
+def test_discretize_rejects_non_finite_weights(density):
+    mu = Measure(pieces=(AcPiece(0.0, 1.0, density),))
+    with pytest.raises(ValueError, match="non-finite weights"):
+        stieltjes_coeffs(mu, 2)
 
 
 def test_gallery_names_and_unknown():

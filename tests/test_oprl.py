@@ -113,12 +113,6 @@ def test_legendre_p1_normalization(leg):
     assert abs(pv.values[1] - math.sqrt(3.0) * z) <= 1e-9
 
 
-def test_eval_polys_second_kind(cheb):
-    pv = eval_polys(cheb, 3, 0.0, second_kind=True)
-    assert pv.q_values[0] == 0.0
-    assert abs(pv.q_values[1] - 1.0 / cheb.a[0]) <= 1e-12
-
-
 def test_eval_polys_overflow_guard():
     rec = RecurrenceCoeffs(a=np.full(2500, 0.5), b=np.zeros(2500))
     pv = eval_polys(rec, 2500, 4.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdlab.measures import Measure, RegVarFn, gallery
+from cdlab.oprl import KernelOverflowError
 from cdlab.opuc import (
     VerblunskyCoeffs,
     cd_kernel_circle,
@@ -32,10 +33,11 @@ def test_free_coefficients_powers():
     v = VerblunskyCoeffs.free(6)
     z = 0.3 + 0.4j
     sz = szego_eval(v, 6, z)
+    psi = szego_eval(VerblunskyCoeffs(-v.alpha), 6, z).phi  # second kind
     for n in range(7):
         assert abs(sz.phi[n] - z ** n) <= 1e-14
         assert abs(sz.phi_star[n] - 1.0) <= 1e-14
-        assert abs(sz.psi[n] - z ** n) <= 1e-14
+        assert abs(psi[n] - z ** n) <= 1e-14
 
 
 def test_reflection_identity(alphas):
@@ -214,3 +216,22 @@ def test_level_beyond_the_coefficients_is_a_value_error(kernel):
     # the szego_eval error, not a bare IndexError, at n = len(v) + 1
     with pytest.raises(ValueError, match="n = 6 exceeds declared length 5"):
         kernel(VerblunskyCoeffs.free(5))
+
+
+@pytest.mark.parametrize("method", ["cd_formula", "sum"])
+def test_cd_kernel_circle_overflow_is_typed(method):
+    # phi_n(2) = 2^n: k_2000(2, 2) is ~1e1204, which came back as nan+nanj
+    v = VerblunskyCoeffs.free(5000)
+    assert cmath.isfinite(cd_kernel_circle(v, 200, 2.0, 2.0, method=method))
+    with pytest.raises(KernelOverflowError) as exc:
+        cd_kernel_circle(v, 2000, 2.0, 2.0, method=method)
+    assert (exc.value.index, exc.value.xi, exc.value.w) == (2000, 2.0, 2.0)
+
+
+def test_opuc_canonical_kernel_overflow_is_typed():
+    # e^{-i n z / 2} at z = i is e^{1000}: this raised a bare OverflowError
+    v = VerblunskyCoeffs.free(5000)
+    assert cmath.isfinite(opuc_canonical_kernel(v, 200.0, 1j, 1j))
+    with pytest.raises(KernelOverflowError) as exc:
+        opuc_canonical_kernel(v, 2000.0, 1j, 1j)
+    assert (exc.value.index, exc.value.xi, exc.value.w) == (2000.0, 1j, 1j)

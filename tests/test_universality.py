@@ -1,16 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from cdlab import universality
-from cdlab.canonical import Hamiltonian
+from cdlab.canonical import (
+    Hamiltonian,
+    jacobi_hamiltonian,
+    rescaled_kernel_kh,
+    rescaled_schrodinger,
+)
 from cdlab.limit_kernels import ZeroDiagonalError, build_limit_kernel, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
 from cdlab.oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
-from cdlab.opuc import VerblunskyCoeffs
+from cdlab.opuc import VerblunskyCoeffs, rescaled_cd_circle
 from cdlab.universality import (
-    SchrodingerSource,
     complex_grid_pairs,
     convergence_study,
     real_grid_pairs,
@@ -36,8 +41,9 @@ def test_convergence_study_bulk_small(leg):
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(2.0, 5)
     fit_grid = complex_grid_pairs(1.0, 3)
-    rep = convergence_study(leg, 0.0, h, sine_kernel, [30, 60, 120], grid, 0.05,
-                            fit_grid=fit_grid, target_name="sine kernel")
+    rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), sine_kernel,
+                            [30, 60, 120], grid, 0.05, fit_grid=fit_grid,
+                            target_name="sine kernel")
     assert rep.passed
     assert rep.sup_errors[0] > rep.sup_errors[-1]
     assert abs(rep.fitted_scale - 1.0) <= 1e-3
@@ -53,8 +59,8 @@ def test_convergence_study_self_target(leg):
     def target(z, w):
         return rescaled_cd(leg, 0.0, h, 60, [(z, w)])[0].value
 
-    rep = convergence_study(leg, 0.0, h, target, [60], grid, 1e-9,
-                            fit_grid=None, target_name="self")
+    rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), target, [60],
+                            grid, 1e-9, fit_grid=None, target_name="self")
     assert rep.sup_errors[0] <= 1e-9
     assert abs(rep.fitted_scale - 1.0) <= 1e-9
 
@@ -62,7 +68,8 @@ def test_convergence_study_self_target(leg):
 def test_convergence_study_requires_origin(leg):
     h = RegVarFn(scale=0.5, index=1.0)
     with pytest.raises(ValueError):
-        convergence_study(leg, 0.0, h, sine_kernel, [30], [(1.0, 0.0)], 0.1)
+        convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), sine_kernel, [30],
+                          [(1.0, 0.0)], 0.1)
 
 
 def test_grid_density_robustness(leg):
@@ -72,7 +79,7 @@ def test_grid_density_robustness(leg):
     # non-resonant spacings (2/3 and 1/3): integer-u grids are degenerate
     # because the sine kernel vanishes there
     for pp in (7, 13):
-        rep = convergence_study(leg, 0.0, h, sine_kernel, [100],
+        rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), sine_kernel, [100],
                                 real_grid_pairs(2.0, pp), 1.0,
                                 fit_grid=complex_grid_pairs(1.0, 3))
         errs.append(rep.sup_errors[0])
@@ -262,10 +269,10 @@ def test_sparse_regular_variation_of_kernel():
 
 
 def test_schrodinger_source_convergence():
-    src = SchrodingerSource(v_fn=lambda y: 0.0, beta_bc=0.0)
     h = RegVarFn(scale=1.0 / math.pi, index=1.0)
     grid = real_grid_pairs(1.0, 5)
-    rep = convergence_study(src, 1.0, h, sine_kernel, [50.0, 100.0, 200.0],
+    sampler = functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0, h)
+    rep = convergence_study(sampler, sine_kernel, [50.0, 100.0, 200.0],
                             grid, 0.05, fit_grid=complex_grid_pairs(1.0, 3),
                             target_name="sine kernel")
     assert rep.passed
@@ -274,12 +281,11 @@ def test_schrodinger_source_convergence():
 def test_convergence_study_hamiltonian_source(leg):
     # the canonical-system source kind: the Jacobi embedding of the Legendre
     # coefficients must reproduce the OPRL bulk limit
-    from cdlab.canonical import jacobi_hamiltonian
-
     ham = jacobi_hamiltonian(leg, 121)
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(1.0, 5)
-    rep = convergence_study(ham, 0.0, h, sine_kernel, [60.0, 120.0], grid, 0.05,
+    sampler = functools.partial(rescaled_kernel_kh, ham, 0.0, h)
+    rep = convergence_study(sampler, sine_kernel, [60.0, 120.0], grid, 0.05,
                             fit_grid=complex_grid_pairs(1.0, 3),
                             target_name="sine kernel")
     assert rep.passed
@@ -294,13 +300,44 @@ def test_weyl_disk_radius():
     assert weyl(h, 1j, 0.5).disk_radius >= 1e-12
 
 
+# each source enters as its sampler, with the source, xi = 0 and h bound
 @pytest.mark.parametrize("source, index", [
-    (RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5)), 0),  # K(0, ., .) = 0
-    (VerblunskyCoeffs.free(5), 0),  # k_0 = 0
-    (Hamiltonian.constant(np.eye(2)), 0.0),  # K_H(0, ., .) = 0
-    (SchrodingerSource(v_fn=lambda y: math.nan), 1.0),  # a NaN diagonal
+    # K(0, ., .) = 0
+    (functools.partial(rescaled_cd, RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5)),
+                       0.0, RegVarFn()), 0),
+    # k_0 = 0
+    (functools.partial(rescaled_cd_circle, VerblunskyCoeffs.free(5), 0.0, RegVarFn()), 0),
+    # K_H(0, ., .) = 0
+    (functools.partial(rescaled_kernel_kh, Hamiltonian.constant(np.eye(2)), 0.0, RegVarFn()),
+     0.0),
+    # a NaN diagonal
+    (functools.partial(rescaled_schrodinger, lambda y: math.nan, 0.0, 0.0, RegVarFn()), 1.0),
 ])
 def test_every_sampler_raises_zero_diagonal(source, index):
-    sampler = universality._sample_fn(source, 0.0, RegVarFn())
     with pytest.raises(ZeroDiagonalError):
-        sampler(index, [(0.0, 0.0)])
+        source(index, [(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("kind", ["oprl", "opuc", "canonical", "schrodinger"])
+def test_every_sampler_is_a_positive_hermitian_kernel(kind, leg):
+    # Legendre at n = 60, the free circle at n = 100, the Jacobi embedding of
+    # Legendre at t = 60 and the free Schrodinger operator at x = 50
+    bulk = RegVarFn(scale=0.5, index=1.0)
+    sampler, index = {
+        "oprl": (functools.partial(rescaled_cd, leg, 0.0, bulk), 60),
+        "opuc": (functools.partial(rescaled_cd_circle, VerblunskyCoeffs.free(100), 0.0,
+                                   RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)), 100),
+        "canonical": (functools.partial(rescaled_kernel_kh, jacobi_hamiltonian(leg, 121),
+                                        0.0, bulk), 60.0),
+        "schrodinger": (functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0,
+                                          RegVarFn(scale=1.0 / math.pi, index=1.0)), 50.0),
+    }[kind]
+    grid = complex_grid_pairs(1.0, 3)
+    value = {(s.z, s.w): s.value for s in sampler(index, grid)}
+    points = list(dict.fromkeys(z for z, _ in grid))
+    gram = np.array([[value[(z, w)] for w in points] for z in points])
+    # K(z, w) = conj K(w, z)
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12
+    # the Gram matrix [K(z_i, z_j)] is positive semidefinite
+    eig = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+    assert eig[0] >= -1e-10 * np.trace(gram).real
