@@ -131,6 +131,8 @@ def _piece_factor(m, ell, z, derivative=False):
 
 def _iter_pieces(h, t):
     """(length, matrix) pieces covering [0, t], tail-extended if needed."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     remaining = float(t)
     for ell, m in zip(h.lengths, h.matrices):
         if remaining <= 1e-15:
@@ -148,8 +150,6 @@ def _iter_pieces(h, t):
 
 def transfer_matrix(h, t, z, derivative=False):
     """W(t, z); multiplicative over pieces, identity at z = 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
     z = complex(z)
     w = np.eye(2, dtype=complex)
     dw = np.zeros((2, 2), dtype=complex) if derivative else None
@@ -277,15 +277,16 @@ def transfer_form_integral(h, t, z, w):
     from .measures import _leggauss
 
     x_gl, w_gl = _leggauss(32)
+    z, w = complex(z), complex(w)
     out = np.zeros((2, 2), dtype=complex)
-    start = 0.0
+    wz0 = ww0 = np.eye(2, dtype=complex)  # W(start, z), W(start, w) of the piece
     for ell, m in _iter_pieces(h, t):
-        s_nodes = start + (x_gl + 1.0) * (ell / 2.0)
-        for s, wq in zip(s_nodes, w_gl):
-            wz = transfer_matrix(h, s, z).entries
-            ww = transfer_matrix(h, s, w).entries
+        for u, wq in zip((x_gl + 1.0) * (ell / 2.0), w_gl):
+            wz = wz0 @ _piece_factor(m, u, z)[0]
+            ww = ww0 @ _piece_factor(m, u, w)[0]
             out += (wq * ell / 2.0) * (wz @ m @ ww.conj().T)
-        start += ell
+        wz0 = wz0 @ _piece_factor(m, ell, z)[0]
+        ww0 = ww0 @ _piece_factor(m, ell, w)[0]
     return out
 
 

@@ -4,28 +4,29 @@
     cdlab list-experiments
     cdlab identities [--filter MODULE]
 
-Every experiment is one entry of EXPERIMENTS: its runner, help line and
-config defaults.  Validation errors carry the offending field path so the
-CLI can name it.  Exit status: 0 pass, 1 experiment fail, 2 config error.
-Outputs are bit-stable for a fixed config (floats printed with 17
-significant digits).
+Every experiment is one entry of EXPERIMENTS, its runner: the runner's
+keyword arguments are the settings a config may give and their defaults.
+Validation errors (a field the experiment does not read, a bad value) carry
+the offending field path so the CLI can name it.  Exit status: 0 pass,
+1 experiment fail, 2 config error.  Outputs are bit-stable for a fixed config
+(floats printed with 17 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from . import canonical, measures, oprl, opuc
-from .identities import MODULES as IDENTITY_MODULES, run_identities
+from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
 from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .universality import (
@@ -44,25 +45,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class GridConfig:
-    half_width: float = 2.0
-    points_per_axis: int = 5
-
-
-@dataclass
 class ExperimentConfig:
     experiment: str
-    measure: dict = field(default_factory=dict)
-    xi: float = 0.0
-    n_values: list = field(default_factory=list)
-    grid: GridConfig = field(default_factory=GridConfig)
-    tolerance: float | None = 0.05  # None for the identity suites
-    seed: int = 20240811
-    output_dir: str = ""
-    scaling: dict = field(default_factory=dict)  # optional pins: eta / beta / scale
-    k_max: int = 3
-    module_filter: str | None = None  # identities experiment only
-    params: dict = field(default_factory=dict)  # experiment-specific extras
+    output_dir: str
+    settings: dict  # keyword arguments of the experiment's runner
 
 
 def _expect(cond, field_path, message):
@@ -70,84 +56,80 @@ def _expect(cond, field_path, message):
         raise ConfigError(field_path, message)
 
 
+def _is_number(v):
+    return isinstance(v, (int, float))
+
+
+def _is_positive_list(v):
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(_is_number(x) and x > 0 for x in v)
+
+
+_OBJECT = (lambda v: isinstance(v, dict), "must be an object")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "must be > 0")
+_POSITIVE_LIST = (_is_positive_list, "must be a non-empty list of positive numbers")
+
+# (check, message) of every setting, by config field path.  A mapping setting
+# is laid over its declared default, and each of its keys is checked under
+# "<setting>.<key>"; a key with no entry here is unknown.
+CHECKS = {
+    "measure": _OBJECT,
+    "measure.name": (lambda v: v in measures.gallery_names(),
+                     f"must be one of {measures.gallery_names()}"),
+    "measure.params": _OBJECT,
+    "xi": (_is_number, "must be a number"),
+    "n_values": _POSITIVE_LIST,
+    "grid": _OBJECT,
+    "grid.half_width": _POSITIVE,
+    "grid.points_per_axis": (lambda v: isinstance(v, int) and v >= 3, "must be an integer >= 3"),
+    "tolerance": _POSITIVE,
+    "scaling": _OBJECT,
+    "scaling.eta": _POSITIVE,
+    "scaling.beta": _POSITIVE,
+    "scaling.scale": _POSITIVE,
+    "k_max": (lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1"),
+    "betas": _POSITIVE_LIST,
+    "v_exponent": (_is_number, "must be a number"),
+    "first": _POSITIVE,
+    "ratio": (lambda v: _is_number(v) and v > 1, "must be a number > 1"),
+    "seed": (lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0"),
+    "module_filter": (lambda v: v is None or v in IDENTITY_MODULES,
+                      f"must be one of {list(IDENTITY_MODULES)}"),
+}
+_FLOATS = {"xi", "tolerance", "grid.half_width", "v_exponent", "first", "ratio"}
+
+
+def _checked(path, value, default=None):
+    """value of the setting at path, checked by CHECKS; a JSON integer where
+    the setting is a float (_FLOATS) becomes a float."""
+    _expect(path in CHECKS, path, "unknown field")
+    check, message = CHECKS[path]
+    _expect(check(value), path, message)
+    if isinstance(default, dict):
+        return {key: _checked(f"{path}.{key}", item)
+                for key, item in {**default, **value}.items()}
+    return float(value) if path in _FLOATS else value
+
+
 def parse_config(raw):
-    """Validate a raw dict (already JSON-decoded) into an ExperimentConfig."""
+    """Validate a raw dict (already JSON-decoded) into an ExperimentConfig.
+
+    Besides experiment and output_dir, a config may set exactly the keyword
+    arguments of the experiment's runner; their defaults are the runner's.
+    """
     _expect(isinstance(raw, dict), "", "top level must be an object")
-    known = {
-        "experiment", "measure", "xi", "n_values", "grid", "tolerance",
-        "seed", "output_dir", "scaling", "k_max", "module_filter", "params",
-    }
-    for key in raw:
-        _expect(key in known, key, "unknown field")
     exp = raw.get("experiment")
     _expect(isinstance(exp, str) and exp in EXPERIMENTS, "experiment",
             f"must be one of {list(EXPERIMENTS)}")
-    spec = EXPERIMENTS[exp]
-
-    measure = raw.get("measure", spec.measure)
-    if measure:
-        _expect(isinstance(measure, dict), "measure", "must be an object")
-        _expect(isinstance(measure.get("name", ""), str), "measure.name", "must be a string")
-        _expect(isinstance(measure.get("params", {}), dict), "measure.params",
-                "must be an object")
-
-    xi = raw.get("xi", 0.0)
-    _expect(isinstance(xi, (int, float)), "xi", "must be a number")
-
-    n_values = raw.get("n_values", spec.n_values)
-    _expect(isinstance(n_values, list) and
-            all(isinstance(v, (int, float)) and v > 0 for v in n_values),
-            "n_values", "must be a list of positive numbers")
-
-    grid_raw = raw.get("grid", {})
-    _expect(isinstance(grid_raw, dict), "grid", "must be an object")
-    hw = grid_raw.get("half_width", 2.0)
-    ppa = grid_raw.get("points_per_axis", 5)
-    _expect(isinstance(hw, (int, float)) and hw > 0, "grid.half_width", "must be > 0")
-    _expect(isinstance(ppa, int) and ppa >= 3, "grid.points_per_axis", "must be an integer >= 3")
-
-    tol = None
-    if spec.tolerance is not None:
-        tol = raw.get("tolerance", spec.tolerance)
-        _expect(isinstance(tol, (int, float)) and tol > 0, "tolerance", "must be > 0")
-        tol = float(tol)
-
-    seed = raw.get("seed", 20240811)
-    _expect(isinstance(seed, int), "seed", "must be an integer")
-
     out_dir = raw.get("output_dir", f"out/{exp}")
     _expect(isinstance(out_dir, str), "output_dir", "must be a string")
-
-    scaling = raw.get("scaling", {})
-    _expect(isinstance(scaling, dict), "scaling", "must be an object")
-    for key, val in scaling.items():
-        _expect(key in ("eta", "beta", "scale"), f"scaling.{key}", "unknown pin")
-        _expect(isinstance(val, (int, float)) and val > 0, f"scaling.{key}", "must be > 0")
-
-    k_max = raw.get("k_max", 3)
-    _expect(isinstance(k_max, int) and k_max >= 1, "k_max", "must be an integer >= 1")
-
-    module_filter = raw.get("module_filter")
-    _expect(module_filter is None or module_filter in IDENTITY_MODULES,
-            "module_filter", f"must be one of {list(IDENTITY_MODULES)}")
-
-    params = raw.get("params", {})
-    _expect(isinstance(params, dict), "params", "must be an object")
-
-    return ExperimentConfig(
-        experiment=exp,
-        measure=measure,
-        xi=float(xi),
-        n_values=list(n_values),
-        grid=GridConfig(half_width=float(hw), points_per_axis=int(ppa)),
-        tolerance=tol,
-        seed=seed,
-        output_dir=out_dir,
-        scaling=scaling,
-        k_max=k_max,
-        module_filter=module_filter,
-        params=params,
-    )
+    _, *declared = inspect.signature(EXPERIMENTS[exp]).parameters.values()
+    defaults = {p.name: p.default for p in declared}
+    for key in raw:
+        _expect(key in defaults or key in ("experiment", "output_dir"), key,
+                f"not a setting of the {exp} experiment; it takes {list(defaults)}")
+    settings = {name: _checked(name, raw.get(name, default), default)
+                for name, default in defaults.items()}
+    return ExperimentConfig(exp, out_dir, settings)
 
 
 def load_config(path):
@@ -220,18 +202,19 @@ def _estimated_scaling(mu, xi, pinned):
     return measures.asymptotic_inverse(RegVarFn(scale=2.0 / sig, index=scl["beta_hat"])), scl
 
 
-def _fit_grid(cfg):
-    """3x3 complex grid for the internal-scale fit: complex samples make it sharp."""
-    return complex_grid_pairs(min(cfg.grid.half_width, 1.0), 3)
+# The default real grid of the kernel experiments; never mutated.
+GRID = {"half_width": 2.0, "points_per_axis": 5}
 
 
-def _convergence(cfg, out_dir, sampler, target, target_name="sine kernel", index=int):
-    """convergence_study of sampler(index, grid) at every configured index (cast
-    by index) on the configured real grid; writes kernel_<index>.csv per index."""
-    grid = real_grid_pairs(cfg.grid.half_width, cfg.grid.points_per_axis)
-    report = convergence_study(sampler, target,
-                               [index(n) for n in cfg.n_values], grid,
-                               cfg.tolerance, fit_grid=_fit_grid(cfg),
+def _convergence(out_dir, sampler, target, n_values, grid, tolerance,
+                 target_name="sine kernel", index=int):
+    """convergence_study of sampler(index, grid) at every index of n_values (cast
+    by index) on the real grid, with the internal scale fitted on a 3x3 complex
+    grid (complex samples make it sharp); writes kernel_<index>.csv per index."""
+    report = convergence_study(sampler, target, [index(n) for n in n_values],
+                               real_grid_pairs(grid["half_width"], grid["points_per_axis"]),
+                               tolerance,
+                               fit_grid=complex_grid_pairs(min(grid["half_width"], 1.0), 3),
                                target_name=target_name)
     for idx, samples in report.extras["samples_by_index"].items():
         tag = str(idx).replace(".", "_")
@@ -239,19 +222,22 @@ def _convergence(cfg, out_dir, sampler, target, target_name="sine kernel", index
     return report
 
 
-def _run_bulk(cfg, out_dir):
-    mu = gallery(cfg.measure["name"], **cfg.measure.get("params", {}))
-    h, scl = _estimated_scaling(mu, cfg.xi, cfg.scaling)
-    n_top = int(max(cfg.n_values))
+def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
+              n_values=(50, 100, 200), grid=GRID, tolerance=0.05, scaling={}):
+    """rescaled CD kernels of a gallery measure vs the sine kernel"""
+    mu = gallery(measure["name"], **measure["params"])
+    h, scl = _estimated_scaling(mu, xi, scaling)
+    n_top = int(max(n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    report = _convergence(cfg, out_dir, partial(oprl.rescaled_cd, rec, cfg.xi, h), sine_kernel)
-    nev = oprl.nevai_ratio(rec, cfg.xi, n_top)
-    nev_ok = abs(nev - 1.0) <= cfg.tolerance
+    report = _convergence(out_dir, partial(oprl.rescaled_cd, rec, xi, h), sine_kernel,
+                          n_values, grid, tolerance)
+    nev = oprl.nevai_ratio(rec, xi, n_top)
+    nev_ok = abs(nev - 1.0) <= tolerance
     passed = report.passed and nev_ok
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] bulk: rescaled CD kernel -> sine "
         f"kernel; sup errors {['%.4f' % e for e in report.sup_errors]} "
-        f"at n = {report.indices}, tol {cfg.tolerance}",
+        f"at n = {report.indices}, tol {tolerance}",
         f"[{'PASS' if nev_ok else 'FAIL'}] bulk: K(n+1,xi,xi)/K(n,xi,xi) -> 1 "
         f"(subexponential growth); ratio - 1 = {nev - 1.0:.3e} at n = {n_top}",
         f"[INFO] fitted internal scale c = {report.fitted_scale:.6f} "
@@ -268,16 +254,17 @@ def _run_bulk(cfg, out_dir):
     return lines, passed, data
 
 
-def _run_opuc_bulk(cfg, out_dir):
-    n_top = int(max(cfg.n_values))
-    name = cfg.measure.get("name", "circle_lebesgue") if cfg.measure else "circle_lebesgue"
-    if name == "circle_lebesgue":
+def _run_opuc_bulk(out_dir, measure={"name": "circle_lebesgue", "params": {}}, xi=0.0,
+                   n_values=(1000, 10000), grid=GRID, tolerance=0.01):
+    """circle CD kernels (free coefficients) vs the sine kernel"""
+    n_top = int(max(n_values))
+    if measure["name"] == "circle_lebesgue":
         v = opuc.VerblunskyCoeffs.free(n_top)
     else:
-        mu = gallery(name, **cfg.measure.get("params", {}))
-        v = opuc.verblunsky_from_measure(mu, n_top)
+        v = opuc.verblunsky_from_measure(gallery(measure["name"], **measure["params"]), n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
-    report = _convergence(cfg, out_dir, partial(opuc.rescaled_cd_circle, v, cfg.xi, h), sine_kernel)
+    report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, xi, h), sine_kernel,
+                          n_values, grid, tolerance)
     # internal scale against the printed two-sided kernel at sigma = 1, beta = 1,
     # on the samples the sine-kernel fit used
     fit = fit_internal_scale(report.extras["fit_samples"], build_limit_kernel(1.0, 1.0, 1.0))
@@ -286,7 +273,7 @@ def _run_opuc_bulk(cfg, out_dir):
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] opuc_bulk: rotated rescaled circle "
         f"CD kernel -> sine kernel; sup errors {['%.5f' % e for e in report.sup_errors]} "
-        f"at n = {report.indices}, tol {cfg.tolerance}",
+        f"at n = {report.indices}, tol {tolerance}",
         f"[{'PASS' if c_ok else 'FAIL'}] opuc_bulk: internal scale of the printed "
         f"two-sided kernel: fitted c = {fit.c:.9f}, |c - pi| = {abs(fit.c - math.pi):.2e}",
     ]
@@ -301,18 +288,17 @@ def _zeros_rows(zr):
             for (n, k), val in sorted(zr.scaled_zeros.items())]
 
 
-def _run_hard_edge(cfg, out_dir):
-    params = dict(cfg.measure.get("params", {}))
-    betas = cfg.params.get("betas", [params.get("beta", 1.5)])
+def _run_hard_edge(out_dir, xi=0.0, n_values=(100, 200, 300), tolerance=0.02, k_max=3,
+                   betas=(1.5,)):
+    """zero ratio law at a hard edge vs squared Bessel-zero ratios"""
     lines, data, passed = [], {}, True
     for beta in betas:
         mu = gallery("power_hard_edge", beta=beta)
         h = RegVarFn(scale=1.0, index=1.0 / beta)  # g(r) = r^beta exactly here
-        n_top = int(max(cfg.n_values))
+        n_top = int(max(n_values))
         rec = oprl.stieltjes_coeffs(mu, n_top)
-        zr = zero_study(rec, cfg.xi, h, "hard_edge",
-                        [int(n) for n in cfg.n_values], cfg.k_max)
-        ok = zr.max_rel_error_ratios <= cfg.tolerance
+        zr = zero_study(rec, xi, h, "hard_edge", [int(n) for n in n_values], k_max)
+        ok = zr.max_rel_error_ratios <= tolerance
         passed = passed and ok
         ex = zr.extras
         cand = ex["candidate_constants"]
@@ -321,7 +307,7 @@ def _run_hard_edge(cfg, out_dir):
         lines += [
             f"[{'PASS' if ok else 'FAIL'}] hard_edge beta={beta}: zero ratio law "
             f"xi_k/xi_1 -> (j_(beta-1,k)/j_(beta-1,1))^2; max rel err "
-            f"{zr.max_rel_error_ratios:.4f} at n = {max(zr.n_values)}, tol {cfg.tolerance}",
+            f"{zr.max_rel_error_ratios:.4f} at n = {max(zr.n_values)}, tol {tolerance}",
             f"[INFO] hard_edge beta={beta}: measured scaling exponent of h(K) = "
             f"{ex['exponent']:.4f} +- {ex['exponent_band95']:.4f} (95% band)",
             f"[INFO] hard_edge beta={beta}: first-zero constant {meas_c:.6f}; "
@@ -338,25 +324,24 @@ def _run_hard_edge(cfg, out_dir):
     return lines, passed, data
 
 
-def _run_fisher_hartwig(cfg, out_dir):
-    params = dict(cfg.measure.get("params", {}))
-    betas = cfg.params.get("betas", [params.get("beta", 1.5)])
+def _run_fisher_hartwig(out_dir, xi=0.0, n_values=(50, 100, 200), tolerance=0.02, k_max=3,
+                        betas=(1.5,)):
+    """even power-weight zero laws (even/odd degree Bessel ratios)"""
     lines, data, passed = [], {}, True
     for beta in betas:
         mu = gallery("even_fh", beta=beta)
         # nu([0,1/r)) = r^-beta/2, so g(r) = 2 r^beta
         h = measures.asymptotic_inverse(RegVarFn(scale=2.0, index=beta))
-        n_top = int(max(cfg.n_values))
+        n_top = int(max(n_values))
         rec = oprl.stieltjes_coeffs(mu, 2 * n_top + 1)
-        zr = zero_study(rec, cfg.xi, h, "even_fh",
-                        [int(n) for n in cfg.n_values], cfg.k_max)
+        zr = zero_study(rec, xi, h, "even_fh", [int(n) for n in n_values], k_max)
         odd_zero = max(zr.extras["odd_zero_at_origin"].values())
-        ok = zr.max_rel_error_ratios <= cfg.tolerance and odd_zero <= 1e-12
+        ok = zr.max_rel_error_ratios <= tolerance and odd_zero <= 1e-12
         passed = passed and ok
         lines += [
             f"[{'PASS' if ok else 'FAIL'}] fisher_hartwig beta={beta}: even/odd-degree "
             f"scaled-zero ratios -> Bessel-zero ratios (orders beta/2-1, beta/2); "
-            f"max rel err {zr.max_rel_error_ratios:.4f}, tol {cfg.tolerance}; "
+            f"max rel err {zr.max_rel_error_ratios:.4f}, tol {tolerance}; "
             f"odd-degree zero at origin within {odd_zero:.1e}",
         ]
         data[f"beta={beta}"] = {
@@ -367,20 +352,23 @@ def _run_fisher_hartwig(cfg, out_dir):
     return lines, passed, data
 
 
-def _run_jump(cfg, out_dir):
-    mu = gallery(cfg.measure["name"], **cfg.measure.get("params", {}))
-    scl, _ = _normalized_scaling(mu, cfg.xi)
+def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
+              n_values=(100, 200, 400), grid=GRID, tolerance=0.1):
+    """jump-weight rescaled kernels vs the two-sided limit kernel"""
+    mu = gallery(measure["name"], **measure["params"])
+    scl, _ = _normalized_scaling(mu, xi)
     sm, sp = scl["sigma_minus_hat"], scl["sigma_plus_hat"]
     spec = build_limit_kernel(sm, sp, 1.0)
     h = RegVarFn(scale=1.0, index=1.0)
-    n_top = int(max(cfg.n_values))
+    n_top = int(max(n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
-    report = _convergence(cfg, out_dir, partial(oprl.rescaled_cd, rec, cfg.xi, h), spec,
+    report = _convergence(out_dir, partial(oprl.rescaled_cd, rec, xi, h), spec,
+                          n_values, grid, tolerance,
                           target_name=f"two-sided limit kernel ({sm:.3f},{sp:.3f},1)")
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] jump: rescaled CD kernel -> "
         f"two-sided limit kernel with jump data sigma-={sm:.4f}, sigma+={sp:.4f}; "
-        f"sup errors {['%.4f' % e for e in report.sup_errors]}, tol {cfg.tolerance}",
+        f"sup errors {['%.4f' % e for e in report.sup_errors]}, tol {tolerance}",
         f"[INFO] fitted internal scale c = {report.fitted_scale:.6f} "
         f"(candidates: 1, pi^(1/beta)={math.pi:.4f}, 1/Gamma(2)=1)",
     ]
@@ -389,24 +377,22 @@ def _run_jump(cfg, out_dir):
     return lines, report.passed, data
 
 
-def _run_sparse(cfg, out_dir):
-    p = cfg.params
-    exponent = float(p.get("v_exponent", -0.5))
-    ratio = float(p.get("ratio", 4.0))
-    first = float(p.get("first", 4.0))
-    t_top = int(max(cfg.n_values))
+def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.15,
+                v_exponent=-0.5, first=4.0, ratio=4.0):
+    """sparse decaying Jacobi matrix: diagnostics and sine-kernel limit"""
+    t_top = int(max(n_values))
     n_max = 2 * t_top
     j_count = int(math.log(n_max, ratio)) + 2
-    v_vals = (np.arange(1, j_count + 1, dtype=float)) ** exponent
+    v_vals = (np.arange(1, j_count + 1, dtype=float)) ** v_exponent
     rec, diag = sparse_jacobi(v_vals, ("geometric", first, ratio), n_max)
-    dat = diag.at(cfg.xi)
+    dat = diag.at(xi)
     block_ok = dat.block_deviation <= 1e-12
-    k1 = oprl.kernel_diag(rec, t_top, cfg.xi)
-    k2 = oprl.kernel_diag(rec, 2 * t_top, cfg.xi)
+    k1 = oprl.kernel_diag(rec, t_top, xi)
+    k2 = oprl.kernel_diag(rec, 2 * t_top, xi)
     ratio_k = k2 / k1
     ratio_ok = 1.9 <= ratio_k <= 2.1
-    sampler = partial(oprl.rescaled_cd, rec, cfg.xi, dat.scaling_inverse())
-    report = _convergence(cfg, out_dir, sampler, sine_kernel)
+    sampler = partial(oprl.rescaled_cd, rec, xi, dat.scaling_inverse())
+    report = _convergence(out_dir, sampler, sine_kernel, n_values, grid, tolerance)
     passed = block_ok and ratio_ok and report.passed
     lines = [
         f"[{'PASS' if block_ok else 'FAIL'}] sparse: ||A_n||^2 constant between "
@@ -415,22 +401,22 @@ def _run_sparse(cfg, out_dir):
         f"{ratio_k:.4f} in [1.9, 2.1] at t = {t_top} (regular variation, index 1)",
         f"[{'PASS' if report.passed else 'FAIL'}] sparse: rescaled CD kernel -> "
         f"sine kernel; sup errors {['%.4f' % e for e in report.sup_errors]} "
-        f"at t = {report.indices}, tol {cfg.tolerance}",
+        f"at t = {report.indices}, tol {tolerance}",
     ]
     data = {"block_deviation": dat.block_deviation, "k_ratio": ratio_k,
             "sup_errors": report.sup_errors}
     return lines, passed, data
 
 
-def _run_schrodinger(cfg, out_dir):
+def _run_schrodinger(out_dir, xi=1.0, n_values=(50, 100, 200), grid=GRID, tolerance=0.05):
+    """free Schrodinger kernels: two-form agreement and bulk limit"""
     val = canonical.schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
     agree = abs(val.quadrature - val.wronskian) / (1.0 + abs(val.quadrature))
     agree_ok = agree <= 1e-8
-    xi = float(cfg.params.get("xi", 1.0))
     eta = math.sqrt(xi) / math.pi
     h = RegVarFn(scale=eta, index=1.0)
     sampler = partial(canonical.rescaled_schrodinger, lambda y: 0.0, 0.0, xi, h)
-    report = _convergence(cfg, out_dir, sampler, sine_kernel, index=float)
+    report = _convergence(out_dir, sampler, sine_kernel, n_values, grid, tolerance, index=float)
     passed = agree_ok and report.passed
     lines = [
         f"[{'PASS' if agree_ok else 'FAIL'}] schrodinger: quadrature form = "
@@ -438,14 +424,15 @@ def _run_schrodinger(cfg, out_dir):
         f"[{'PASS' if report.passed else 'FAIL'}] schrodinger: free-potential "
         f"rescaled kernel at xi={xi} -> sine kernel; sup errors "
         f"{['%.4f' % e for e in report.sup_errors]} at x = {report.indices}, "
-        f"tol {cfg.tolerance}",
+        f"tol {tolerance}",
     ]
     data = {"two_form_rel_diff": agree, "sup_errors": report.sup_errors}
     return lines, passed, data
 
 
-def _run_identity_suite(cfg, out_dir):
-    results = run_identities(module_filter=cfg.module_filter, seed=cfg.seed)
+def _run_identity_suite(out_dir, module_filter=None, seed=SEED):
+    """exact-identity suites, all modules or the one named by module_filter"""
+    results = run_identities(module_filter=module_filter, seed=seed)
     lines = [r.line() for r in results]
     passed = all(r.passed for r in results)
     data = {f"{r.module}.{r.name}": {"error": r.error, "tol": r.tol, "passed": r.passed}
@@ -453,52 +440,25 @@ def _run_identity_suite(cfg, out_dir):
     return lines, passed, data
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """A registered experiment: runner(cfg, out_dir) -> (lines, passed, data),
-    its list-experiments help line, and its config defaults.  tolerance is
-    None for experiments that take none."""
-
-    run: Callable
-    help: str
-    n_values: list = field(default_factory=list)
-    tolerance: float | None = None
-    measure: dict = field(default_factory=dict)
-
-
+# Each runner is run(out_dir, **settings) -> (lines, passed, data): its keyword
+# arguments are the settings a config may give, with their defaults, and its
+# docstring is the list-experiments help line.
 EXPERIMENTS = {
-    "bulk": Experiment(
-        _run_bulk, "rescaled CD kernels of a gallery measure vs the sine kernel",
-        [50, 100, 200], 0.05, {"name": "legendre", "params": {}}),
-    "hard_edge": Experiment(
-        _run_hard_edge, "zero ratio law at a hard edge vs squared Bessel-zero ratios",
-        [100, 200, 300], 0.02, {"name": "power_hard_edge", "params": {"beta": 1.5}}),
-    "fisher_hartwig": Experiment(
-        _run_fisher_hartwig, "even power-weight zero laws (even/odd degree Bessel ratios)",
-        [50, 100, 200], 0.02, {"name": "even_fh", "params": {"beta": 1.5}}),
-    "jump": Experiment(
-        _run_jump, "jump-weight rescaled kernels vs the two-sided limit kernel",
-        [100, 200, 400], 0.1,
-        {"name": "jump", "params": {"sigma_minus": 0.5, "sigma_plus": 1.0}}),
-    "opuc_bulk": Experiment(
-        _run_opuc_bulk, "circle CD kernels (free coefficients) vs the sine kernel",
-        [1000, 10000], 0.01, {"name": "circle_lebesgue", "params": {}}),
-    "sparse": Experiment(
-        _run_sparse, "sparse decaying Jacobi matrix: diagnostics and sine-kernel limit",
-        [1000, 10000], 0.15),
-    "schrodinger": Experiment(
-        _run_schrodinger, "free Schrodinger kernels: two-form agreement and bulk limit",
-        [50, 100, 200], 0.05),
-    "identities": Experiment(
-        _run_identity_suite,
-        "exact-identity suites, all modules or the one named by module_filter"),
+    "bulk": _run_bulk,
+    "hard_edge": _run_hard_edge,
+    "fisher_hartwig": _run_fisher_hartwig,
+    "jump": _run_jump,
+    "opuc_bulk": _run_opuc_bulk,
+    "sparse": _run_sparse,
+    "schrodinger": _run_schrodinger,
+    "identities": _run_identity_suite,
 }
 
 
 def run_experiment(cfg):
     """Run one configured experiment; returns (lines, passed, data)."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return EXPERIMENTS[cfg.experiment].run(cfg, cfg.output_dir)
+    return EXPERIMENTS[cfg.experiment](cfg.output_dir, **cfg.settings)
 
 
 def main(argv=None):
@@ -511,18 +471,18 @@ def main(argv=None):
     p_id = sub.add_parser("identities", help="run the exact-identity suites")
     p_id.add_argument("--filter", default=None, choices=IDENTITY_MODULES,
                       help="restrict to one module")
-    p_id.add_argument("--seed", type=int, default=20240811)
+    p_id.add_argument("--seed", type=int, default=SEED)
 
     args = parser.parse_args(argv)
     if args.command == "list-experiments":
-        for name, spec in EXPERIMENTS.items():
-            print(f"{name:22s} {spec.help}")
+        for name, run in EXPERIMENTS.items():
+            print(f"{name:22s} {run.__doc__}")
         return 0
     if args.command == "identities":
-        results = run_identities(module_filter=args.filter, seed=args.seed)
-        for r in results:
-            print(r.line())
-        return 0 if all(r.passed for r in results) else 1
+        lines, passed, _ = _run_identity_suite(None, module_filter=args.filter, seed=args.seed)
+        for line in lines:
+            print(line)
+        return 0 if passed else 1
     if args.command == "run":
         try:
             cfg = load_config(args.config)

@@ -598,8 +598,10 @@ _REGISTRY = [
 
 MODULES = tuple(dict.fromkeys(m for m, _, _, _ in _REGISTRY))
 
+SEED = 20240811  # default seed of the randomized checks
 
-def run_identities(module_filter=None, seed=20240811):
+
+def run_identities(module_filter=None, seed=SEED):
     """Run the identity suite (optionally one module) and return results."""
     if module_filter is not None and module_filter not in MODULES:
         raise ValueError(f"unknown identity module {module_filter!r}; one of {list(MODULES)}")

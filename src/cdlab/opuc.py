@@ -190,7 +190,14 @@ def kernel_diag_circle(v, n, xi):
 
 def rescaled_cd_circle(v, xi, h, n, grid):
     """e^{-in(z - conj w)/(2 tau)} k_n(e^{i(xi+z/tau)}, e^{i(xi+w/tau)}) / k_n,
-    where k_n = k_n(e^{i xi}, e^{i xi}) and tau = h(k_n)."""
+    where k_n = k_n(e^{i xi}, e^{i xi}) and tau = h(k_n).  n is an integer
+    level (an integral float is taken as that integer); real levels go through
+    opuc_canonical_kernel."""
+    if not float(n).is_integer():
+        raise ValueError(f"rescaled_cd_circle needs an integral level n, got {n}; "
+                         "real levels go through opuc_canonical_kernel")
+    n = int(n)
+
     def kernel(xs, pairs):
         zetas = np.exp(1j * xs).tolist()
         # the diagonal reads derivatives at the reflected points: one pass for all

@@ -174,6 +174,34 @@ def test_j_inner_integral_identity():
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
+
+@pytest.mark.parametrize("t", [1.7, 3.0, 4.25])
+def test_transfer_form_integral_inside_a_piece_and_on_the_tail(t):
+    # t inside the second piece, at the end of the domain, and on the tail:
+    # W(start) is carried across pieces, the identity holds at each t
+    h = Hamiltonian(np.array([1.0, 2.0]), np.array([[[0.7, 0.2], [0.2, 0.3]], np.eye(2) / 2.0]),
+                    tail=np.array([[0.4, -0.1], [-0.1, 0.6]]))
+    z, w = 0.8 + 0.4j, -0.2 + 0.9j
+    wz, ww = transfer_matrix(h, t, z).entries, transfer_matrix(h, t, w).entries
+    lhs = (wz @ J @ ww.conj().T - J) / (z - np.conj(w))
+    assert np.max(np.abs(lhs - transfer_form_integral(h, t, z, w))) <= 1e-12
+
+
+_H12 = Hamiltonian(np.array([1.0, 2.0]), np.array([np.eye(2) / 2.0, np.eye(2) / 2.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: transfer_matrix(_H12, t, 0.5),
+    lambda t: kernel_kh(_H12, t, 0.5, 0.5),
+    lambda t: weyl(_H12, 0.5j, t),
+    lambda t: transfer_form_integral(_H12, t, 0.5, 0.5),
+], ids=["transfer_matrix", "kernel_kh", "weyl", "transfer_form_integral"])
+@pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
+def test_non_finite_or_negative_t_is_named(call, t):
+    # a NaN t took every whole piece: kernel_kh returned the t = 3 value 1.5
+    with pytest.raises(ValueError, match=f"t must be finite and >= 0, got {t}"):
+        call(t)
+
 def test_weyl_free_half():
     h = Hamiltonian.constant(np.eye(2) / 2.0, length=50.0, tail=True)
     for z in (1j, 0.5 + 0.8j, -1.2 + 0.3j):

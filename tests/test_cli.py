@@ -1,3 +1,4 @@
+import inspect
 import json
 import pathlib
 
@@ -18,9 +19,9 @@ def test_list_experiments(capsys):
     assert main(["list-experiments"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(EXPERIMENTS)
-    for line, (name, spec) in zip(lines, EXPERIMENTS.items()):
+    for line, (name, run) in zip(lines, EXPERIMENTS.items()):
         assert line.split()[0] == name
-        assert line.endswith(spec.help)
+        assert line.endswith(run.__doc__)
 
 
 def test_packaged_configs_load():
@@ -72,9 +73,85 @@ def test_config_unknown_experiment():
 
 def test_config_defaults():
     cfg = parse_config({"experiment": "bulk"})
-    assert cfg.measure["name"] == "legendre"
-    assert cfg.n_values == [50, 100, 200]
-    assert cfg.tolerance == 0.05
+    assert cfg.settings["measure"]["name"] == "legendre"
+    assert cfg.settings["n_values"] == (50, 100, 200)
+    assert cfg.settings["tolerance"] == 0.05
+
+
+def _declared_defaults(run):
+    _, *declared = inspect.signature(run).parameters.values()
+    return {p.name: p.default for p in declared}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_declared_defaults_pass_the_value_checks(name):
+    # the runner's keyword defaults are the only defaults, and they are valid
+    defaults = _declared_defaults(EXPERIMENTS[name])
+    assert parse_config({"experiment": name}).settings == defaults
+
+
+def test_accepted_settings_are_the_runner_keywords():
+    # each experiment also takes output_dir
+    assert sum(len(_declared_defaults(run)) + 1 for run in EXPERIMENTS.values()) <= 47
+    assert "tolerance" not in _declared_defaults(EXPERIMENTS["identities"])
+    assert "measure" not in _declared_defaults(EXPERIMENTS["hard_edge"])
+
+
+@pytest.mark.parametrize("experiment, unread", [
+    ("bulk", "k_max"),
+    ("hard_edge", "measure"),
+    ("fisher_hartwig", "grid"),
+    ("jump", "scaling"),
+    ("opuc_bulk", "betas"),
+    ("sparse", "measure"),
+    ("schrodinger", "measure"),
+    ("identities", "grid"),
+])
+def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, unread):
+    raw = {"experiment": experiment, unread: {}, "output_dir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.field == unread
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"experiment": "sparse", "v_exponent": "x"}, "v_exponent"),
+    ({"experiment": "sparse", "ratio": 1.0}, "ratio"),
+    ({"experiment": "hard_edge", "betas": 2.0}, "betas"),
+    ({"experiment": "hard_edge", "betas": []}, "betas"),
+    ({"experiment": "hard_edge", "params": {"betas": [1.5]}}, "params"),
+    ({"experiment": "bulk", "n_values": []}, "n_values"),
+    ({"experiment": "bulk", "grid": {"points": 9}}, "grid.points"),
+    ({"experiment": "bulk", "scaling": {"eta": 0.5, "width": 1.0}}, "scaling.width"),
+    ({"experiment": "bulk", "measure": {"name": 3}}, "measure.name"),
+    ({"experiment": "jump", "measure": {"name": "hermite"}}, "measure.name"),
+    ({"experiment": "identities", "seed": -1}, "seed"),
+], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
+        "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative"])
+def test_bad_value_exits_2(tmp_path, raw, field):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.field == field
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 2
+
+
+def test_mapping_setting_is_laid_over_its_default():
+    cfg = parse_config({"experiment": "bulk", "grid": {"points_per_axis": 9},
+                        "measure": {"name": "chebyshev"}})
+    assert cfg.settings["grid"] == {"half_width": 2.0, "points_per_axis": 9}
+    assert cfg.settings["measure"] == {"name": "chebyshev", "params": {}}
+
+
+def test_schrodinger_reads_top_level_xi(tmp_path):
+    # the top-level xi was dropped and the run reported xi=1.0
+    assert parse_config({"experiment": "schrodinger"}).settings["xi"] == 1.0
+    cfg = parse_config({"experiment": "schrodinger", "xi": 2, "n_values": [20],
+                        "grid": {"half_width": 1.0, "points_per_axis": 3},
+                        "output_dir": str(tmp_path / "s")})
+    lines, _, _ = run_experiment(cfg)
+    assert "rescaled kernel at xi=2.0 -> sine kernel" in lines[1]
 
 
 def test_bulk_run_small_and_deterministic(tmp_path):
@@ -132,7 +209,7 @@ def test_hard_edge_run_writes_zero_csv(tmp_path):
         "experiment": "hard_edge",
         "n_values": [60, 120],
         "tolerance": 0.02,
-        "params": {"betas": [1.5]},
+        "betas": [1.5],
         "output_dir": str(tmp_path / "he"),
     })
     lines, passed, data = run_experiment(cfg)

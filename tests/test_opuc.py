@@ -109,6 +109,21 @@ def test_rescaled_cd_circle_hermitian(alphas):
     assert abs(s[0].value - s[1].value.conjugate()) <= 1e-12
 
 
+
+def test_rescaled_cd_circle_takes_an_integral_float_level(alphas):
+    h = RegVarFn(scale=1.0 / (2 * math.pi), index=1.0)
+    grid = [(0.4 + 0.2j, -0.1 + 0.3j), (0.0, 0.0)]
+    as_int = rescaled_cd_circle(alphas, 0.3, h, 25, grid)
+    as_float = rescaled_cd_circle(alphas, 0.3, h, 25.0, grid)
+    assert [s.value for s in as_float] == [s.value for s in as_int]
+
+
+@pytest.mark.parametrize("n", [5.5, math.nan, math.inf])
+def test_rescaled_cd_circle_names_a_fractional_level(n):
+    # a float level raised numpy's bare TypeError
+    with pytest.raises(ValueError, match="opuc_canonical_kernel"):
+        rescaled_cd_circle(VerblunskyCoeffs.free(10), 0.0, RegVarFn(), n, [(0.0, 0.0)])
+
 def test_canonical_kernel_s_consistency(alphas):
     rng = np.random.default_rng(9)
     for _ in range(8):
