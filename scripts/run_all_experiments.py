@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every packaged experiment config and summarize the outcomes.
 
-Usage: python scripts/run_all_experiments.py [--out-root DIR]
+Usage: python scripts/run_all_experiments.py [--out-root DIR] [--against DIR]
 
 The summary gives, per config, the exit status of its run, the result of
 perfbench's reference check (`check_output` in perfbench/run.py: exit status,
@@ -9,6 +9,9 @@ verdict tags, `passed` and every report.json value against
 perfbench/reference.json) and the largest relative change of a report.json
 number against that reference (numbers at rounding level, at most perfbench's
 ATOL on both sides, are left out: the check compares them to ATOL only).
+With --against DIR it also gives the largest relative change against the
+report.json of the same config under the output root DIR, for example one
+written by this script at another commit.
 
 Exits 1 when the reference check of any config fails (or a config has no
 reference entry), else 0.  A config that fails as its reference records is not
@@ -70,9 +73,22 @@ def reference_check(bench, reference, path, code, out):
     return not problems, f"{verdict}; largest relative change {change:.2g} ({key})"
 
 
+def against_check(bench, out, other):
+    """One summary phrase with the largest change of the run's report.json
+    numbers against the report.json under the directory other."""
+    try:
+        got, old = (bench.summarize_output(None, str(d))["values"] for d in (out, other))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return f"against {other}: unreadable report.json ({exc.__class__.__name__})"
+    change, key = largest_change(got, old, bench.ATOL)
+    return f"against {other}: {change:.2g} ({key})"
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--out-root", default="out")
+    parser.add_argument("--against", metavar="DIR",
+                        help="another output root to compare each report.json with")
     args = parser.parse_args()
     bench = _perfbench()
     reference = json.loads(pathlib.Path(bench.REFERENCE).read_text())
@@ -83,7 +99,10 @@ def main():
         statuses[path.name] = cdlab_main(
             ["run", "--config", str(path), "--out", str(out)]
         )
-        checks[path.name] = reference_check(bench, reference, path, statuses[path.name], out)
+        ok, note = reference_check(bench, reference, path, statuses[path.name], out)
+        if args.against:
+            note += "; " + against_check(bench, out, pathlib.Path(args.against) / path.stem)
+        checks[path.name] = ok, note
     print("\nsummary:")
     for name, status in statuses.items():
         print(f"  exit {status} {name:22s} {checks[name][1]}")

@@ -75,7 +75,8 @@ CHECKS = {
     "measure": _OBJECT,
     "measure.name": (lambda v: v in measures.gallery_names(),
                      f"must be one of {measures.gallery_names()}"),
-    "measure.params": _OBJECT,
+    "measure.params": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+                       "must be an object of numbers"),
     "xi": (_is_number, "must be a number"),
     "n_values": _POSITIVE_LIST,
     "grid": _OBJECT,
@@ -129,6 +130,11 @@ def parse_config(raw):
                 f"not a setting of the {exp} experiment; it takes {list(defaults)}")
     settings = {name: _checked(name, raw.get(name, default), default)
                 for name, default in defaults.items()}
+    if "measure" in settings:  # the gallery builder checks its own parameters
+        try:
+            gallery(settings["measure"]["name"], **settings["measure"]["params"])
+        except ValueError as exc:
+            raise ConfigError("measure.params", str(exc)) from None
     return ExperimentConfig(exp, out_dir, settings)
 
 

@@ -10,6 +10,7 @@ endpoint singularity before Gauss-Legendre panels are applied.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -325,6 +326,8 @@ def cauchy_transform(mu, z):
 def _pure_point_bulk(cutoff=100000):
     """Atoms of mass 1/(j(j+1)) at +-1/j, j <= cutoff; truncation mass 1/cutoff
     per side is dropped."""
+    if not (float(cutoff).is_integer() and cutoff >= 1):
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff}")
     cutoff = int(cutoff)
     j = np.arange(1, cutoff + 1, dtype=float)
     m = 1.0 / (j * (j + 1.0))
@@ -410,9 +413,14 @@ def gallery_names():
 
 
 def gallery(name, **params):
-    """Construct a named example measure."""
+    """Construct a named example measure.  Raises ValueError for an unknown
+    name, a parameter the measure does not take, or a bad parameter value."""
     try:
         builder = _GALLERY[name]
     except KeyError:
         raise ValueError(f"unknown gallery measure {name!r}; known: {gallery_names()}") from None
+    accepted = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"gallery measure {name!r} takes {list(accepted)}, not {unknown}")
     return builder(**params)

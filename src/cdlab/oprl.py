@@ -282,24 +282,58 @@ def eval_polys(rec, n, z):
     return PolyValues(z=z, values=p, log_scale=log_scale)
 
 
+def _chain(c, d, zs, start, derivative):
+    """(s, ds): the state after the steps s -> (c[k] + z d[k]) s, k < n, from
+    start, and its z-derivative (None unless derivative), each of shape
+    (2, len(zs)); c and d have shape (n, 2, 2).
+
+    The steps go in blocks of ceil(sqrt(n)), the last padded with identity
+    steps.  One pass over the steps of a block multiplies out the product M
+    of every block and its derivative, d(T M) = D M + T dM, on (2, 2, blocks,
+    points) arrays; a second pass applies the block products to the state in
+    order: about 2 sqrt(n) numpy steps instead of n.  A product t m is
+    t[:, 0] m[0] + t[:, 1] m[1], elementwise over the stacked entries (matmul
+    on stacks of 2 x 2 matrices is slower).  Where the steps are near
+    parabolic (band and gap edges), the error of a block product applied to
+    the state can reach about sqrt(n) times that of the steps one at a time.
+    """
+    def times(t, m):  # t (2, 2, ...) times m (2, k, ...)
+        return t[:, 0, None] * m[0] + t[:, 1, None] * m[1]
+
+    def product(t, dt, m, dm):  # (t m, dt m + t dm)
+        return times(t, m), None if dm is None else times(dt, m) + times(t, dm)
+
+    zs = np.asarray(zs, dtype=complex)
+    n = len(c)
+    size = math.isqrt(max(n - 1, 0)) + 1
+    blocks = -(-n // size)
+    steps = np.zeros((2, blocks * size, 2, 2), dtype=np.result_type(c, d))
+    steps[0, n:] = np.eye(2)
+    steps[0, :n], steps[1, :n] = c, d
+    # step i of every block, (2, 2, blocks, 1): entries broadcast over zs
+    c, d = steps.reshape(2, blocks, size, 2, 2).transpose(0, 2, 3, 4, 1)[..., None]
+    m, dm = c[0] + zs * d[0], (d[0] if derivative else None)
+    for ci, di in zip(c[1:], d[1:]):
+        m, dm = product(ci + zs * di, di, m, dm)
+    s = np.multiply.outer(start, np.ones((1,) + zs.shape, dtype=complex))  # a 2 x 1 column
+    ds = np.zeros_like(s) if derivative else None
+    for j in range(blocks):
+        s, ds = product(m[..., j, :], None if dm is None else dm[..., j, :], s, ds)
+    return s[:, 0], None if ds is None else ds[:, 0]
+
+
 def _batch_level(rec, n, zs):
-    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at level n >= 1, vectorized in z."""
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at level n >= 1, vectorized in z: the
+    steps (p_k, p_{k-1}) = ((z - b_k) / a_k p_{k-1} - a_{k-1} / a_k p_{k-2},
+    p_{k-1}) from (p_0, p_{-1}) = (1, 0) by _chain."""
     if n > len(rec):
         raise ValueError(f"level {n} exceeds declared length {len(rec)}")
-    zs = np.asarray(zs, dtype=complex)
-    a, b = rec.a, rec.b
-    p_prev = np.zeros_like(zs)
-    p = np.ones_like(zs)
-    dp_prev = np.zeros_like(zs)
-    dp = np.zeros_like(zs)
-    for k in range(1, n + 1):
-        ak, bk = a[k - 1], b[k - 1]
-        am = a[k - 2] if k >= 2 else 0.0
-        p_next = ((zs - bk) * p - am * p_prev) / ak
-        dp_next = (p + (zs - bk) * dp - am * dp_prev) / ak
-        p_prev, p = p, p_next
-        dp_prev, dp = dp, dp_next
-    return p_prev, p, dp_prev, dp
+    a = rec.a[:n]
+    c, d = np.zeros((2, n, 2, 2))
+    c[:, 0, 0], c[:, 0, 1], c[:, 1, 0] = -rec.b[:n] / a, -np.append(0.0, a)[:n] / a, 1.0
+    d[:, 0, 0] = 1.0 / a
+    (p, pm), (dp, dpm) = _chain(c, d, zs, (1.0, 0.0), True)
+    return pm, p, dpm, dp
 
 
 def _cd_pair(rec, n, points):

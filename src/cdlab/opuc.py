@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
-from .oprl import KernelOverflowError, _discretize
+from .oprl import KernelOverflowError, _chain, _discretize
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -106,37 +106,27 @@ def szego_eval(v, n, zeta):
     if n > len(v):
         raise ValueError(f"n = {n} exceeds declared length {len(v)}")
     zeta = complex(zeta)
-    phi = np.empty(n + 1, dtype=complex)
-    phs = np.empty(n + 1, dtype=complex)
-    phi[0] = phs[0] = 1.0
-    for k in range(n):
-        al = v.alpha[k]
+    phi, phs = [1.0 + 0j], [1.0 + 0j]
+    for al in v.alpha[:n].tolist():  # Python complex: no numpy call per step
         r = 1.0 / math.sqrt(1.0 - abs(al) ** 2)
-        phi[k + 1] = r * (zeta * phi[k] - np.conj(al) * phs[k])
-        phs[k + 1] = r * (phs[k] - al * zeta * phi[k])
-    return SzegoValues(zeta=zeta, phi=phi, phi_star=phs)
+        phi.append(r * (zeta * phi[-1] - al.conjugate() * phs[-1]))
+        phs.append(r * (phs[-1] - al * zeta * phi[-2]))
+    return SzegoValues(zeta=zeta, phi=np.array(phi), phi_star=np.array(phs))
 
 
 def _szego_last_batch(v, n, zetas, derivative=False):
-    """(phi_n, phi*_n [, phi'_n, phi*'_n]) at many points."""
+    """(phi_n, phi*_n [, phi'_n, phi*'_n]) at many points: the Szego steps
+    (phi, phi*) -> r (zeta phi - conj(alpha) phi*, phi* - alpha zeta phi),
+    r = (1 - |alpha|^2)^(-1/2), from (1, 1) by _chain."""
     if n > len(v):
         raise ValueError(f"n = {n} exceeds declared length {len(v)}")
-    zetas = np.asarray(zetas, dtype=complex)
-    phi = np.ones_like(zetas)
-    phs = np.ones_like(zetas)
-    dphi = np.zeros_like(zetas)
-    dphs = np.zeros_like(zetas)
-    for k in range(n):
-        al = v.alpha[k]
-        r = 1.0 / math.sqrt(1.0 - abs(al) ** 2)
-        new_phi = r * (zetas * phi - np.conj(al) * phs)
-        new_phs = r * (phs - al * zetas * phi)
-        if derivative:
-            new_dphi = r * (phi + zetas * dphi - np.conj(al) * dphs)
-            new_dphs = r * (dphs - al * phi - al * zetas * dphi)
-            dphi, dphs = new_dphi, new_dphs
-        phi, phs = new_phi, new_phs
-    return (phi, phs, dphi, dphs) if derivative else (phi, phs)
+    alpha = v.alpha[:n]
+    r = 1.0 / np.sqrt(1.0 - np.abs(alpha) ** 2)
+    c, d = np.zeros((2, n, 2, 2), dtype=complex)
+    c[:, 0, 1], c[:, 1, 1] = -r * np.conj(alpha), r
+    d[:, 0, 0], d[:, 1, 0] = r, -r * alpha
+    s, ds = _chain(c, d, zetas, (1.0, 1.0), derivative)
+    return (*s, *ds) if derivative else (*s,)
 
 
 def _circle_kernel(components, zeta, omega):

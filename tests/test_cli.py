@@ -128,8 +128,19 @@ def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, un
     ({"experiment": "bulk", "measure": {"name": 3}}, "measure.name"),
     ({"experiment": "jump", "measure": {"name": "hermite"}}, "measure.name"),
     ({"experiment": "identities", "seed": -1}, "seed"),
+    ({"experiment": "bulk", "measure": {"name": "legendre", "params": {"cutoff": 5}}},
+     "measure.params"),
+    ({"experiment": "bulk", "measure": {"name": "power_hard_edge", "params": {"beta": 0}}},
+     "measure.params"),
+    ({"experiment": "bulk", "measure": {"name": "pure_point_bulk", "params": {"cutoff": 0}}},
+     "measure.params"),
+    ({"experiment": "jump", "measure": {"name": "jump", "params": {"sigma_minus": -0.5}}},
+     "measure.params"),
+    ({"experiment": "opuc_bulk", "measure": {"name": "circle_jump", "params": {"sigma_plus": "x"}}},
+     "measure.params"),
 ], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
-        "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative"])
+        "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative",
+        "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number"])
 def test_bad_value_exits_2(tmp_path, raw, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

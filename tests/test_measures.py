@@ -64,6 +64,18 @@ def test_gallery_names_and_unknown():
         gallery("no_such_measure")
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("legendre", {"cutoff": 5}, r"'legendre' takes \[\], not \['cutoff'\]"),
+    ("jump", {"sigma": 1.0}, r"takes \['sigma_minus', 'sigma_plus'\], not \['sigma'\]"),
+    ("pure_point_bulk", {"cutoff": 0}, "cutoff must be an integer >= 1"),
+    ("pure_point_bulk", {"cutoff": 2.5}, "cutoff must be an integer >= 1"),
+])
+def test_gallery_parameter_errors_are_value_errors(name, params, message):
+    # an unknown key raised the builder's bare TypeError; cutoff 0 built an empty measure
+    with pytest.raises(ValueError, match=message):
+        gallery(name, **params)
+
+
 def test_mass_pure_point_staircase():
     # mu([0, eps)) = 1/(n+1) - truncation for 1/(n+1) < eps <= 1/n
     mu = gallery("pure_point_bulk", cutoff=1000)
