@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time the zero finders in-process and count their work; print one JSON object.
+
+Usage: PYTHONPATH=<tree>/src python scripts/time_zeros.py
+
+Times `oprl.zeros_near(rec, n, 0.3, 3)` and `oprl.poly_zeros(rec, n)` on the
+Legendre recurrence at n = 100, 401, 1000, 2000 and 4000: the median in
+milliseconds over the number of calls given in each key, after one untimed
+call (none for the slowest cases, whose one call is timed alone).  Then runs
+the two zero_laws configs (configs/hard_edge.json and
+configs/fisher_hartwig.json) once each, in-process into a temporary
+directory, and counts the `oprl._sturm_counts` passes and `special.real_zeros`
+scans of each run by wrapping those functions in every cdlab module that
+holds them.  The cdlab on PYTHONPATH is the one timed, so the same script
+times any two trees.
+"""
+
+import json
+import pathlib
+import statistics
+import tempfile
+import time
+
+import numpy as np
+
+from cdlab import cli, oprl, special, universality
+from cdlab.oprl import RecurrenceCoeffs, poly_zeros, zeros_near
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+def median_ms(call, reps):
+    if reps > 1:
+        call()
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(1e3 * statistics.median(times), 2)
+
+
+def counted(modules, name, tally):
+    """Rebind name in every module of modules to a wrapper that adds one to
+    tally[name] per call."""
+    fn = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        tally[name] += 1
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        setattr(module, name, wrapper)
+
+
+def main():
+    top = 4000
+    k = np.arange(1, top + 1)
+    legendre = RecurrenceCoeffs(a=k / np.sqrt(4.0 * k * k - 1.0), b=np.zeros(top))
+    out = {}
+    for n in (100, 401, 1000, 2000, 4000):
+        reps = 15 if n <= 401 else 5
+        out[f"zeros_near n={n} calls={reps}"] = median_ms(
+            lambda: zeros_near(legendre, n, 0.3, 3), reps)
+        reps = 15 if n <= 401 else (3 if n == 1000 else 1)
+        out[f"poly_zeros n={n} calls={reps}"] = median_ms(lambda: poly_zeros(legendre, n), reps)
+    tally = {"_sturm_counts": 0, "real_zeros": 0}
+    counted([oprl], "_sturm_counts", tally)
+    counted([special, universality], "real_zeros", tally)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("hard_edge", "fisher_hartwig"):
+            for key in tally:
+                tally[key] = 0
+            cfg = cli.load_config(CONFIGS / f"{name}.json")
+            cfg.output_dir = str(pathlib.Path(tmp) / name)
+            cli.run_experiment(cfg)
+            out[f"{name} _sturm_counts passes"] = tally["_sturm_counts"]
+            out[f"{name} real_zeros scans"] = tally["real_zeros"]
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()

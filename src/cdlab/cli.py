@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -132,10 +132,21 @@ def parse_config(raw):
                 for name, default in defaults.items()}
     if "measure" in settings:  # the gallery builder checks its own parameters
         try:
-            gallery(settings["measure"]["name"], **settings["measure"]["params"])
+            _gallery_measure(settings["measure"])
         except ValueError as exc:
             raise ConfigError("measure.params", str(exc)) from None
     return ExperimentConfig(exp, out_dir, settings)
+
+
+@lru_cache(maxsize=1)
+def _built(name, params):
+    return gallery(name, **dict(params))
+
+
+def _gallery_measure(setting):
+    """The gallery measure of a measure setting.  The last one built is kept,
+    so the build that checks a config in parse_config is the runner's."""
+    return _built(setting["name"], tuple(setting["params"].items()))
 
 
 def load_config(path):
@@ -231,7 +242,7 @@ def _convergence(out_dir, sampler, target, n_values, grid, tolerance,
 def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
               n_values=(50, 100, 200), grid=GRID, tolerance=0.05, scaling={}):
     """rescaled CD kernels of a gallery measure vs the sine kernel"""
-    mu = gallery(measure["name"], **measure["params"])
+    mu = _gallery_measure(measure)
     h, scl = _estimated_scaling(mu, xi, scaling)
     n_top = int(max(n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
@@ -267,7 +278,7 @@ def _run_opuc_bulk(out_dir, measure={"name": "circle_lebesgue", "params": {}}, x
     if measure["name"] == "circle_lebesgue":
         v = opuc.VerblunskyCoeffs.free(n_top)
     else:
-        v = opuc.verblunsky_from_measure(gallery(measure["name"], **measure["params"]), n_top)
+        v = opuc.verblunsky_from_measure(_gallery_measure(measure), n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
     report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, xi, h), sine_kernel,
                           n_values, grid, tolerance)
@@ -361,7 +372,7 @@ def _run_fisher_hartwig(out_dir, xi=0.0, n_values=(50, 100, 200), tolerance=0.02
 def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
               n_values=(100, 200, 400), grid=GRID, tolerance=0.1):
     """jump-weight rescaled kernels vs the two-sided limit kernel"""
-    mu = gallery(measure["name"], **measure["params"])
+    mu = _gallery_measure(measure)
     scl, _ = _normalized_scaling(mu, xi)
     sm, sp = scl["sigma_minus_hat"], scl["sigma_plus_hat"]
     spec = build_limit_kernel(sm, sp, 1.0)

@@ -11,9 +11,13 @@ Second-kind polynomials are not a separate sequence: q_n = p^(1)_{n-1} / a_1
 Coefficients come from a quadrature discretization of the measure followed by
 Lanczos tridiagonalization (folded onto x^2 for symmetric measures).  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
-bisection with multisection (one count pass per six halvings): deterministic,
-strictly increasing, and the same bits whether all n zeros are asked for
-(poly_zeros) or only a window of them around a point (zeros_near).
+bisection: deterministic, strictly increasing, and the same bits whether all
+n zeros are asked for (poly_zeros) or only a window of them around a point
+(zeros_near).  Up to n = 800, a dense eigvalsh (O(n^3) time, O(n^2) memory)
+and one certifying Sturm pass enclose each zero, and only the bisection steps
+inside an enclosure are counted; above it, where counting a window of zeros
+is cheaper, every step is counted, by multisection (one count pass per six
+halvings).  Either way the bits are bisection's.
 """
 
 from __future__ import annotations
@@ -466,18 +470,55 @@ def _sturm_counts(d, e_sq, shifts):
 
 
 _LEVELS = 6  # halvings per multisection sweep
+_DENSE_MAX = 800  # largest n at which eigvalsh costs less than the Sturm passes it saves
 
 
-def _bisect(d, e, ks):
-    """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e).
+def _estimates(d, e):
+    """Eigenvalues of tridiag(d, e) by dense eigvalsh, O(n^3) time and O(n^2)
+    memory; None above _DENSE_MAX, where counting alone is cheaper for a window
+    of zeros (zeros_near)."""
+    if d.size > _DENSE_MAX:
+        return None
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def _enclosures(d, e, ranks, estimates, shifts):
+    """(lower, upper, counts): per rank of the n eigenvalues (index k - 1),
+    bounds with count(lower) < k <= count(upper), and the Sturm counts at
+    shifts, all from one _sturm_counts pass.
+
+    Each rank k in ranks is enclosed by estimates[k - 1] -+ 16 eps ||J||, kept
+    only when the pass certifies it; every other rank, and every rank when
+    estimates is None, gets (-inf, inf), which leaves every step to counting.
+    """
+    lower, upper = np.full(d.size, -np.inf), np.full(d.size, np.inf)
+    if estimates is None:
+        return lower, upper, _sturm_counts(d, e * e, shifts)
+    delta = 16.0 * np.finfo(float).eps * max(abs(estimates[0]), abs(estimates[-1]))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bound fails below
+        below, above = estimates[ranks - 1] - delta, estimates[ranks - 1] + delta
+    counts = _sturm_counts(d, e * e, np.concatenate([shifts, below, above]))
+    shift_counts, counts = counts[: len(shifts)], counts[len(shifts):].reshape(2, -1)
+    # a NaN shift counts no eigenvalue below it, so only finite bounds certify
+    ok = (counts[0] < ranks) & (counts[1] >= ranks) & np.isfinite(below) & np.isfinite(above)
+    lower[ranks[ok] - 1], upper[ranks[ok] - 1] = below[ok], above[ok]
+    return lower, upper, shift_counts
+
+
+def _bisect(d, e, ks, lower, upper):
+    """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e), given
+    bounds with count(lower) < ks <= count(upper) (infinite where unknown).
 
     Sturm bisection from the Gershgorin bracket until every bracket is at
-    most 1e-13 wide (at most 200 halvings), by multisection: each sweep
-    counts at all 2^6 - 1 midpoints of the subtree below every bracket in
-    one _sturm_counts pass, then descends it one level at a time, checking
-    the width rule before each level.  Every midpoint is bisection's own
-    0.5 * (lo + hi), so the steps and the result are bisection's bits.  All
-    brackets stop together, on the widest one.
+    most 1e-13 wide (at most 200 halvings); all brackets stop together, on
+    the widest one.  The Sturm count is monotone in the shift (Demmel,
+    Dhillon & Ren 1995), so a midpoint at or below lower[k] has fewer than k
+    eigenvalues below it and one at or above upper[k] at least k: such steps
+    are taken without counting.  The others are counted by multisection: a
+    sweep counts, in one _sturm_counts pass, the midpoints inside the bounds
+    among the 2^6 - 1 of the subtree below every bracket, and serves the next
+    six levels.  Every midpoint is bisection's own 0.5 * (lo + hi), so the
+    steps and the result are bisection's bits.
     """
     if d.size == 1:
         return d[ks - 1]
@@ -487,28 +528,32 @@ def _bisect(d, e, ks):
     lo = np.full(ks.size, float(np.min(d - radius)) - 1.0)
     hi = np.full(ks.size, float(np.max(d + radius)) + 1.0)
     lanes = np.arange(ks.size)
-    steps = 0
-    while True:
-        # midpoints of the subtree below each bracket in heap order: row r
-        # halves its bracket, rows 2r + 1 and 2r + 2 halve the lower and upper half
-        left, right, mids = lo[None], hi[None], []
-        for _ in range(_LEVELS):
-            mid = 0.5 * (left + right)
-            mids.append(mid)
-            left = np.stack([left, mid], axis=1).reshape(-1, ks.size)
-            right = np.stack([mid, right], axis=1).reshape(-1, ks.size)
-        mids = np.concatenate(mids)
-        counts = _sturm_counts(d, e_sq, mids.ravel()).reshape(mids.shape)
-        node = np.zeros(ks.size, dtype=int)
-        for _ in range(_LEVELS):
-            if steps == 200 or float(np.max(hi - lo)) <= 1e-13:
-                return 0.5 * (lo + hi)
-            mid = mids[node, lanes]
+    steps, level = 0, _LEVELS  # level in the current sweep; none yet
+    while steps < 200 and float(np.max(hi - lo)) > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if level == _LEVELS and np.any((lower < mid) & (mid < upper)):
+            # midpoints of the subtree below each bracket in heap order: row r
+            # halves its bracket, rows 2r + 1 and 2r + 2 halve the lower and upper half
+            left, right, mids = lo[None], hi[None], []
+            for _ in range(_LEVELS):
+                mids.append(0.5 * (left + right))
+                left = np.stack([left, mids[-1]], axis=1).reshape(-1, ks.size)
+                right = np.stack([mids[-1], right], axis=1).reshape(-1, ks.size)
+            mids = np.concatenate(mids)
+            counts = np.where(mids < upper, ks - 1, ks)  # right outside the bounds
+            inside = (lower < mids) & (mids < upper)
+            counts[inside] = _sturm_counts(d, e_sq, mids[inside])
+            node, level = np.zeros(ks.size, dtype=int), 0
+        if level < _LEVELS:
             take_hi = counts[node, lanes] >= ks
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
             node = 2 * node + 2 - take_hi
-            steps += 1
+            level += 1
+        else:
+            take_hi = mid >= upper
+        hi = np.where(take_hi, mid, hi)
+        lo = np.where(take_hi, lo, mid)
+        steps += 1
+    return 0.5 * (lo + hi)
 
 
 def _jacobi(rec, n):
@@ -522,11 +567,16 @@ def _jacobi(rec, n):
 
 def poly_zeros(rec, n):
     """All n zeros of p_n, strictly increasing: eigenvalues of the truncated
-    Jacobi matrix by Sturm multisection to bracket width 1e-13 (_bisect).
-    Costs O(n^2) per sweep; studies that read zeros near one point use
-    zeros_near."""
+    Jacobi matrix by Sturm bisection to bracket width 1e-13 (_bisect).  Up to
+    n = _DENSE_MAX, one dense eigvalsh (O(n^3) time, O(n^2) memory) and one
+    certifying pass enclose every zero, and only the steps inside an
+    enclosure are counted; above it every step is counted, O(n^2) per sweep.
+    Either way the bits are bisection's.  Studies that read zeros near one
+    point use zeros_near."""
     d, e = _jacobi(rec, n)
-    return _bisect(d, e, np.arange(1, n + 1))
+    ks = np.arange(1, n + 1)
+    lower, upper, _ = _enclosures(d, e, ks, _estimates(d, e), [])
+    return _bisect(d, e, ks, lower, upper)
 
 
 def zeros_near(rec, n, xi, k):
@@ -536,7 +586,10 @@ def zeros_near(rec, n, xi, k):
 
     The window holds k + 1 zeros on each side of xi, or every zero on a side
     with fewer: the margin of one more covers a computed zero that lands
-    within 1e-13 on the other side of xi.  Each sweep costs O(n k) here
+    within 1e-13 on the other side of xi.  Up to n = _DENSE_MAX, one dense
+    eigvalsh (O(n^3) time, O(n^2) memory) guesses c, and one pass counts at xi
+    and certifies enclosures of the guessed window widened by one on each
+    side, so that few steps are counted; above it each sweep costs O(n k)
     against O(n^2) for all n zeros.  The window's widest bracket stands in
     for the widest of all n, so a width within ulps of 1e-13 could stop it
     one halving early; the tests check the gallery recurrences bit for bit.
@@ -546,6 +599,11 @@ def zeros_near(rec, n, xi, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     d, e = _jacobi(rec, n)
-    c = int(_sturm_counts(d, e * e, [float(xi)])[0])
+    estimates = _estimates(d, e)
+    guess = 0 if estimates is None else int(np.searchsorted(estimates, xi))
+    ranks = np.arange(max(guess - k - 3, 0), min(guess + k + 3, n)) + 1
+    lower, upper, counts = _enclosures(d, e, ranks, estimates, [float(xi)])
+    c = int(counts[0])
     first = max(c - k - 2, 0)
-    return first, _bisect(d, e, np.arange(first, min(c + k + 2, n)) + 1)
+    ks = np.arange(first, min(c + k + 2, n)) + 1
+    return first, _bisect(d, e, ks, lower[ks - 1], upper[ks - 1])

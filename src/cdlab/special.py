@@ -34,6 +34,7 @@ __all__ = [
     "bessel_f",
     "bessel_f_prime",
     "bessel_zero",
+    "bessel_zeros",
     "real_zeros",
 ]
 
@@ -315,12 +316,13 @@ def real_zeros(f, lo, k, step, hi):
     return zeros
 
 
-def bessel_zero(nu, k):
-    """k-th positive zero of F_nu (equivalently of J_nu), k >= 1.
+def bessel_zeros(nu, k):
+    """First k positive zeros of F_nu (equivalently of J_nu), k >= 1, in
+    increasing order, from one scan.
 
     real_zeros with step pi/4 (zero spacing tends to pi) on a window of 16
     times the expected position of the k-th zero.  Raises SeriesPrecisionError
-    when the zero's estimated error, eps * sum|t_n| / |F_nu'(x0)| over the
+    when a zero's estimated error, eps * sum|t_n| / |F_nu'(x0)| over the
     series terms t_n of F_nu(x0), exceeds _MAX_ZERO_ERROR.
     """
     if nu <= -1:
@@ -328,15 +330,21 @@ def bessel_zero(nu, k):
     if k < 1:
         raise ValueError("k must be >= 1")
     window = max(20.0, (k + max(nu, 0.0) / 2.0) * math.pi + 10.0)
-    x0 = real_zeros(lambda x: bessel_f(nu, x).real,
-                    0.0, k, math.pi / 4.0, 16 * window)[-1]
-    # sum|t_n| = 0F1(nu + 1, x0^2 / 4) / Gamma(nu + 1): positive terms, no cancellation
-    terms = hyp0f1(nu + 1.0, x0 * x0 / 4.0) / gamma_cx(nu + 1.0)
-    error = _DOUBLE_ROUNDOFF * abs(terms) / abs(bessel_f_prime(nu, x0))
-    if not error <= _MAX_ZERO_ERROR:
-        raise SeriesPrecisionError("bessel_zero", abs(bessel_f(nu, x0)), f"zero {x0} of "
-                                   f"F_{nu} with estimated error {error:.1e}")
-    return x0
+    zeros = real_zeros(lambda x: bessel_f(nu, x).real, 0.0, k, math.pi / 4.0, 16 * window)
+    for x0 in zeros:
+        # sum|t_n| = 0F1(nu + 1, x0^2 / 4) / Gamma(nu + 1): positive terms, no cancellation
+        terms = hyp0f1(nu + 1.0, x0 * x0 / 4.0) / gamma_cx(nu + 1.0)
+        error = _DOUBLE_ROUNDOFF * abs(terms) / abs(bessel_f_prime(nu, x0))
+        if not error <= _MAX_ZERO_ERROR:
+            raise SeriesPrecisionError("bessel_zero", abs(bessel_f(nu, x0)), f"zero {x0} of "
+                                       f"F_{nu} with estimated error {error:.1e}")
+    return zeros
+
+
+def bessel_zero(nu, k):
+    """k-th positive zero of F_nu (equivalently of J_nu), k >= 1: the last of
+    bessel_zeros(nu, k)."""
+    return bessel_zeros(nu, k)[-1]
 
 
 def sine_ratio(u):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .limit_kernels import eval_limit_kernel, fit_internal_scale
 from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
-from .special import bessel_zero, gamma_cx, real_zeros
+from .special import bessel_zeros, gamma_cx, real_zeros
 
 __all__ = [
     "ConvergenceReport",
@@ -179,7 +179,7 @@ def _clock_study(rec, xi, h, n_values, k_max):
 
 def _hard_edge_study(rec, xi, h, n_values, k_max):
     beta = 1.0 / h.index
-    j_bessel = np.array([bessel_zero(beta - 1.0, k) for k in range(1, k_max + 1)])
+    j_bessel = np.array(bessel_zeros(beta - 1.0, k_max))
     pred_ratios = {k: float((j_bessel[k - 1] / j_bessel[0]) ** 2)
                    for k in range(1, k_max + 1)}
     scaled = {}
@@ -248,8 +248,8 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
 
 def _even_fh_study(rec, xi, h, n_values, k_max):
     beta = 1.0 / h.index
-    j_even = np.array([bessel_zero(beta / 2.0 - 1.0, k) for k in range(1, k_max + 1)])
-    j_odd = np.array([bessel_zero(beta / 2.0, k) for k in range(1, k_max + 1)])
+    j_even = np.array(bessel_zeros(beta / 2.0 - 1.0, k_max))
+    j_odd = np.array(bessel_zeros(beta / 2.0, k_max))
     preds = {("even", k): float(j_even[k - 1] / j_even[0]) for k in range(1, k_max + 1)}
     preds.update(
         {("odd", k): float(j_odd[k - 1] / j_odd[0]) for k in range(1, k_max + 1)}

@@ -1,9 +1,11 @@
+import functools
 import inspect
 import json
 import pathlib
 
 import pytest
 
+from cdlab import cli, measures
 from cdlab.cli import EXPERIMENTS, ConfigError, load_config, main, parse_config, run_experiment
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -187,6 +189,26 @@ def test_bulk_run_small_and_deterministic(tmp_path):
     assert main(["run", "--config", path2]) == 0
     csv2 = (tmp_path / "out2" / "kernel_40.csv").read_text()
     assert csv1 == csv2
+
+
+def test_run_builds_the_gallery_measure_once(tmp_path, monkeypatch):
+    # parse_config builds the measure to check its parameters; the run reuses it
+    calls = []
+    builder = measures._GALLERY["legendre"]
+
+    @functools.wraps(builder)
+    def counted(**params):
+        calls.append(params)
+        return builder(**params)
+
+    monkeypatch.setitem(measures._GALLERY, "legendre", counted)
+    cli._built.cache_clear()
+    raw = {"experiment": "bulk", "n_values": [20, 40], "scaling": {"eta": 0.5},
+           "grid": {"half_width": 1.0, "points_per_axis": 4}, "tolerance": 0.2,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 0
+    assert calls == [{}]
+    cli._built.cache_clear()
 
 
 def test_identities_experiment_exit_status(tmp_path):

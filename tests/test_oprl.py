@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdlab import oprl
 from cdlab.measures import Measure, RegVarFn, gallery
 from cdlab.oprl import (
     KernelOverflowError,
@@ -16,6 +17,8 @@ from cdlab.oprl import (
     ZeroDiagonalError,
     _batch_level,
     _discretize,
+    _enclosures,
+    _estimates,
     _krylov,
     _lanczos,
     _sturm_counts,
@@ -347,6 +350,66 @@ def test_zeros_near_on_random_jacobi():
         for xi in (0.0, zeros[n // 2], zeros[-1], -10.0):
             for k in (0, 2):
                 _assert_window_is_slice(rec, n, xi, k, zeros)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       kind=st.sampled_from(["random", "mirror", "integer"]),
+       extra=st.lists(st.floats(-6.0, 6.0), max_size=10))
+@example(seed=0, n=3, kind="mirror", extra=[])  # eigenvalue 0: the first pivot at 0 is 0
+@example(seed=0, n=2, kind="integer", extra=[])  # integer shifts give exact zero pivots
+def test_sturm_counts_monotone_in_the_shift(seed, n, kind, extra):
+    # the enclosures of _bisect decide steps by this monotonicity; mirror-
+    # symmetric (b = 0) and integer matrices put shifts on exact zero pivots
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        d = rng.integers(-2, 3, n).astype(float)
+        e = rng.integers(1, 3, n - 1).astype(float)
+    else:
+        d = np.zeros(n) if kind == "mirror" else rng.normal(scale=0.5, size=n)
+        e = rng.uniform(0.05, 2.0, n - 1)
+    eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    shifts = np.sort(np.concatenate([
+        extra, eig, np.nextafter(eig, -np.inf), np.nextafter(eig, np.inf), d,
+        np.arange(-12, 13) / 2.0, [-1e300, 1e300]]))
+    counts = _sturm_counts(d, e * e, shifts)
+    assert np.all(np.diff(counts) >= 0)
+    assert counts[0] == 0 and counts[-1] == n
+
+
+def _failed_estimates(kind):
+    def estimates(d, e):
+        eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        return {"nan": np.full(d.size, np.nan), "inf": np.full(d.size, np.inf),
+                "shifted": eig + 1e-6, "reversed": eig[::-1].copy(),
+                "nan_norm": np.concatenate([eig[:-1], [np.nan]])}[kind]
+    return estimates
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "shifted", "reversed", "nan_norm"])
+def test_failed_certification_keeps_bisection_bits(monkeypatch, kind):
+    # estimates that certify no enclosure leave every step to counting
+    monkeypatch.setattr(oprl, "_estimates", _failed_estimates(kind))
+    for seed in range(0, 150, 7):
+        rec, n = _random_jacobi(seed)
+        zeros = _reference_poly_zeros(rec, n)
+        assert np.array_equal(poly_zeros(rec, n), zeros), seed
+        for xi in (0.0, zeros[n // 2]):
+            _assert_window_is_slice(rec, n, xi, 2, zeros)
+    for case, n in [("even_fh_1.5", 201), ("power_hard_edge_2.0", 300)]:
+        rec, _, zeros = _zero_case(case, n)
+        assert np.array_equal(poly_zeros(rec, n), zeros)
+        _assert_window_is_slice(rec, n, 0.0, 3, zeros)
+
+
+@pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
+def test_enclosures_certify_every_gallery_zero(case, n):
+    # the zero configs' matrices get every enclosure, so few steps are counted
+    d, e = oprl._jacobi(_zero_case_rec(case), n)
+    ks = np.arange(1, n + 1)
+    lower, upper, counts = _enclosures(d, e, ks, _estimates(d, e), [0.0])
+    assert np.all(lower < upper) and np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
+    assert counts[0] == _sturm_counts(d, e * e, [0.0])[0]
 
 
 def test_zeros_near_rejects_nan_xi_and_negative_k(leg):

@@ -14,6 +14,7 @@ from cdlab.special import (
     SeriesPrecisionError,
     bessel_f,
     bessel_zero,
+    bessel_zeros,
     gamma_cx,
     hyp0f1,
     kummer_m,
@@ -183,6 +184,12 @@ def test_bessel_zero_increasing_and_sign_change():
         lo = bessel_f(1.3, z - 1e-6).real
         hi = bessel_f(1.3, z + 1e-6).real
         assert lo * hi < 0
+
+
+@pytest.mark.parametrize("nu", [-0.25, 0.5, 0.75, 1.5])
+def test_bessel_zeros_are_the_per_k_zeros(nu):
+    # one scan for all k gives each k-th zero's bits
+    assert bessel_zeros(nu, 5) == [bessel_zero(nu, k) for k in range(1, 6)]
 
 
 def test_bessel_zero_bad_order():
