@@ -6,13 +6,15 @@ Usage: PYTHONPATH=<tree>/src python scripts/time_zeros.py
 Times `oprl.zeros_near(rec, n, 0.3, 3)` and `oprl.poly_zeros(rec, n)` on the
 Legendre recurrence at n = 100, 401, 1000, 2000 and 4000: the median in
 milliseconds over the number of calls given in each key, after one untimed
-call (none for the slowest cases, whose one call is timed alone).  Then runs
-the two zero_laws configs (configs/hard_edge.json and
+call (none for the slowest cases, whose one call is timed alone).  Times
+`special.bessel_zeros(0.5, k)` at k = 3 and k = 20 the same way; a tree whose
+`bessel_zeros` raises there gives the exception's name instead of a time.
+Then runs the two zero_laws configs (configs/hard_edge.json and
 configs/fisher_hartwig.json) once each, in-process into a temporary
-directory, and counts the `oprl._sturm_counts` passes and `special.real_zeros`
-scans of each run by wrapping those functions in every cdlab module that
-holds them.  The cdlab on PYTHONPATH is the one timed, so the same script
-times any two trees.
+directory, and counts the `oprl._sturm_counts` passes and
+`special.bessel_zeros` calls of each run by wrapping those functions in every
+cdlab module that holds them.  The cdlab on PYTHONPATH is the one timed, so
+the same script times any two trees.
 """
 
 import json
@@ -64,9 +66,15 @@ def main():
             lambda: zeros_near(legendre, n, 0.3, 3), reps)
         reps = 15 if n <= 401 else (3 if n == 1000 else 1)
         out[f"poly_zeros n={n} calls={reps}"] = median_ms(lambda: poly_zeros(legendre, n), reps)
-    tally = {"_sturm_counts": 0, "real_zeros": 0}
+    for k in (3, 20):
+        key = f"bessel_zeros nu=0.5 k={k} calls=15"
+        try:
+            out[key] = median_ms(lambda: special.bessel_zeros(0.5, k), 15)
+        except Exception as exc:
+            out[key] = f"raises {type(exc).__name__}"
+    tally = {"_sturm_counts": 0, "bessel_zeros": 0}
     counted([oprl], "_sturm_counts", tally)
-    counted([special, universality], "real_zeros", tally)
+    counted([special, universality], "bessel_zeros", tally)
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("hard_edge", "fisher_hartwig"):
             for key in tally:
@@ -75,7 +83,7 @@ def main():
             cfg.output_dir = str(pathlib.Path(tmp) / name)
             cli.run_experiment(cfg)
             out[f"{name} _sturm_counts passes"] = tally["_sturm_counts"]
-            out[f"{name} real_zeros scans"] = tally["real_zeros"]
+            out[f"{name} bessel_zeros calls"] = tally["bessel_zeros"]
     print(json.dumps(out, indent=1))
 
 

@@ -29,6 +29,7 @@ from . import canonical, measures, oprl, opuc
 from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
 from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
+from .special import _MAX_BESSEL_ZEROS
 from .universality import (
     complex_grid_pairs,
     convergence_study,
@@ -87,7 +88,8 @@ CHECKS = {
     "scaling.eta": _POSITIVE,
     "scaling.beta": _POSITIVE,
     "scaling.scale": _POSITIVE,
-    "k_max": (lambda v: isinstance(v, int) and v >= 1, "must be an integer >= 1"),
+    "k_max": (lambda v: isinstance(v, int) and 1 <= v <= _MAX_BESSEL_ZEROS,
+              f"must be an integer in [1, {_MAX_BESSEL_ZEROS}]"),
     "betas": _POSITIVE_LIST,
     "v_exponent": (_is_number, "must be a number"),
     "first": _POSITIVE,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -197,14 +198,10 @@ def _gram_positivity(rng):
 # OPRL
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _cached_rec(name):
     """The first 62 recurrence coefficients of a gallery measure, computed once."""
-    if name not in _cached_rec.store:
-        _cached_rec.store[name] = oprl.stieltjes_coeffs(measures.gallery(name), 62)
-    return _cached_rec.store[name]
-
-
-_cached_rec.store = {}
+    return oprl.stieltjes_coeffs(measures.gallery(name), 62)
 
 
 def _cd_sum_vs_formula(rng):

@@ -1,9 +1,11 @@
-"""Complex-capable special functions: Gamma, Kummer M, 0F1, factored Bessel F_nu.
+"""Complex-capable special functions: Gamma, Kummer M, 0F1, factored Bessel
+F_nu, and the zeros of J_nu.
 
-Everything here is a plain power series with a relative-term stopping rule,
-plus a Lanczos-type rational approximation for Gamma.  These are the only
-transcendental building blocks the limit kernels need; no asymptotic
-expansions, no arbitrary precision.
+The functions are plain power series with a relative-term stopping rule, plus
+a Lanczos-type rational approximation for Gamma; the Bessel zeros are the
+reciprocal eigenvalues of one symmetric tridiagonal matrix.  These are the only
+transcendental building blocks the limit kernels and zero laws need; no
+asymptotic expansions, no arbitrary precision.
 
 The series rules are fixed module constants.  A series that does not
 converge raises SeriesConvergenceError.  Every series also estimates its
@@ -27,7 +29,6 @@ __all__ = [
     "SeriesPrecisionError",
     "GammaPoleError",
     "GammaOverflowError",
-    "BracketingError",
     "gamma_cx",
     "kummer_m",
     "hyp0f1",
@@ -35,7 +36,6 @@ __all__ = [
     "bessel_f_prime",
     "bessel_zero",
     "bessel_zeros",
-    "real_zeros",
 ]
 
 # Series truncation.  A term is "small" when |term| <= _REL_TOL * |partial
@@ -49,16 +49,19 @@ _MAX_TERMS = 2000
 _KUMMER_THRESHOLD = 40.0
 # Largest accepted error estimate u * max|term| / |sum| of the 80-bit Kummer
 # series (u its unit roundoff; within a factor 4 of the true error from 1e-14
-# to 1e-5).  Real-axis sign scans of the kernel (Freud-Levin zeros) use values
-# with estimates up to ~1e-8.
+# to 1e-5).
 _MAX_REL_ERROR = 1e-6
 _LONGDOUBLE_ROUNDOFF = np.finfo(np.longdouble).eps / 2
 # Largest accepted absolute error estimate eps * max|term| of the double
-# series.  It is absolute, not relative: zero scans (bessel_zero) evaluate
-# where |sum| vanishes, and the relative form reaches ~8 there.
+# series.  It is absolute, not relative: where the sum vanishes (at a zero of
+# F_nu, say) the relative form is unbounded.
 _MAX_ABS_ERROR = 1e-6
 _DOUBLE_ROUNDOFF = sys.float_info.epsilon
-_MAX_ZERO_ERROR = 1e-8  # largest accepted error estimate of a bessel_zero zero
+# Rows of the Bessel-zero eigenproblem, and the most zeros it serves: against
+# mpmath, for orders -0.75 <= nu <= 10, every zero with k <= 30 is within 4e-15
+# relative at 128 rows; at 64 rows only those with k <= 12 are.
+_BESSEL_ROWS = 128
+_MAX_BESSEL_ZEROS = 30
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -72,8 +75,8 @@ class SeriesConvergenceError(RuntimeError):
 
 class SeriesPrecisionError(SeriesConvergenceError):
     """Series converged, but its double value is not finite or its estimated
-    error exceeds _MAX_ABS_ERROR (double series), _MAX_REL_ERROR (80-bit
-    Kummer series) or _MAX_ZERO_ERROR (a zero from bessel_zero)."""
+    error exceeds _MAX_ABS_ERROR (double series) or _MAX_REL_ERROR (80-bit
+    Kummer series)."""
 
 
 class GammaPoleError(ValueError):
@@ -82,10 +85,6 @@ class GammaPoleError(ValueError):
 
 class GammaOverflowError(OverflowError):
     """Gamma (or a power of it) is outside the double range."""
-
-
-class BracketingError(RuntimeError):
-    """Zero search exhausted its window without finding enough sign changes."""
 
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set);
@@ -278,72 +277,30 @@ def bessel_f_prime(nu, z):
     return -(z / 2.0) * bessel_f(nu + 1.0, z)
 
 
-def real_zeros(f, lo, k, step, hi):
-    """First k zeros of the real function f on (lo, hi], in increasing order.
-
-    Scans x = lo + step, lo + 2 step, ... (accumulated as x += step) for sign
-    changes, then bisects each bracket to an absolute width of 1e-12 (or to
-    adjacent doubles).  Raises BracketingError when the scan passes hi with
-    fewer than k zeros.
-    """
-    brackets = []  # (left, right, f(left)); an exact zero x is (x, x, 0.0)
-    x_prev, f_prev = lo, f(lo)
-    x = lo
-    while len(brackets) < k:
-        x += step
-        if x > hi:
-            raise BracketingError(
-                f"window ({lo:.6g}, {hi:.6g}] holds {len(brackets)} of {k} zeros"
-            )
-        fx = f(x)
-        if f_prev * fx < 0.0:
-            brackets.append((x_prev, x, f_prev))
-        elif fx == 0.0:
-            brackets.append((x, x, fx))
-        x_prev, f_prev = x, fx
-    zeros = []
-    for left, right, f_left in brackets:
-        while right - left > 1e-12:
-            mid = 0.5 * (left + right)
-            if not left < mid < right:
-                break
-            f_mid = f(mid)
-            if f_left * f_mid <= 0.0:
-                right = mid
-            else:
-                left, f_left = mid, f_mid
-        zeros.append(0.5 * (left + right))
-    return zeros
-
-
 def bessel_zeros(nu, k):
-    """First k positive zeros of F_nu (equivalently of J_nu), k >= 1, in
-    increasing order, from one scan.
+    """First k positive zeros of F_nu (equivalently of J_nu), 1 <= k <= 30, in
+    increasing order.
 
-    real_zeros with step pi/4 (zero spacing tends to pi) on a window of 16
-    times the expected position of the k-th zero.  Raises SeriesPrecisionError
-    when a zero's estimated error, eps * sum|t_n| / |F_nu'(x0)| over the
-    series terms t_n of F_nu(x0), exceeds _MAX_ZERO_ERROR.
+    They are 1/lambda for the k largest eigenvalues lambda of one symmetric
+    tridiagonal matrix of _BESSEL_ROWS rows, with zero diagonal and
+    off-diagonal 1/(2 sqrt((nu + m)(nu + m + 1))), m = 1.._BESSEL_ROWS - 1: the
+    recurrence J_{nu+m-1}(x) + J_{nu+m+1}(x) = (2 (nu + m) / x) J_{nu+m}(x),
+    symmetrized and cut off (Ikebe, Kikuchi & Fujishiro 1991, J. Comput. Appl.
+    Math. 38).  The matrix does not depend on k, so neither do a zero's bits.
     """
     if nu <= -1:
         raise ValueError(f"bessel_zero requires nu > -1, got {nu}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    window = max(20.0, (k + max(nu, 0.0) / 2.0) * math.pi + 10.0)
-    zeros = real_zeros(lambda x: bessel_f(nu, x).real, 0.0, k, math.pi / 4.0, 16 * window)
-    for x0 in zeros:
-        # sum|t_n| = 0F1(nu + 1, x0^2 / 4) / Gamma(nu + 1): positive terms, no cancellation
-        terms = hyp0f1(nu + 1.0, x0 * x0 / 4.0) / gamma_cx(nu + 1.0)
-        error = _DOUBLE_ROUNDOFF * abs(terms) / abs(bessel_f_prime(nu, x0))
-        if not error <= _MAX_ZERO_ERROR:
-            raise SeriesPrecisionError("bessel_zero", abs(bessel_f(nu, x0)), f"zero {x0} of "
-                                       f"F_{nu} with estimated error {error:.1e}")
-    return zeros
+    if not 1 <= k <= _MAX_BESSEL_ZEROS:
+        raise ValueError(f"k must be in [1, {_MAX_BESSEL_ZEROS}], got {k}")
+    m = np.arange(1.0, _BESSEL_ROWS) + nu
+    off = 0.5 / np.sqrt(m * (m + 1.0))
+    eig = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))  # ascending
+    return (1.0 / eig[::-1][:k]).tolist()
 
 
 def bessel_zero(nu, k):
-    """k-th positive zero of F_nu (equivalently of J_nu), k >= 1: the last of
-    bessel_zeros(nu, k)."""
+    """k-th positive zero of F_nu (equivalently of J_nu), 1 <= k <= 30: the
+    last of bessel_zeros(nu, k)."""
     return bessel_zeros(nu, k)[-1]
 
 

@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .limit_kernels import eval_limit_kernel, fit_internal_scale
+from .limit_kernels import fit_internal_scale
 from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
-from .special import bessel_zeros, gamma_cx, real_zeros
+from .special import bessel_zeros, gamma_cx
 
 __all__ = [
     "ConvergenceReport",
@@ -290,63 +290,20 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
     )
 
 
-def _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c):
-    s1 = {}
-    for n in n_values:  # ascending: the last window and hk are n_top's
-        zeros, i = _window(rec, n, xi, k_max, "freud_levin", right=True)
-        hk = float(h(kernel_diag(rec, n, xi)))
-        s1[n] = hk * float(zeros[i] - xi)
-    vals = np.array([s1[n] for n in n_values])
-    spread = float(vals.max() - vals.min())
-    kappa1 = float(vals[-1])
-    converged = spread <= 0.05 * max(abs(vals.mean()), 1e-12)
-
-    def kfn(x):
-        return eval_limit_kernel(limit_spec, scale_c * x, scale_c * kappa1).real
-
-    step = math.pi / (6.0 * scale_c)
-    lo = kappa1 + 1e-9
-    kappas = real_zeros(kfn, lo, k_max - 1, step, lo + 100000 * step)
-    preds = {1: kappa1}
-    preds.update({k + 2: float(z) for k, z in enumerate(kappas)})
-    scaled = {}
-    errs = []
-    n_top = max(n_values)
-    zeros_top = zeros[i: i + k_max]
-    for k in range(1, min(k_max, zeros_top.size) + 1):
-        scaled[(n_top, k)] = hk * (zeros_top[k - 1] - xi)
-        if k in preds and preds[k] != 0:
-            errs.append(abs(scaled[(n_top, k)] / preds[k] - 1.0))
-    return ZeroReport(
-        mode="freud_levin",
-        n_values=list(n_values),
-        scaled_zeros=scaled,
-        limit_predictions=preds,
-        max_rel_error_ratios=float(max(errs[1:], default=math.inf)),
-        extras={
-            "first_zero_scaled_by_n": s1,
-            "spread": spread,
-            "kappa1_converged": converged,
-            "scale_c": scale_c,
-        },
-    )
-
-
-def zero_study(rec, xi, h, mode, n_values, k_max,
-               limit_spec=None, scale_c=1.0):
+def zero_study(rec, xi, h, mode, n_values, k_max):
     """Local zero-configuration laws at xi, per mode.
 
     clock:       tau_n (xi_{j+1} - xi_j) -> 1, tau_n = h(K(n,xi,xi))
     hard_edge:   ratio law (xi_k/xi_1) -> (j_{beta-1,k}/j_{beta-1,1})^2, plus
                  the empirical exponent of h(K) and the absolute constants
     even_fh:     even/odd-degree scaled zeros vs j_{beta/2-1,k} / j_{beta/2,k}
-    freud_levin: remaining scaled zeros vs zeros of the limit kernel at the
-                 empirical kappa_1 (limit_spec and fitted scale_c required)
 
     Each study computes only a window of zeros around xi (oprl.zeros_near),
-    never the whole spectrum.  Raises ZeroWindowError when clock finds xi left
-    or right of every zero of p_n, or another mode finds no zero right of xi;
-    clock records gaps beyond the ends of the spectrum as insufficient.
+    never the whole spectrum; hard_edge and even_fh take their Bessel zeros
+    from special.bessel_zeros, which serves k_max <= 30.  Raises
+    ZeroWindowError when clock finds xi left or right of every zero of p_n, or
+    another mode finds no zero right of xi; clock records gaps beyond the ends
+    of the spectrum as insufficient.
     """
     n_values = sorted(int(n) for n in n_values)
     if mode == "clock":
@@ -355,10 +312,6 @@ def zero_study(rec, xi, h, mode, n_values, k_max,
         return _hard_edge_study(rec, xi, h, n_values, k_max)
     if mode == "even_fh":
         return _even_fh_study(rec, xi, h, n_values, k_max)
-    if mode == "freud_levin":
-        if limit_spec is None:
-            raise ValueError("freud_levin mode needs limit_spec")
-        return _freud_levin_study(rec, xi, h, n_values, k_max, limit_spec, scale_c)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -140,9 +140,11 @@ def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, un
      "measure.params"),
     ({"experiment": "opuc_bulk", "measure": {"name": "circle_jump", "params": {"sigma_plus": "x"}}},
      "measure.params"),
+    ({"experiment": "fisher_hartwig", "k_max": 31}, "k_max"),
 ], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
         "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative",
-        "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number"])
+        "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number",
+        "k_max_beyond_bessel_zeros"])
 def test_bad_value_exits_2(tmp_path, raw, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlab.special import (
-    BracketingError,
     GammaOverflowError,
     GammaPoleError,
     SeriesConvergenceError,
@@ -18,7 +17,6 @@ from cdlab.special import (
     gamma_cx,
     hyp0f1,
     kummer_m,
-    real_zeros,
 )
 
 SQRT_PI = 1.7724538509055159
@@ -165,15 +163,34 @@ def test_bessel_zero_half_order_within_error_contract():
         assert abs(bessel_zero(0.5, k) - k * math.pi) <= 1e-8
 
 
-@pytest.mark.parametrize("k", [6, 7, 8])
-def test_bessel_zero_raises_beyond_error_contract(k):
-    # the error of the zero is ~eps sum|t_n| / |F'|: 1.7e-8, 3.9e-7 and 9.1e-6
-    with pytest.raises(SeriesPrecisionError):
-        bessel_zero(0.5, k)
+def test_bessel_zero_half_order_to_k_20():
+    # j_{1/2,k} = k pi; the series scan raised SeriesPrecisionError from k = 6
+    for k in range(1, 21):
+        assert abs(bessel_zero(0.5, k) - k * math.pi) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 31])
+def test_bessel_zeros_outside_supported_range_raise(k):
+    with pytest.raises(ValueError, match="k must be in"):
+        bessel_zeros(0.5, k)
+
+
+@pytest.mark.parametrize("nu", [-0.75, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 10.0])
+def test_bessel_zeros_mpmath_oracle(nu):
+    mpmath = pytest.importorskip("mpmath")
+    zeros = bessel_zeros(nu, 20)
+    with mpmath.workdps(30):
+        for k, zero in enumerate(zeros, start=1):
+            if nu >= 0:
+                exact = mpmath.besseljzero(nu, k)
+            else:  # besseljzero takes nu >= 0 only; start from McMahon's estimate
+                exact = mpmath.findroot(lambda x: mpmath.besselj(nu, x),
+                                        (k + nu / 2.0 - 0.25) * math.pi)
+            assert abs(zero - float(exact)) <= 4e-15 * zero, (nu, k)
 
 
 def test_bessel_zero_j0():
-    # frozen: bisection at tightened tolerance on the truncated series
+    # j_{0,1}
     assert abs(bessel_zero(0.0, 1) - 2.404825557695773) <= 1e-10
 
 
@@ -188,23 +205,13 @@ def test_bessel_zero_increasing_and_sign_change():
 
 @pytest.mark.parametrize("nu", [-0.25, 0.5, 0.75, 1.5])
 def test_bessel_zeros_are_the_per_k_zeros(nu):
-    # one scan for all k gives each k-th zero's bits
-    assert bessel_zeros(nu, 5) == [bessel_zero(nu, k) for k in range(1, 6)]
+    # one eigenproblem for all k gives each k-th zero's bits
+    assert bessel_zeros(nu, 20) == [bessel_zero(nu, k) for k in range(1, 21)]
 
 
 def test_bessel_zero_bad_order():
     with pytest.raises(ValueError):
         bessel_zero(-1.5, 1)
-
-
-def test_real_zeros_exact_zero_adjacent_doubles_and_window():
-    # an exact zero on a scan point is returned as is
-    assert real_zeros(lambda x: x - 2.0, 0.0, 1, 0.5, 10.0) == [2.0]
-    # near 1e4 the spacing of doubles exceeds 1e-12: bisection stops there
-    (z,) = real_zeros(lambda x: x - 10000.3, 0.0, 1, 1.0, 2e4)
-    assert abs(z - 10000.3) <= 1e-11
-    with pytest.raises(BracketingError, match="1 of 2 zeros"):
-        real_zeros(math.sin, 1.0, 2, 0.25, 5.0)
 
 
 def test_kummer_bessel_identity_grid():

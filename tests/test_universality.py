@@ -11,7 +11,7 @@ from cdlab.canonical import (
     rescaled_kernel_kh,
     rescaled_schrodinger,
 )
-from cdlab.limit_kernels import ZeroDiagonalError, build_limit_kernel, sine_kernel
+from cdlab.limit_kernels import ZeroDiagonalError, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
 from cdlab.oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
 from cdlab.opuc import VerblunskyCoeffs, rescaled_cd_circle
@@ -117,36 +117,6 @@ def test_zero_study_even_fh():
     assert max(zr.extras["odd_zero_at_origin"].values()) <= 1e-12
 
 
-def test_zero_study_freud_levin(leg):
-    h = RegVarFn(scale=0.5, index=1.0)
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
-    zr = zero_study(leg, 0.0, h, "freud_levin", [90, 100, 110, 120], 4,
-                    limit_spec=spec, scale_c=math.pi)
-    # remaining scaled zeros match the zeros of K(. , kappa_1)
-    assert zr.max_rel_error_ratios <= 0.05
-    assert zr.extras["kappa1_converged"]
-
-
-def test_freud_levin_interlacing_continuity():
-    # zeros of K(., kappa1) interlace for nearby kappa1 values
-    from cdlab.limit_kernels import eval_limit_kernel
-    from cdlab.special import real_zeros
-
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
-    c = math.pi
-    k1a, k1b = 0.4, 0.55
-    za = real_zeros(
-        lambda x: eval_limit_kernel(spec, c * x, c * k1a).real, k1a + 1e-9, 4,
-        math.pi / (6 * c), 100.0)
-    zb = real_zeros(
-        lambda x: eval_limit_kernel(spec, c * x, c * k1b).real, k1b + 1e-9, 4,
-        math.pi / (6 * c), 100.0)
-    for a_lo, b_mid in zip(za, zb):
-        assert b_mid > a_lo  # shifted reference zero pushes zeros right
-    for b_mid, a_hi in zip(zb[:-1], za[1:]):
-        assert a_hi > b_mid
-
-
 def test_zero_study_scale_invariance(leg):
     # ratio outputs are invariant under h -> c h (bit-for-bit after division)
     rec = stieltjes_coeffs(gallery("power_hard_edge", beta=1.5), 100)
@@ -163,27 +133,23 @@ def _zero_study_cases():
     leg = stieltjes_coeffs(gallery("legendre"), 121)
     hard = stieltjes_coeffs(gallery("power_hard_edge", beta=1.5), 150)
     even = stieltjes_coeffs(gallery("even_fh", beta=2.0), 121)
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
     return [
-        (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
+        (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3),
         # only two zeros right of xi at n = 60: the window is clipped at index n
-        (leg, 0.99, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3, {}),
+        (leg, 0.99, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3),
         # a hard edge at 0: the window is clipped at index 0
-        (hard, 0.0, RegVarFn(scale=1.0, index=1.0 / 1.5), "hard_edge", [75, 150], 3, {}),
+        (hard, 0.0, RegVarFn(scale=1.0, index=1.0 / 1.5), "hard_edge", [75, 150], 3),
         (even, 0.0, asymptotic_inverse(RegVarFn(scale=2.0, index=2.0)), "even_fh",
-         [30, 60], 3, {}),
-        (leg, 0.0, RegVarFn(scale=0.5, index=1.0), "freud_levin", [90, 100, 110, 120], 4,
-         {"limit_spec": spec, "scale_c": math.pi}),
+         [30, 60], 3),
     ]
 
 
 def test_zero_study_window_matches_full_spectrum(monkeypatch):
-    windowed = [zero_study(rec, xi, h, mode, ns, k, **kw)
-                for rec, xi, h, mode, ns, k, kw in _zero_study_cases()]
+    windowed = [zero_study(*case) for case in _zero_study_cases()]
     monkeypatch.setattr(universality, "zeros_near",
                         lambda rec, n, xi, k: (0, poly_zeros(rec, n)))
-    for (rec, xi, h, mode, ns, k, kw), report in zip(_zero_study_cases(), windowed):
-        assert zero_study(rec, xi, h, mode, ns, k, **kw) == report, mode
+    for case, report in zip(_zero_study_cases(), windowed):
+        assert zero_study(*case) == report, case[3]
 
 
 @pytest.mark.parametrize("xi", [1.5, -1.5])
@@ -197,13 +163,10 @@ def test_clock_study_outside_the_zeros(leg, xi):
 @pytest.mark.parametrize("mode, n_values", [
     ("hard_edge", [30, 60]),
     ("even_fh", [14, 29]),
-    ("freud_levin", [30, 60]),
 ])
 def test_zero_study_without_zero_right_of_xi(leg, mode, n_values):
-    spec = build_limit_kernel(1.0, 1.0, 1.0)
     with pytest.raises(universality.ZeroWindowError) as info:
-        zero_study(leg, 1.5, RegVarFn(scale=1.0, index=1.0), mode, n_values, 3,
-                   limit_spec=spec, scale_c=math.pi)
+        zero_study(leg, 1.5, RegVarFn(scale=1.0, index=1.0), mode, n_values, 3)
     assert (info.value.mode, info.value.xi) == (mode, 1.5)
     assert info.value.n in (n_values[0], 2 * n_values[0])
     assert isinstance(info.value, ValueError)
