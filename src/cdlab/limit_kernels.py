@@ -179,47 +179,56 @@ def kernel_components(spec, z, derivative=False):
     whose imaginary part has its sign bit set (x - 0j too) gets the
     conjugates of the components at conj z: the kernel is exactly Hermitian.
 
-    Results are memoized in a bounded LRU keyed on the spec, the bits of z
-    and derivative: a kernel on N^2 sample pairs needs A and B at only N
-    points.  A hit returns the bits a fresh evaluation gives; failures are
-    not cached, and a z holding a NaN is never looked up.
+    The series values are memoized in one bounded LRU (_sums) keyed on the
+    spec and the bits of z: a kernel on N^2 sample pairs needs A and B at only
+    N points, and a point asked for with derivative=True after a plain call
+    sums only the series A' and B' add.  A hit returns the bits a fresh
+    evaluation gives; failures are not cached, and a z holding a NaN is never
+    looked up.
     """
     z = complex(z)
     if math.copysign(1.0, z.imag) < 0:
         return tuple(c.conjugate() for c in kernel_components(spec, z.conjugate(), derivative))
     key = struct.pack("<2d", z.real, z.imag)
-    if z != z:
-        return _kernel_components.__wrapped__(spec, key, derivative)
-    return _kernel_components(spec, key, derivative)
-
-
-@functools.lru_cache(maxsize=256)
-def _kernel_components(spec, key, derivative):
-    z = complex(*struct.unpack("<2d", key))
+    sums = _sums(spec, key) if z == z else _sums.__wrapped__(spec, key)
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
-        u = -2j * kap * z
+        if derivative and len(sums) == 3:
+            u = -2j * kap * z
+            sums += [kummer_m(a + 2, b + 1, u), kummer_m(a + 2, b + 2, u)]
         e = cmath.exp(1j * kap * z)
-        m_a = kummer_m(a, b, u)
-        m_a1 = kummer_m(a + 1, b, u)
-        m_b = kummer_m(a + 1, b + 1, u)
+        m_a, m_a1, m_b = sums[:3]
         A, B = e * (m_a + m_a1) / 2.0, z * e * m_b
         if not derivative:
             return A, B
         dA = 1j * kap * e * (m_a + m_a1) / 2.0 + e * (-2j * kap) * (
-            (a / b) * m_b + ((a + 1) / b) * kummer_m(a + 2, b + 1, u)
+            (a / b) * m_b + ((a + 1) / b) * sums[3]
         ) / 2.0
         dB = e * m_b + z * (
             1j * kap * e * m_b
-            + e * (-2j * kap) * ((a + 1) / (b + 1)) * kummer_m(a + 2, b + 2, u)
+            + e * (-2j * kap) * ((a + 1) / (b + 1)) * sums[4]
         )
         return A, B, dA, dB
     s, b = spec.sigma, spec.beta
-    f_b1 = hyp0f1(b + 1, -s * z)
-    A, B = hyp0f1(b, -s * z), z * f_b1
+    if derivative and len(sums) == 2:
+        sums.append(hyp0f1(b + 2, -s * z))
+    f_b, f_b1 = sums[:2]
+    A, B = f_b, z * f_b1
     if not derivative:
         return A, B
-    return A, B, (-s / b) * f_b1, f_b1 + z * (-s / (b + 1)) * hyp0f1(b + 2, -s * z)
+    return A, B, (-s / b) * f_b1, f_b1 + z * (-s / (b + 1)) * sums[2]
+
+
+@functools.lru_cache(maxsize=256)
+def _sums(spec, key):
+    """The series A and B need at the z of key: [M(a,b,u), M(a+1,b,u),
+    M(a+1,b+1,u)] (two-sided) or [0F1(b,-sz), 0F1(b+1,-sz)] (one-sided).
+    kernel_components appends, in place, the one or two that A' and B' add."""
+    z = complex(*struct.unpack("<2d", key))
+    if spec.case == "two-sided":
+        a, b, u = spec.alpha, spec.beta, -2j * spec.kappa * z
+        return [kummer_m(a, b, u), kummer_m(a + 1, b, u), kummer_m(a + 1, b + 1, u)]
+    return [hyp0f1(spec.beta, -spec.sigma * z), hyp0f1(spec.beta + 1, -spec.sigma * z)]
 
 
 def eval_limit_kernel(spec, z, w):
@@ -278,19 +287,25 @@ def fit_internal_scale(samples, target):
     sup-error (non-finite samples, or a target that fails everywhere), and
     when the scan's minimum is c = 1e-2 or c = 1e2: the best scale may then
     lie outside the range.
+
+    The search only asks whether a new value beats a bound: the scan's best
+    so far (the first minimum wins, as np.argmin picks it), or the other
+    golden-section point (x1 must be below f2, x2 at most f1).  So the sup
+    stops once it reaches the bound, trying first the sample that set the
+    last sup: such a partial value loses as the full one would and is never
+    kept, and every value that is kept is exact.  The residual is a full
+    evaluation.
     """
     if len(samples) < 10:
         raise ValueError("need at least 10 samples")
-    zs = np.array([s.z for s in samples], dtype=complex)
-    ws = np.array([s.w for s in samples], dtype=complex)
-    vals = np.array([s.value for s in samples], dtype=complex)
+    pairs = [(complex(s.z), complex(s.w), complex(s.value)) for s in samples]
 
-    def objective(log_c):
+    def objective(log_c, bound=math.inf):
         # scales that overflow the series (or fail to converge) are just
         # infinitely bad, not errors
         c = math.exp(log_c)
-        worst = 0.0
-        for z, w, val in zip(zs, ws, vals):
+        worst, lead = 0.0, 0
+        for k, (z, w, val) in enumerate(pairs):
             try:
                 pred = target(c * z, c * w)
             except (OverflowError, RuntimeError):
@@ -298,12 +313,18 @@ def fit_internal_scale(samples, target):
             d = abs(val - pred)
             if not math.isfinite(d):
                 return math.inf
-            worst = max(worst, d)
+            if d > worst:
+                worst, lead = d, k
+                if worst >= bound:
+                    break
+        pairs.insert(0, pairs.pop(lead))
         return worst
 
     lo, hi = math.log(1e-2), math.log(1e2)
     grid = np.linspace(lo, hi, 81)
-    vals_grid = [objective(x) for x in grid]
+    vals_grid = []
+    for x in grid:
+        vals_grid.append(objective(x, min(vals_grid, default=math.inf)))
     i = int(np.argmin(vals_grid))
     if not math.isfinite(vals_grid[i]):
         raise ScaleFitError("no scale in [1e-2, 1e2] gives a finite sup-error")
@@ -315,16 +336,17 @@ def fit_internal_scale(samples, target):
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
+    f1 = objective(x1)
+    f2 = objective(x2, math.nextafter(f1, math.inf))  # x2 wins a tie: stop above f1
     for _ in range(90):
         if f1 < f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - phi * (b - a)
-            f1 = objective(x1)
+            f1 = objective(x1, f2)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
-            f2 = objective(x2)
+            f2 = objective(x2, math.nextafter(f1, math.inf))
         if b - a < 1e-14:
             break
     log_c = (a + b) / 2.0

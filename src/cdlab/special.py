@@ -180,7 +180,8 @@ def _sum_series(name, first_term, step):
         size = abs(term)
         if size > biggest:
             biggest = size
-        if size <= _REL_TOL * max(abs(total), 1e-300):
+        mag = abs(total)  # max(mag, 1e-300), NaN kept, without a call per term
+        if size <= _REL_TOL * (1e-300 if mag < 1e-300 else mag):
             small += 1
             if small >= 3:
                 error = _DOUBLE_ROUNDOFF * biggest
@@ -210,7 +211,8 @@ def _kummer_series_extended(a, b, z):
         size = abs(term)
         if size > biggest:
             biggest = size
-        if size <= _REL_TOL * 1e-3 * max(abs(total), 1e-300):
+        mag = abs(total)
+        if size <= _REL_TOL * 1e-3 * (1e-300 if mag < 1e-300 else mag):
             small += 1
             if small >= 3:
                 value = complex(total)
