@@ -9,9 +9,12 @@ verdict tags, `passed` and every report.json value against
 perfbench/reference.json) and the largest relative change of a report.json
 number against that reference (numbers at rounding level, at most perfbench's
 ATOL on both sides, are left out: the check compares them to ATOL only).
-With --against DIR it also gives the largest relative change against the
-report.json of the same config under the output root DIR, for example one
-written by this script at another commit.
+With --against DIR it also compares each config's output directory with the
+one of the same config under the output root DIR, for example one written by
+this script at another commit: it gives `identical` when every output file
+(report.json and the CSVs) has the same bytes, else the names of the files
+that differ or exist on one side only, and the largest relative change of the
+report.json numbers.
 
 Exits 1 when the reference check of any config fails (or a config has no
 reference entry), else 0.  A config that fails as its reference records is not
@@ -73,15 +76,27 @@ def reference_check(bench, reference, path, code, out):
     return not problems, f"{verdict}; largest relative change {change:.2g} ({key})"
 
 
+def differing_files(out, other):
+    """Names of the files in the directories out and other that are not the
+    same bytes on both sides (a file on one side only differs)."""
+    names = {p.name for d in (out, other) if d.is_dir() for p in d.iterdir()}
+    return sorted(name for name in names
+                  if not all((d / name).is_file() for d in (out, other))
+                  or (out / name).read_bytes() != (other / name).read_bytes())
+
+
 def against_check(bench, out, other):
-    """One summary phrase with the largest change of the run's report.json
-    numbers against the report.json under the directory other."""
+    """One summary phrase with the byte identity of the run's output files and
+    the largest change of its report.json numbers against the directory
+    other."""
+    files = differing_files(out, other)
+    identity = "identical" if not files else f"differ: {', '.join(files)}"
     try:
         got, old = (bench.summarize_output(None, str(d))["values"] for d in (out, other))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        return f"against {other}: unreadable report.json ({exc.__class__.__name__})"
+        return f"against {other}: {identity}; unreadable report.json ({exc.__class__.__name__})"
     change, key = largest_change(got, old, bench.ATOL)
-    return f"against {other}: {change:.2g} ({key})"
+    return f"against {other}: {identity}; {change:.2g} ({key})"
 
 
 def main():

@@ -46,7 +46,6 @@ from .oprl import (
 from .opuc import (
     VerblunskyCoeffs,
     SzegoValues,
-    verblunsky_from_measure,
     szego_eval,
     cd_kernel_circle,
     rescaled_cd_circle,

@@ -86,8 +86,6 @@ CHECKS = {
     "tolerance": _POSITIVE,
     "scaling": _OBJECT,
     "scaling.eta": _POSITIVE,
-    "scaling.beta": _POSITIVE,
-    "scaling.scale": _POSITIVE,
     "k_max": (lambda v: isinstance(v, int) and 1 <= v <= _MAX_BESSEL_ZEROS,
               f"must be an integer in [1, {_MAX_BESSEL_ZEROS}]"),
     "betas": _POSITIVE_LIST,
@@ -205,18 +203,13 @@ def _normalized_scaling(mu, xi):
 def _estimated_scaling(mu, xi, pinned):
     """Scaling function h for the rescaled kernels of the measure.
 
-    Pins: scaling.eta (bulk, h(t) = eta t) or scaling.beta with unit scale.
-    Otherwise the mass-normalized local_scaling estimates (beta, sigma+-) of
-    _normalized_scaling: h is the asymptotic inverse of
-    g(r) = (2/(sigma- + sigma+)) r^beta, which makes the summed one-sided
-    limits of the normalized measure equal 2.
+    With the pin scaling.eta, h(t) = eta t.  Otherwise the mass-normalized
+    local_scaling estimates (beta, sigma+-) of _normalized_scaling: h is the
+    power inverse of g(r) = (2/(sigma- + sigma+)) r^beta, which makes the
+    summed one-sided limits of the normalized measure equal 2.
     """
     if "eta" in pinned:
         return RegVarFn(scale=float(pinned["eta"]), index=1.0), {"eta": pinned["eta"]}
-    if "beta" in pinned:
-        beta = float(pinned["beta"])
-        scale = float(pinned.get("scale", 1.0))
-        return RegVarFn(scale=scale, index=1.0 / beta), {"beta": beta, "scale": scale}
     scl, sig = _normalized_scaling(mu, xi)
     return measures.asymptotic_inverse(RegVarFn(scale=2.0 / sig, index=scl["beta_hat"])), scl
 
@@ -273,14 +266,10 @@ def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
     return lines, passed, data
 
 
-def _run_opuc_bulk(out_dir, measure={"name": "circle_lebesgue", "params": {}}, xi=0.0,
-                   n_values=(1000, 10000), grid=GRID, tolerance=0.01):
+def _run_opuc_bulk(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
     """circle CD kernels (free coefficients) vs the sine kernel"""
     n_top = int(max(n_values))
-    if measure["name"] == "circle_lebesgue":
-        v = opuc.VerblunskyCoeffs.free(n_top)
-    else:
-        v = opuc.verblunsky_from_measure(_gallery_measure(measure), n_top)
+    v = opuc.VerblunskyCoeffs.free(n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
     report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, xi, h), sine_kernel,
                           n_values, grid, tolerance)

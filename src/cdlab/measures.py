@@ -1,6 +1,6 @@
-"""Measures on the line (and angle measures on the circle), their local mass
-asymptotics, regularly varying scaling functions, Cauchy transforms, and the
-gallery of example measures used by the experiments.
+"""Measures on the line, their local mass asymptotics, power scaling
+functions, Cauchy transforms, and the gallery of example measures used by
+the experiments.
 
 Interval convention is half-open [a, b) throughout: an atom at a counts, an
 atom at b does not.  AC pieces carry endpoint singularity exponents > -1; all
@@ -253,11 +253,10 @@ def local_scaling(mu, xi, r_grid):
 
 @dataclass(frozen=True)
 class RegVarFn:
-    """g(r) = scale * r^index * log(e + r)^log_exponent."""
+    """g(r) = scale * r^index."""
 
     scale: float = 1.0
     index: float = 1.0
-    log_exponent: float = 0.0
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -265,45 +264,15 @@ class RegVarFn:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = self.scale * r ** self.index * np.log(np.e + r) ** self.log_exponent
+        out = self.scale * r ** self.index
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class _InverseRegVar:
-    """Asymptotic inverse of a RegVarFn with a log factor.
-
-    Fixed-point iterations of r <- (t/(scale log(e+r)^gamma))^(1/beta) from
-    the seed r = (t/scale)^(1/beta); three iterations are needed to bring the
-    g(r) = r log(e+r) round trip within 1% at r = 1e6.
-    """
-
-    g: RegVarFn
-
-    @property
-    def index(self):
-        return 1.0 / self.g.index
-
-    @property
-    def scale(self):
-        return self.g.scale ** (-1.0 / self.g.index)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        beta, s, gam = self.g.index, self.g.scale, self.g.log_exponent
-        r = (t / s) ** (1.0 / beta)
-        for _ in range(3):
-            r = (t / (s * np.log(np.e + r) ** gam)) ** (1.0 / beta)
-        return float(r) if r.ndim == 0 else r
-
-
 def asymptotic_inverse(g):
-    """h with h(g(r))/r -> 1; exact power inverse when g has no log factor."""
+    """The power inverse h of g, itself a RegVarFn: h(g(r)) = r up to rounding."""
     if g.index <= 0:
         raise ValueError("asymptotic inverse needs index > 0")
-    if g.log_exponent == 0.0:
-        return RegVarFn(scale=g.scale ** (-1.0 / g.index), index=1.0 / g.index)
-    return _InverseRegVar(g)
+    return RegVarFn(scale=g.scale ** (-1.0 / g.index), index=1.0 / g.index)
 
 
 def cauchy_transform(mu, z):
@@ -323,6 +292,14 @@ def cauchy_transform(mu, z):
 # gallery
 # ---------------------------------------------------------------------------
 
+def _finite(name, value):
+    """value as a float; a ValueError naming the parameter if it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _pure_point_bulk(cutoff=100000):
     """Atoms of mass 1/(j(j+1)) at +-1/j, j <= cutoff; truncation mass 1/cutoff
     per side is dropped."""
@@ -337,7 +314,7 @@ def _pure_point_bulk(cutoff=100000):
 
 
 def _power_hard_edge(beta=1.5):
-    beta = float(beta)
+    beta = _finite("beta", beta)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     piece = AcPiece(0.0, 1.0, lambda x: beta * x ** (beta - 1.0),
@@ -347,7 +324,7 @@ def _power_hard_edge(beta=1.5):
 
 def _even_fh(beta=1.5):
     """Even weight (beta/2)|x|^(beta-1) on [-1,1]; nu([0,t)) = t^beta/2."""
-    beta = float(beta)
+    beta = _finite("beta", beta)
     if beta <= 0:
         raise ValueError("beta must be > 0")
     w = lambda x: (beta / 2.0) * np.abs(x) ** (beta - 1.0)
@@ -368,7 +345,7 @@ def _legendre():
 
 
 def _jump(sigma_minus=0.5, sigma_plus=1.0):
-    sm, sp = float(sigma_minus), float(sigma_plus)
+    sm, sp = _finite("sigma_minus", sigma_minus), _finite("sigma_plus", sigma_plus)
     if sm < 0 or sp < 0 or sm + sp == 0:
         raise ValueError("need sigma+- >= 0, not both zero")
     pieces = []
@@ -379,23 +356,6 @@ def _jump(sigma_minus=0.5, sigma_plus=1.0):
     return Measure(pieces=tuple(pieces), name=f"jump({sm},{sp})")
 
 
-def _circle_lebesgue():
-    """Normalized arc length, parameterized by angle on [-pi, pi)."""
-    piece = AcPiece(-math.pi, math.pi, lambda t: np.full_like(t, 1.0 / (2.0 * math.pi)))
-    return Measure(pieces=(piece,), name="circle_lebesgue")
-
-
-def _circle_jump(sigma_minus=0.5, sigma_plus=1.0):
-    """Angle measure with a jump at angle 0, normalized to a probability."""
-    sm, sp = float(sigma_minus), float(sigma_plus)
-    if sm <= 0 or sp <= 0:
-        raise ValueError("circle_jump needs sigma+- > 0")
-    tot = math.pi * (sm + sp)
-    left = AcPiece(-math.pi, 0.0, lambda t, c=sm / tot: np.full_like(t, c))
-    right = AcPiece(0.0, math.pi, lambda t, c=sp / tot: np.full_like(t, c))
-    return Measure(pieces=(left, right), name=f"circle_jump({sm},{sp})")
-
-
 _GALLERY = {
     "pure_point_bulk": _pure_point_bulk,
     "power_hard_edge": _power_hard_edge,
@@ -403,8 +363,6 @@ _GALLERY = {
     "chebyshev": _chebyshev,
     "legendre": _legendre,
     "jump": _jump,
-    "circle_lebesgue": _circle_lebesgue,
-    "circle_jump": _circle_jump,
 }
 
 

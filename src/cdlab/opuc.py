@@ -22,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
-from .oprl import KernelOverflowError, _chain, _discretize
+from .oprl import KernelOverflowError, _chain
 
 __all__ = [
     "VerblunskyCoeffs",
     "SzegoValues",
-    "verblunsky_from_measure",
     "szego_eval",
     "cd_kernel_circle",
     "kernel_diag_circle",
@@ -62,41 +61,6 @@ class SzegoValues:
     zeta: complex
     phi: np.ndarray
     phi_star: np.ndarray
-
-
-def verblunsky_from_measure(mu_circle, n_max):
-    """Verblunsky coefficients of an angle measure on the circle.
-
-    The measure (parameterized by angle) is discretized exactly as in
-    stieltjes_coeffs (_discretize), monic polynomials are advanced by the
-    Szego recursion with alpha_n read off from inner products, and each new
-    polynomial is re-projected onto the orthogonal complement of its
-    predecessors (monic leading coefficient untouched).
-    """
-    theta, w = _discretize(mu_circle, n_max)
-    w = w / w.sum()
-    zeta = np.exp(1j * theta)
-
-    def inner(f, g):
-        return np.sum(w * f * np.conj(g))
-
-    big_phi = np.ones_like(zeta)  # monic Phi_n on the nodes
-    basis = [big_phi / math.sqrt(float(np.real(inner(big_phi, big_phi))))]
-    alphas = np.empty(n_max, dtype=complex)
-    power = np.ones_like(zeta)  # zeta^n
-    for n in range(n_max):
-        big_star = power * np.conj(big_phi)  # zeta^n conj(Phi_n) = Phi*_n on |zeta|=1
-        nrm_sq = float(np.real(inner(big_phi, big_phi)))
-        alpha = np.conj(inner(zeta * big_phi, big_star) / nrm_sq)
-        if abs(alpha) >= 1.0:
-            raise ValueError(f"|alpha_{n}| >= 1 from discretization (ill-conditioned)")
-        alphas[n] = alpha
-        big_phi = zeta * big_phi - np.conj(alpha) * big_star
-        for q in basis:  # full reorthogonalization; degree <= n components only
-            big_phi = big_phi - inner(big_phi, q) * q
-        basis.append(big_phi / math.sqrt(float(np.real(inner(big_phi, big_phi)))))
-        power = power * zeta
-    return VerblunskyCoeffs(alphas, source=mu_circle.name or "circle measure")
 
 
 def szego_eval(v, n, zeta):

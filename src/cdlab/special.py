@@ -290,8 +290,8 @@ def bessel_zeros(nu, k):
     symmetrized and cut off (Ikebe, Kikuchi & Fujishiro 1991, J. Comput. Appl.
     Math. 38).  The matrix does not depend on k, so neither do a zero's bits.
     """
-    if nu <= -1:
-        raise ValueError(f"bessel_zero requires nu > -1, got {nu}")
+    if not nu > -1:
+        raise ValueError(f"bessel_zeros requires nu > -1, got {nu}")
     if not 1 <= k <= _MAX_BESSEL_ZEROS:
         raise ValueError(f"k must be in [1, {_MAX_BESSEL_ZEROS}], got {k}")
     m = np.arange(1.0, _BESSEL_ROWS) + nu

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import math
 import pathlib
 
 import pytest
@@ -94,7 +95,7 @@ def test_declared_defaults_pass_the_value_checks(name):
 
 def test_accepted_settings_are_the_runner_keywords():
     # each experiment also takes output_dir
-    assert sum(len(_declared_defaults(run)) + 1 for run in EXPERIMENTS.values()) <= 47
+    assert sum(len(_declared_defaults(run)) + 1 for run in EXPERIMENTS.values()) <= 46
     assert "tolerance" not in _declared_defaults(EXPERIMENTS["identities"])
     assert "measure" not in _declared_defaults(EXPERIMENTS["hard_edge"])
 
@@ -105,6 +106,7 @@ def test_accepted_settings_are_the_runner_keywords():
     ("fisher_hartwig", "grid"),
     ("jump", "scaling"),
     ("opuc_bulk", "betas"),
+    ("opuc_bulk", "measure"),
     ("sparse", "measure"),
     ("schrodinger", "measure"),
     ("identities", "grid"),
@@ -138,13 +140,25 @@ def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, un
      "measure.params"),
     ({"experiment": "jump", "measure": {"name": "jump", "params": {"sigma_minus": -0.5}}},
      "measure.params"),
-    ({"experiment": "opuc_bulk", "measure": {"name": "circle_jump", "params": {"sigma_plus": "x"}}},
+    ({"experiment": "jump", "measure": {"name": "jump", "params": {"sigma_plus": "x"}}},
      "measure.params"),
+    ({"experiment": "bulk", "measure": {"name": "power_hard_edge", "params": {"beta": math.inf}}},
+     "measure.params"),
+    ({"experiment": "bulk", "measure": {"name": "power_hard_edge", "params": {"beta": math.nan}}},
+     "measure.params"),
+    ({"experiment": "bulk", "measure": {"name": "even_fh", "params": {"beta": math.inf}}},
+     "measure.params"),
+    ({"experiment": "jump", "measure": {"name": "jump", "params": {"sigma_plus": math.inf}}},
+     "measure.params"),
+    ({"experiment": "jump", "measure": {"name": "jump", "params": {"sigma_minus": math.nan}}},
+     "measure.params"),
+    ({"experiment": "bulk", "scaling": {"beta": 1.5}}, "scaling.beta"),
     ({"experiment": "fisher_hartwig", "k_max": 31}, "k_max"),
 ], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
         "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative",
         "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number",
-        "k_max_beyond_bessel_zeros"])
+        "gallery_beta_inf", "gallery_beta_nan", "gallery_even_fh_inf", "gallery_sigma_inf",
+        "gallery_sigma_nan", "scaling_beta", "k_max_beyond_bessel_zeros"])
 def test_bad_value_exits_2(tmp_path, raw, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cdlab.measures import Measure, RegVarFn, gallery
+from cdlab.measures import RegVarFn
 from cdlab.oprl import KernelOverflowError
 from cdlab.opuc import (
     VerblunskyCoeffs,
@@ -14,7 +14,6 @@ from cdlab.opuc import (
     opuc_interp_kernel,
     rescaled_cd_circle,
     szego_eval,
-    verblunsky_from_measure,
 )
 
 
@@ -156,46 +155,6 @@ def test_canonical_kernel_diag_positive():
         assert val.real > 0
         # free case closed form sin((n+s)u/2)/u -> (n+s)/2 on the diagonal
         assert abs(val.real - t / 2.0) <= 1e-10 * t
-
-
-def test_verblunsky_from_lebesgue():
-    v = verblunsky_from_measure(gallery("circle_lebesgue"), 12)
-    assert np.max(np.abs(v.alpha)) <= 1e-10
-
-
-@pytest.mark.parametrize("n_atoms", [1, 3])
-def test_verblunsky_support_too_small(n_atoms):
-    from cdlab.oprl import SupportTooSmallError
-
-    mu = Measure(np.linspace(0.1, 2.0, n_atoms), np.ones(n_atoms))
-    with pytest.raises(SupportTooSmallError):
-        verblunsky_from_measure(mu, 3)
-
-
-def test_verblunsky_from_jump_matches_kernels():
-    # coefficients from the discretized measure reproduce the CD kernel
-    # computed by direct node sums (independent route)
-    mu = gallery("circle_jump", sigma_minus=0.5, sigma_plus=1.0)
-    n = 10
-    v = verblunsky_from_measure(mu, n)
-    from cdlab.oprl import _discretize
-
-    theta, wts = _discretize(mu, 60)
-    wts = wts / wts.sum()
-    nodes = np.exp(1j * theta)
-    # Gram-Schmidt the monomials on the nodes as the oracle
-    basis = []
-    for k in range(n):
-        vec = nodes ** k
-        for q in basis:
-            vec = vec - np.sum(wts * vec * np.conj(q)) * q
-        basis.append(vec / np.sqrt(np.sum(wts * np.abs(vec) ** 2)))
-    zeta, omega = cmath.exp(0.4j), cmath.exp(-0.9j)
-    iz = int(np.argmin(np.abs(nodes - zeta)))  # evaluate at a node
-    io = int(np.argmin(np.abs(nodes - omega)))
-    oracle = sum(q[iz] * np.conj(q[io]) for q in basis)
-    mine = cd_kernel_circle(v, n, nodes[iz], nodes[io], method="sum")
-    assert abs(mine - oracle) <= 1e-8 * max(abs(oracle), 1.0)
 
 
 def test_circle_gram_positivity(alphas):

@@ -210,8 +210,10 @@ def test_bessel_zeros_are_the_per_k_zeros(nu):
 
 
 def test_bessel_zero_bad_order():
-    with pytest.raises(ValueError):
-        bessel_zero(-1.5, 1)
+    # a NaN order passed the check and raised numpy's LinAlgError
+    for nu in (-1.5, math.nan):
+        with pytest.raises(ValueError, match="bessel_zeros requires nu > -1"):
+            bessel_zero(nu, 1)
 
 
 def test_kummer_bessel_identity_grid():
