@@ -57,8 +57,8 @@ def _expect(cond, field_path, message):
         raise ConfigError(field_path, message)
 
 
-def _is_number(v):
-    return isinstance(v, (int, float))
+def _is_number(v):  # JSON's NaN and Infinity are not numbers here
+    return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
 
 
 def _is_positive_list(v):

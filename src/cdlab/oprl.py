@@ -9,7 +9,9 @@ Second-kind polynomials are not a separate sequence: q_n = p^(1)_{n-1} / a_1
 (q_0 = 0), where p^(1) are the polynomials of the shifted coefficients
 (a_{n+1}, b_{n+1}), so eval_polys of RecurrenceCoeffs(a[1:], b[1:]) gives them.
 Coefficients come from a quadrature discretization of the measure followed by
-Lanczos tridiagonalization (folded onto x^2 for symmetric measures).  Zeros
+Lanczos tridiagonalization (folded onto x^2 for symmetric measures), which
+first merges the runs of a large node set into their Jacobi blocks and stores
+a run's basis only when Simon's estimate fires or the run breaks down.  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
 bisection: deterministic, strictly increasing, and the same bits whether all
 n zeros are asked for (poly_zeros) or only a window of them around a point
@@ -142,84 +144,112 @@ def _lanczos(x, w, m):
     """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i).
 
     The block reads only the moments of degree <= 2m - 1.  While there are
-    more than 2B nodes, B = 32 m, each run of B consecutive nodes is replaced
-    by its m-point Gauss rule (Golub-Welsch on the run's own Jacobi block),
-    which keeps those moments, so the Krylov basis is m x O(N/32) instead of
-    m x N (discretize-and-merge: Gautschi 2004, Sec. 2.2; Fischer & Golub
-    1992).  A run whose own Jacobi block breaks down keeps its atoms.  Equal
-    adjacent nodes are first made one node, so no run boundary splits them.
-    Every run and the final block go through _krylov, which reorthogonalizes
-    only where Simon's estimate passes sqrt(eps): never on the narrow runs
-    of a pure-point measure near its accumulation point.
+    more than 2B entries, B = 32 m, each run of B entries becomes its own m x m
+    Jacobi block with the run's mass on its first entry, which keeps those
+    moments (discretize-and-merge: Gautschi 2004, Sec. 2.2), and Lanczos goes
+    on over the block-diagonal tridiagonal operator.  Equal adjacent nodes are
+    first made one node, and B is a multiple of m, so no run splits a node or
+    a block.  A level's runs go through _krylov in stacks of about 2^15
+    entries with no stored basis; a run is redone with its basis only when
+    Simon's estimate fires or it breaks down (then it keeps its entries).
     """
     if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
         distinct = np.append(True, x[1:] != x[:-1])
         x, w = x[distinct], np.add.reduceat(w, np.flatnonzero(distinct))
-    block = 32 * m
+    block, off = 32 * m, None  # off[i] couples entries i and i + 1; None while no block has two
     while x.size > 2 * block:
-        xs, ws = zip(*(_gauss_rule(x[s : s + block], w[s : s + block], m)
-                       for s in range(0, x.size, block)))
-        if sum(r.size for r in xs) == x.size:  # no run could be merged
+        runs, per = -(-x.size // block), max(1, 2**15 // block)  # per: cache-sized stacks
+        # the runs as rows, the last padded by uncoupled entries of zero weight
+        X, W, O = (None if a is None else np.pad(a, (0, runs * block - x.size)).reshape(runs, block)
+                   for a in (x, w, off))
+        d, e = map(np.concatenate, zip(*(
+            _krylov(X[i : i + per], W[i : i + per], m, None if O is None else O[i : i + per, :-1], False)
+            for i in range(0, runs, per))))
+        parts = []
+        for r in range(runs):
+            run = slice(r * block, (r + 1) * block)
+            try:
+                if np.isnan(d[r, 0]):
+                    d[r], e[r] = _krylov(x[run], w[run], m, None if off is None else off[run][:-1])
+                parts.append((d[r], np.append(w[run].sum(), np.zeros(m - 1)), np.append(e[r], 0.0)))
+            except PositivityLossError:
+                parts.append((x[run], w[run], np.zeros(x[run].size) if off is None else off[run]))
+        if sum(p[0].size for p in parts) == x.size:  # no run could be merged
             break
-        x, w = np.concatenate(xs), np.concatenate(ws)
-    return _krylov(x, w, m)
+        x, w, off = map(np.concatenate, zip(*parts))
+    return _krylov(x, w, m, None if off is None else off[:-1])
 
 
-def _gauss_rule(x, w, m):
-    """m-point Gauss rule (nodes, weights) of sum w_i delta(x_i), exact to
-    degree 2m - 1; (x, w) itself when it has no m x m Jacobi block (fewer
-    than m distinct nodes, or a breakdown)."""
-    try:
-        d, e = _krylov(x, w, m)  # the start vector is normalized: unit mass
-    except PositivityLossError:
-        return x, w
-    nodes, vectors = np.linalg.eigh(np.diag(d) + np.diag(e, -1))
-    return nodes, w.sum() * vectors[0] ** 2
+def _krylov(x, w, m, off=None, basis=True):
+    """m Lanczos steps from sqrt(w), normalized, on the tridiagonal operator
+    with diagonal x and off-diagonal off (None: zero), for each row of the
+    stack x (or x as one row): the Jacobi blocks' diagonals d (rows x m) and
+    off-diagonals e (rows x (m - 1)), vectors for one row.
 
-
-def _krylov(x, w, m):
-    """The Lanczos loop of _lanczos on the nodes as given, with partial
-    reorthogonalization (Simon 1984, Math. Comp. 42).
-
-    Simon's recurrence estimates omega_{k+1,j} ~ q_{k+1} . q_j from d, e and
-    the two previous rows, plus a rounding term eps max|x| / e_k.  Only when
-    some |omega_{k+1,j}| exceeds sqrt(eps) are q_{k+1} and then q_{k+2}
-    reorthogonalized against the whole stored basis (twice when the first
-    pass cancels, Kahan-Parlett), and their rows reset to eps.  The basis
-    stays semi-orthogonal, which keeps d and e accurate to working precision;
-    the threshold and the rounding term come from that theory, not options.
+    Simon's recurrence (Simon 1984, Math. Comp. 42) estimates omega_{k+1,j} ~
+    q_{k+1} . q_j from d, e and the two previous rows, plus a rounding term
+    eps r / e_k, r the Gershgorin bound max_i |x_i| + |off_{i-1}| + |off_i|.
+    With the stored basis (one row), q_{k+1} and q_{k+2} are reorthogonalized
+    against it (twice if the first pass cancels, Kahan-Parlett) only when some
+    |omega_{k+1,j}| passes sqrt(eps), which keeps d and e accurate to working
+    precision, and a breakdown raises PositivityLossError; without it, a row
+    whose estimate fires or that breaks down comes back NaN.
     """
-    Q = np.empty((m, x.size))
-    Q[0] = np.sqrt(w) / np.linalg.norm(np.sqrt(w))
-    d, e = np.empty(m), np.empty(m - 1)
-    scale, eps = np.max(np.abs(x)), np.finfo(float).eps
-    breakdown = 1e-14 * scale  # relative to the scale of the nodes
-    omega, omega_prev = np.ones(1), np.zeros(0)  # rows k and k - 1 of the estimate
-    again = False  # q_{k+1} follows a reorthogonalized q_k
+    one = x.ndim == 1
+    x, w = np.atleast_2d(x, w)
+    radius = np.abs(x)
+    if off is not None:  # one row's off-diagonal broadcasts over its stack of one
+        radius[:, 1:] += np.abs(off)
+        radius[:, :-1] += np.abs(off)
+    scale, eps = radius.max(axis=1), np.finfo(float).eps
+    q = np.sqrt(w)
+    q = q / np.sqrt(np.vecdot(q, q))[:, None]
+    prev, v, tmp = np.zeros((3,) + q.shape)  # q_{k-1} and two work arrays
+    Q = np.empty((m, q.shape[1])) if basis else None
+    d, e = np.empty((len(q), m)), np.zeros((len(q), m - 1))
+    omega, omega_prev = np.ones((2, len(q), m + 1))  # rows k and k - 1 of the estimate; 1 past them
+    stopped, again = np.zeros(len(q), bool), False  # again: q_{k+1} follows a reorthogonalized q_k
     for k in range(m):
-        v = x * Q[k]
-        d[k] = Q[k] @ v
+        if basis:
+            Q[k] = q[0]
+        np.multiply(x, q, out=v)
+        if off is not None:
+            v[:, 1:] += np.multiply(off, q[:, :-1], out=tmp[:, 1:])
+            v[:, :-1] += np.multiply(off, q[:, 1:], out=tmp[:, 1:])
+        d[:, k] = np.vecdot(q, v)
         if k == m - 1:
-            return d, e
-        v -= d[k] * Q[k]
-        if k > 0:
-            v -= e[k - 1] * Q[k - 1]
-        e[k] = np.linalg.norm(v)
-        if e[k] > breakdown:
-            t = (d[:k] - d[k]) * omega[:k] + e[:k] * omega[1:] - e[k - 1] * omega_prev
-            t[1:] += e[:k][:-1] * omega[: k - 1]
-            row = np.append((t + np.copysign(eps * scale, t)) / e[k], eps)
-            if again or np.max(np.abs(row)) > math.sqrt(eps):
-                v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
-                if np.linalg.norm(v) < e[k] / math.sqrt(2.0):  # cancelled: pass twice
-                    v -= Q[: k + 1].T @ (Q[: k + 1] @ v)
-                e[k] = np.linalg.norm(v)
-                row[:] = eps
-                again = not again
-            omega, omega_prev = np.append(row, 1.0), omega
-        if not e[k] > breakdown:
+            break
+        v -= np.multiply(d[:, k, None], q, out=tmp)
+        v -= np.multiply(e[:, k - 1, None], prev, out=tmp)  # e[:, -1] is still 0 at k = 0
+        e[:, k] = np.sqrt(np.vecdot(v, v))
+        stop = ~(e[:, k] > 1e-14 * scale)  # a breakdown, relative to the scale of the operator
+        if basis and stop[0]:
             raise PositivityLossError(k + 1)
-        Q[k + 1] = v / e[k]
+        ek = e[:, k] if basis else np.where(stop, 1.0, e[:, k])  # a stopped row goes on finite
+        t = (d[:, :k] - d[:, k, None]) * omega[:, :k] + e[:, :k] * omega[:, 1 : k + 1] \
+            - e[:, k - 1, None] * omega_prev[:, :k]
+        t[:, 1:] += e[:, :k][:, :-1] * omega[:, :k][:, :-1]
+        row = omega_prev  # row k + 1 of the estimate, in the buffer of row k - 1
+        row[:, :k] = (t + np.copysign(eps * scale[:, None], t)) / ek[:, None]
+        row[:, k] = eps  # row[:, k + 1] is still 1
+        stop |= np.abs(row[:, : k + 1]).max(axis=1) > math.sqrt(eps)
+        if not basis:
+            row[stop, : k + 1] = eps
+            if (stopped := stopped | stop).all():
+                break
+        elif again or stop[0]:
+            u = v[0]  # reorthogonalized in place
+            u -= Q[: k + 1].T @ (Q[: k + 1] @ u)
+            if np.linalg.norm(u) < e[0, k] / math.sqrt(2.0):  # cancelled: pass twice
+                u -= Q[: k + 1].T @ (Q[: k + 1] @ u)
+            e[0, k] = np.linalg.norm(u)
+            if not e[0, k] > 1e-14 * scale[0]:
+                raise PositivityLossError(k + 1)
+            row[:, : k + 1], again = eps, not again
+        omega, omega_prev = row, omega
+        q, prev = np.divide(v, ek[:, None], out=prev), q
+    d[stopped], e[stopped] = np.nan, np.nan
+    return (d[0], e[0]) if one else (d, e)
 
 
 def _folded_a(x, w, m):
@@ -246,7 +276,7 @@ def stieltjes_coeffs(mu, n_max):
     The measure is discretized exactly for degree 2*n_max + 1 (_discretize)
     and normalized to unit mass; the original mass is recorded on the result.
     A bit-exact mirror-symmetric discretization is folded (b = 0).  Folded or
-    not, Lanczos merges a large node set into Gauss rules first (_lanczos).
+    not, Lanczos merges a large node set into Jacobi blocks first (_lanczos).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")

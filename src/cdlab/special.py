@@ -61,6 +61,7 @@ _DOUBLE_ROUNDOFF = sys.float_info.epsilon
 # mpmath, for orders -0.75 <= nu <= 10, every zero with k <= 30 is within 4e-15
 # relative at 128 rows; at 64 rows only those with k <= 12 are.
 _BESSEL_ROWS = 128
+_BESSEL_MAX_ROWS = 1024
 _MAX_BESSEL_ZEROS = 30
 
 
@@ -284,20 +285,29 @@ def bessel_zeros(nu, k):
     increasing order.
 
     They are 1/lambda for the k largest eigenvalues lambda of one symmetric
-    tridiagonal matrix of _BESSEL_ROWS rows, with zero diagonal and
-    off-diagonal 1/(2 sqrt((nu + m)(nu + m + 1))), m = 1.._BESSEL_ROWS - 1: the
-    recurrence J_{nu+m-1}(x) + J_{nu+m+1}(x) = (2 (nu + m) / x) J_{nu+m}(x),
-    symmetrized and cut off (Ikebe, Kikuchi & Fujishiro 1991, J. Comput. Appl.
-    Math. 38).  The matrix does not depend on k, so neither do a zero's bits.
+    tridiagonal matrix of n rows, with zero diagonal and off-diagonal
+    1/(2 sqrt((nu + m)(nu + m + 1))), m = 1..n - 1: the recurrence
+    J_{nu+m-1}(x) + J_{nu+m+1}(x) = (2 (nu + m) / x) J_{nu+m}(x), symmetrized
+    and cut off (Ikebe, Kikuchi & Fujishiro 1991, J. Comput. Appl. Math. 38).
+    n = _BESSEL_ROWS unless the k-th zero z (which only falls as n grows) is
+    within 7 z^(1/3) of the cut-off order nu + n; then n grows to leave that
+    margin, up to _BESSEL_MAX_ROWS, beyond which a ValueError names nu.  At
+    n = _BESSEL_ROWS the matrix does not depend on k, so neither do the bits.
     """
     if not nu > -1:
         raise ValueError(f"bessel_zeros requires nu > -1, got {nu}")
     if not 1 <= k <= _MAX_BESSEL_ZEROS:
         raise ValueError(f"k must be in [1, {_MAX_BESSEL_ZEROS}], got {k}")
-    m = np.arange(1.0, _BESSEL_ROWS) + nu
-    off = 0.5 / np.sqrt(m * (m + 1.0))
-    eig = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))  # ascending
-    return (1.0 / eig[::-1][:k]).tolist()
+    rows, last = _BESSEL_ROWS, 0
+    while last < rows and nu <= (_BESSEL_MAX_ROWS / 7.0) ** 3:  # else 7 nu^(1/3) passes the rows
+        m = np.arange(1.0, rows) + nu
+        off = 0.5 / np.sqrt(m * (m + 1.0))
+        zeros = 1.0 / np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[::-1][:k]
+        need = math.ceil(zeros[-1] - nu + 7.0 * np.cbrt(zeros[-1]))
+        if need <= rows:
+            return zeros.tolist()
+        rows, last = min(need, _BESSEL_MAX_ROWS), rows
+    raise ValueError(f"nu = {nu} needs over {_BESSEL_MAX_ROWS} rows for {k} Bessel zeros")
 
 
 def bessel_zero(nu, k):

@@ -154,11 +154,16 @@ def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, un
      "measure.params"),
     ({"experiment": "bulk", "scaling": {"beta": 1.5}}, "scaling.beta"),
     ({"experiment": "fisher_hartwig", "k_max": 31}, "k_max"),
+    ({"experiment": "bulk", "xi": math.nan}, "xi"),
+    ({"experiment": "bulk", "n_values": [math.inf]}, "n_values"),
+    ({"experiment": "sparse", "v_exponent": math.nan}, "v_exponent"),
+    ({"experiment": "hard_edge", "xi": math.nan}, "xi"),
 ], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
         "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative",
         "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number",
         "gallery_beta_inf", "gallery_beta_nan", "gallery_even_fh_inf", "gallery_sigma_inf",
-        "gallery_sigma_nan", "scaling_beta", "k_max_beyond_bessel_zeros"])
+        "gallery_sigma_nan", "scaling_beta", "k_max_beyond_bessel_zeros", "xi_nan",
+        "n_values_inf", "v_exponent_nan", "hard_edge_xi_nan"])
 def test_bad_value_exits_2(tmp_path, raw, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

@@ -495,7 +495,7 @@ def test_stieltjes_matches_full_reorthogonalization(name, params):
 def test_stieltjes_merged_runs_match_full_reorthogonalization(half):
     # 20,000 atoms (of x^2 when folded) are more than 64 m, m = 101 folded and
     # 202 unfolded at n = 201, so _lanczos replaces each run of 32 m nodes by
-    # its Gauss rule first
+    # its Jacobi block first
     mu = gallery("pure_point_bulk", cutoff=20000)
     if half:
         right = mu.atom_positions > 0
@@ -566,6 +566,55 @@ def test_krylov_isolated_atoms_next_to_a_continuum():
     w = np.full(x.size, 1.0 / x.size)
     assert _krylov_error(x, w, 201) <= 1e-12
     assert _krylov_error(x, w, 201, passes=0) > 1e-8
+
+
+def _merge_case(case):
+    """(x, w, m) of a node set that exercises one path of the merge."""
+    if case == "two_levels":
+        # 157 runs of 320 nodes give 1,570 block entries, more than 640: the
+        # tridiagonal level is merged again
+        return np.linspace(0.0, 1.0, 50_000), np.full(50_000, 2e-5), 10
+    if case == "fires_in_stack":
+        # three runs of 6,432 nodes in one stack; plain Lanczos loses
+        # orthogonality on the last (1/j^2, j <= 6,432) by step 7
+        return (*_folded_pure_point_run(0, 19_296), 201)
+    # the middle one of three runs of 1,600 nodes holds 20 atoms of weight 1
+    # and 1,580 of weight 1e-40: its Krylov space ends after 20 steps
+    w = np.full(4800, 1.0)
+    w[1600:3200] = 1e-40
+    w[1600:3200:80] = 1.0
+    return np.linspace(0.0, 1.0, 4800), w / w.sum(), 50
+
+
+@pytest.mark.parametrize("case, stored", [
+    # the final block only; a stack with an off-diagonal merges the tridiagonal level
+    ("two_levels", [((50,), True)]),
+    # the last run of the stack is redone with its basis stored
+    ("fires_in_stack", [((6432,), False), ((603,), True)]),
+    # the middle run is redone, breaks down and keeps its 1,600 entries
+    ("breaks_down_in_stack", [((1600,), False), ((1700,), True)]),
+])
+def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, stored):
+    # stored lists the (shape, off-diagonal given) of every _krylov call with
+    # a stored basis; the others run a stack of runs
+    x, w, m = _merge_case(case)
+    calls = []
+
+    def spy(x, w, m, off=None, basis=True):
+        calls.append((x.shape, off is not None, basis))
+        return _krylov(x, w, m, off, basis)
+
+    monkeypatch.setattr(oprl, "_krylov", spy)
+    d, e = _lanczos(x, w, m)
+    a, b = _full_reorth_lanczos(x, w, m)
+    assert np.max(np.abs(d - b)) <= 1e-12
+    assert np.max(np.abs(e - a[: m - 1]) / a[: m - 1]) <= 1e-12
+    assert [(shape, off) for shape, off, basis in calls if basis] == stored
+    stacks = [(shape, off) for shape, off, basis in calls if not basis]
+    if case == "two_levels":
+        assert stacks[-1][1] and not stacks[0][1]
+    else:
+        assert stacks == [((3, x.size // 3), False)]
 
 
 def test_stieltjes_pure_point_peak_memory():

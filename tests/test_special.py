@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,31 @@ def test_bessel_zeros_mpmath_oracle(nu):
                 exact = mpmath.findroot(lambda x: mpmath.besselj(nu, x),
                                         (k + nu / 2.0 - 0.25) * math.pi)
             assert abs(zero - float(exact)) <= 4e-15 * zero, (nu, k)
+
+
+@pytest.mark.parametrize("nu, k", [(20.0, 1), (20.0, 30), (100.0, 1), (100.0, 30)])
+def test_bessel_zeros_large_order_mpmath_oracle(nu, k):
+    # 128 rows cut off at an order too near (nu = 20) or below (nu = 100) the
+    # 30th zero: 1.2e-12 and 2.4e-3 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        exact = float(mpmath.besseljzero(nu, k))
+    assert abs(bessel_zeros(nu, k)[-1] - exact) <= 4e-15 * exact
+
+
+def test_bessel_zeros_olver_expansion_at_order_1e5():
+    # j_{nu,1} ~ nu - a_1 (nu/2)^(1/3) + (3/10) a_1^2 (4 nu)^(-1/3) - 0.00397/nu
+    # (Olver; DLMF 10.21.40), a_1 the first zero of Ai; 128 rows gave 100088.31
+    a1, nu = -2.338107410459767, 1e5
+    olver = nu - a1 * (nu / 2.0) ** (1 / 3) + 0.3 * a1 * a1 * (4.0 * nu) ** (-1 / 3) - 0.00397 / nu
+    assert abs(bessel_zeros(nu, 1)[0] - olver) <= 1e-14 * olver
+
+
+@pytest.mark.parametrize("nu, k", [(1e5, 30), (1e7, 1), (math.inf, 1), (1e300, 3)])
+def test_bessel_zeros_beyond_the_largest_matrix_raise(nu, k):
+    # 1e5 resolves its first zero in 413 rows but not its 30th in 1024
+    with pytest.raises(ValueError, match=re.escape(f"nu = {nu} ")):
+        bessel_zeros(nu, k)
 
 
 def test_bessel_zero_j0():
