@@ -30,13 +30,7 @@ from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
 from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .special import _MAX_BESSEL_ZEROS
-from .universality import (
-    complex_grid_pairs,
-    convergence_study,
-    real_grid_pairs,
-    sparse_jacobi,
-    zero_study,
-)
+from .universality import convergence_study, real_grid_pairs, sparse_jacobi, zero_study
 
 
 class ConfigError(ValueError):
@@ -218,16 +212,14 @@ def _estimated_scaling(mu, xi, pinned):
 GRID = {"half_width": 2.0, "points_per_axis": 5}
 
 
-def _convergence(out_dir, sampler, target, n_values, grid, tolerance,
-                 target_name="sine kernel", index=int):
+def _convergence(out_dir, sampler, target, n_values, grid, tolerance, index=int):
     """convergence_study of sampler(index, grid) at every index of n_values (cast
-    by index) on the real grid, with the internal scale fitted on a 3x3 complex
-    grid (complex samples make it sharp); writes kernel_<index>.csv per index."""
+    by index) on the real grid of the grid setting, with the internal scale
+    fitted on the study's fixed 3x3 complex grid of half-width 1; writes
+    kernel_<index>.csv per index."""
     report = convergence_study(sampler, target, [index(n) for n in n_values],
                                real_grid_pairs(grid["half_width"], grid["points_per_axis"]),
-                               tolerance,
-                               fit_grid=complex_grid_pairs(min(grid["half_width"], 1.0), 3),
-                               target_name=target_name)
+                               tolerance)
     for idx, samples in report.extras["samples_by_index"].items():
         tag = str(idx).replace(".", "_")
         _write_kernel_csv(os.path.join(out_dir, f"kernel_{tag}.csv"), samples)
@@ -266,12 +258,13 @@ def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
     return lines, passed, data
 
 
-def _run_opuc_bulk(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
+def _run_opuc_bulk(out_dir, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
     """circle CD kernels (free coefficients) vs the sine kernel"""
     n_top = int(max(n_values))
     v = opuc.VerblunskyCoeffs.free(n_top)
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
-    report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, xi, h), sine_kernel,
+    # k_n(zeta, omega) = sum_j (zeta conj(omega))^j here, so xi cancels: take 0
+    report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, 0.0, h), sine_kernel,
                           n_values, grid, tolerance)
     # internal scale against the printed two-sided kernel at sigma = 1, beta = 1,
     # on the samples the sine-kernel fit used
@@ -296,16 +289,15 @@ def _zeros_rows(zr):
             for (n, k), val in sorted(zr.scaled_zeros.items())]
 
 
-def _run_hard_edge(out_dir, xi=0.0, n_values=(100, 200, 300), tolerance=0.02, k_max=3,
-                   betas=(1.5,)):
+def _run_hard_edge(out_dir, n_values=(100, 200, 300), tolerance=0.02, k_max=3, betas=(1.5,)):
     """zero ratio law at a hard edge vs squared Bessel-zero ratios"""
     lines, data, passed = [], {}, True
     for beta in betas:
         mu = gallery("power_hard_edge", beta=beta)
-        h = RegVarFn(scale=1.0, index=1.0 / beta)  # g(r) = r^beta exactly here
+        h = RegVarFn(scale=1.0, index=1.0 / beta)  # g(r) = r^beta exactly at the edge 0
         n_top = int(max(n_values))
         rec = oprl.stieltjes_coeffs(mu, n_top)
-        zr = zero_study(rec, xi, h, "hard_edge", [int(n) for n in n_values], k_max)
+        zr = zero_study(rec, 0.0, h, "hard_edge", [int(n) for n in n_values], k_max)
         ok = zr.max_rel_error_ratios <= tolerance
         passed = passed and ok
         ex = zr.extras
@@ -332,17 +324,17 @@ def _run_hard_edge(out_dir, xi=0.0, n_values=(100, 200, 300), tolerance=0.02, k_
     return lines, passed, data
 
 
-def _run_fisher_hartwig(out_dir, xi=0.0, n_values=(50, 100, 200), tolerance=0.02, k_max=3,
+def _run_fisher_hartwig(out_dir, n_values=(50, 100, 200), tolerance=0.02, k_max=3,
                         betas=(1.5,)):
     """even power-weight zero laws (even/odd degree Bessel ratios)"""
     lines, data, passed = [], {}, True
     for beta in betas:
         mu = gallery("even_fh", beta=beta)
-        # nu([0,1/r)) = r^-beta/2, so g(r) = 2 r^beta
+        # at the singular point 0, nu([0,1/r)) = r^-beta/2, so g(r) = 2 r^beta
         h = measures.asymptotic_inverse(RegVarFn(scale=2.0, index=beta))
         n_top = int(max(n_values))
         rec = oprl.stieltjes_coeffs(mu, 2 * n_top + 1)
-        zr = zero_study(rec, xi, h, "even_fh", [int(n) for n in n_values], k_max)
+        zr = zero_study(rec, 0.0, h, "even_fh", [int(n) for n in n_values], k_max)
         odd_zero = max(zr.extras["odd_zero_at_origin"].values())
         ok = zr.max_rel_error_ratios <= tolerance and odd_zero <= 1e-12
         passed = passed and ok
@@ -371,8 +363,7 @@ def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
     n_top = int(max(n_values))
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
     report = _convergence(out_dir, partial(oprl.rescaled_cd, rec, xi, h), spec,
-                          n_values, grid, tolerance,
-                          target_name=f"two-sided limit kernel ({sm:.3f},{sp:.3f},1)")
+                          n_values, grid, tolerance)
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] jump: rescaled CD kernel -> "
         f"two-sided limit kernel with jump data sigma-={sm:.4f}, sigma+={sp:.4f}; "

@@ -464,14 +464,18 @@ def rescaled_cd(rec, xi, h, index, grid):
 
 
 def nevai_ratio(rec, xi, n):
-    """K(n+1, xi, xi) / K(n, xi, xi)."""
+    """K(n+1, xi, xi) / K(n, xi, xi).  Raises KernelOverflowError when the
+    ratio is not finite (xi huge, infinite or NaN)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     v = np.abs(eval_polys(rec, n, xi).values)
     # an exact power-of-two scale keeps squares of entries up to the 1e280
     # rescale limit finite
     sq = np.ldexp(v, -math.frexp(v.max())[1]) ** 2
-    return float(1.0 + sq[n] / np.sum(sq[:n]))
+    ratio = float(1.0 + sq[n] / np.sum(sq[:n]))
+    if not math.isfinite(ratio):
+        raise KernelOverflowError(n + 1, xi)
+    return ratio
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -49,28 +48,30 @@ def complex_grid_pairs(half_width, points_per_axis):
     return [(z, w) for z in pts for w in pts]
 
 
+# The grid of the internal-scale fit (complex samples make the fit sharp);
+# never mutated.
+FIT_GRID = complex_grid_pairs(1.0, 3)
+
+
 @dataclass
 class ConvergenceReport:
     indices: list
     sup_errors: list
     fitted_scale: float
     fitted_scale_residual: float
-    target: str
-    tolerance: float
     passed: bool
     extras: dict = field(default_factory=dict)
 
 
-def convergence_study(sampler, target, indices, grid, tolerance,
-                      fit_grid=None, target_name=""):
+def convergence_study(sampler, target, indices, grid, tolerance):
     """Rescaled kernels sampler(index, grid) vs target(c z, c w) with fitted c;
     sampler is a rescaled sampler with its source, xi and h bound, such as
     functools.partial(oprl.rescaled_cd, rec, xi, h).
 
-    The internal scale c is fitted once, at the largest index (on fit_grid if
-    given -- complex samples make the fit sharp); sup-errors are then recorded
-    per index after scale alignment.  Passed iff the errors decrease and the
-    final one meets the tolerance.  extras holds the samples per index
+    The internal scale c is fitted once, at the largest index on FIT_GRID, the
+    3x3 complex grid of half-width 1; sup-errors are then recorded per index on
+    grid after scale alignment.  Passed iff the errors decrease and the final
+    one meets the tolerance.  extras holds the samples per index
     ("samples_by_index") and those of the fit ("fit_samples"), for reuse.
     """
     indices = list(indices)
@@ -78,8 +79,7 @@ def convergence_study(sampler, target, indices, grid, tolerance,
         raise ValueError("need at least one index")
     if not any(z == 0 and w == 0 for z, w in grid):
         raise ValueError("grid must include (0, 0)")
-    largest = max(indices)
-    fit_samples = sampler(largest, fit_grid if fit_grid is not None else grid)
+    fit_samples = sampler(max(indices), FIT_GRID)
     fit = fit_internal_scale(fit_samples, target)
     sup_errors = []
     samples_by_index = {}
@@ -97,8 +97,6 @@ def convergence_study(sampler, target, indices, grid, tolerance,
         sup_errors=sup_errors,
         fitted_scale=fit.c,
         fitted_scale_residual=fit.residual,
-        target=target_name or getattr(target, "__name__", "kernel"),
-        tolerance=tolerance,
         passed=passed,
         extras={"samples_by_index": samples_by_index, "fit_samples": fit_samples},
     )
@@ -110,10 +108,10 @@ def convergence_study(sampler, target, indices, grid, tolerance,
 
 @dataclass
 class ZeroReport:
-    mode: str
+    """Outcome of a zero_study; its extras are per mode (see zero_study)."""
+
     n_values: list
     scaled_zeros: dict  # (n, k) -> float
-    limit_predictions: dict  # k -> float
     max_rel_error_ratios: float
     extras: dict = field(default_factory=dict)
 
@@ -147,7 +145,6 @@ def _window(rec, n, xi, k, mode, right=False):
 
 def _clock_study(rec, xi, h, n_values, k_max):
     scaled = {}
-    insufficient = []
     for n in n_values:
         zeros, idx = _window(rec, n, xi, k_max, "clock")
         if idx in (0, zeros.size):
@@ -157,23 +154,17 @@ def _clock_study(rec, xi, h, n_values, k_max):
             # xi_j is zeros[idx + j - 1]; the gap j is xi_{j+1} - xi_j
             i_lo = idx + j - 1
             i_hi = idx + j
-            if i_lo < 0 or i_hi >= zeros.size:
-                insufficient.append((n, j))
-                continue
-            scaled[(n, j)] = tau * (zeros[i_hi] - zeros[i_lo])
-    preds = {j: 1.0 for j in range(-k_max, k_max + 1)}
+            if i_lo >= 0 and i_hi < zeros.size:
+                scaled[(n, j)] = tau * (zeros[i_hi] - zeros[i_lo])
     n_top = max(n_values)
     worst = max(
         (abs(v - 1.0) for (n, j), v in scaled.items() if n == n_top),
         default=math.inf,
     )
     return ZeroReport(
-        mode="clock",
         n_values=list(n_values),
         scaled_zeros=scaled,
-        limit_predictions=preds,
         max_rel_error_ratios=float(worst),
-        extras={"insufficient": insufficient},
     )
 
 
@@ -185,14 +176,11 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
     scaled = {}
     raw = {}
     ratio_errors_by_n = {}
-    insufficient = []
     first_zero = []
     hk_values = []
     for n in n_values:
         zeros, i = _window(rec, n, xi, k_max, "hard_edge", right=True)
         zeros = zeros[i: i + k_max]
-        if zeros.size < k_max:
-            insufficient.append(n)
         hk = float(h(kernel_diag(rec, n, xi)))
         hk_values.append(hk)
         first_zero.append(float(zeros[0] - xi))
@@ -223,14 +211,11 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
     sigma_def = (g1 ** 2 / math.pi) ** (1.0 / beta)
     const_def = 1.0 / (4.0 * sigma_def)
     return ZeroReport(
-        mode="hard_edge",
         n_values=list(n_values),
         scaled_zeros=scaled,
-        limit_predictions=pred_ratios,
         max_rel_error_ratios=float(ratio_errors_by_n[n_top]),
         extras={
             "raw_zeros": raw,
-            "insufficient": insufficient,
             "ratio_errors_by_n": ratio_errors_by_n,
             "exponent": float(exponent),
             "exponent_band95": float(band95),
@@ -276,16 +261,13 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
     n_top = max(n_values)
     worst = max(errors["even"][n_top], errors["odd"][n_top])
     return ZeroReport(
-        mode="even_fh",
         n_values=list(n_values),
         scaled_zeros=scaled,
-        limit_predictions=preds,
         max_rel_error_ratios=float(worst),
         extras={
             "raw_zeros": raw,
             "ratio_errors_by_n": errors,
             "odd_zero_at_origin": odd_zero_at_origin,
-            "kappa": kappa,
         },
     )
 
@@ -302,8 +284,10 @@ def zero_study(rec, xi, h, mode, n_values, k_max):
     never the whole spectrum; hard_edge and even_fh take their Bessel zeros
     from special.bessel_zeros, which serves k_max <= 30.  Raises
     ZeroWindowError when clock finds xi left or right of every zero of p_n, or
-    another mode finds no zero right of xi; clock records gaps beyond the ends
-    of the spectrum as insufficient.
+    another mode finds no zero right of xi.  The report holds the scaled zeros
+    by (n, k) (clock: the scaled gaps by (n, j), leaving out gaps beyond the
+    ends of the spectrum) and the worst error at the largest n; hard_edge and
+    even_fh add the raw zeros and the ratio errors per n to extras.
     """
     n_values = sorted(int(n) for n in n_values)
     if mode == "clock":
@@ -324,13 +308,19 @@ class SparseDiagnosticsAt:
     xi: float
     norms_sq: np.ndarray          # ||A_n||^2 for n = 1..n_max
     block_deviation: float        # max |norms_sq - block value| within blocks
-    g_xi: Callable                # n -> scaling function of the measure
+    q: np.ndarray                 # p_n^2 - xi a_n p_n p_{n-1} + (a_n p_{n-1})^2, n = 1..n_max
+
+    def g_xi(self, m):
+        """Scaling function of the measure at an integer m, or at each entry of
+        an integer array; past n_max it keeps q at n_max."""
+        return (2.0 * math.pi * m / math.sqrt(4.0 - self.xi * self.xi)) \
+            * self.q[np.minimum(m, self.q.size) - 1]
 
     def scaling_inverse(self):
         """Numeric asymptotic inverse of g_xi: h(t) with g_xi(h(t)) = t,
         index 1; usable directly as the h of the scaling-limit statements."""
-        ns = np.arange(1, self.norms_sq.size + 1, dtype=float)
-        g_vals = np.maximum.accumulate([self.g_xi(m) for m in range(1, ns.size + 1)])
+        ns = np.arange(1, self.q.size + 1)
+        g_vals = np.maximum.accumulate(self.g_xi(ns))
 
         class _H:
             index = 1.0
@@ -366,17 +356,7 @@ class SparseDiagnostics:
             if hi_i - lo_i >= 2:
                 block = norms_sq[lo_i:hi_i]
                 dev = max(dev, float(np.max(np.abs(block - block[0]))))
-
-        def g_xi(m):
-            m = int(m)
-            return (2.0 * math.pi * m / math.sqrt(4.0 - xi * xi)) * q[min(m, n_max) - 1]
-
-        return SparseDiagnosticsAt(
-            xi=float(xi),
-            norms_sq=norms_sq,
-            block_deviation=dev,
-            g_xi=g_xi,
-        )
+        return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
 
 
 def sparse_jacobi(v_values, growth, n_max):

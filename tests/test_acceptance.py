@@ -104,8 +104,7 @@ def test_criterion_04_bulk_universality(name, eta):
     rec = stieltjes_coeffs(gallery(name), 201)
     h = RegVarFn(scale=eta, index=1.0)
     rep = convergence_study(functools.partial(rescaled_cd, rec, 0.0, h), sine_kernel,
-                            [50, 100, 200], GRID2, 0.05, fit_grid=FIT_GRID,
-                            target_name="sine kernel")
+                            [50, 100, 200], GRID2, 0.05)
     nev = nevai_ratio(rec, 0.0, 200)
     passed = rep.passed and nev - 1.0 <= 0.05
     _report(4, f"bulk universality ({name})", passed,
@@ -207,8 +206,7 @@ def test_criterion_09_canonical_and_schrodinger():
     h = RegVarFn(scale=math.sqrt(1.0) / math.pi, index=1.0)
     sampler = functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0, h)
     rep = convergence_study(sampler, sine_kernel, [50.0, 100.0, 200.0],
-                            real_grid_pairs(1.0, 9), 0.05, fit_grid=FIT_GRID,
-                            target_name="sine kernel")
+                            real_grid_pairs(1.0, 9), 0.05)
     passed = err_closed <= 1e-12 and err_forms <= 1e-8 and rep.passed
     _report(9, "canonical/Schrodinger", passed,
             f"H=I/2 closed-form err {err_closed:.2e} (tol 1e-12); "

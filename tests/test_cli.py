@@ -95,7 +95,7 @@ def test_declared_defaults_pass_the_value_checks(name):
 
 def test_accepted_settings_are_the_runner_keywords():
     # each experiment also takes output_dir
-    assert sum(len(_declared_defaults(run)) + 1 for run in EXPERIMENTS.values()) <= 46
+    assert sum(len(_declared_defaults(run)) + 1 for run in EXPERIMENTS.values()) <= 43
     assert "tolerance" not in _declared_defaults(EXPERIMENTS["identities"])
     assert "measure" not in _declared_defaults(EXPERIMENTS["hard_edge"])
 
@@ -118,6 +118,16 @@ def test_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, un
     assert exc.value.field == unread
     assert main(["run", "--config", _write(tmp_path, raw)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["hard_edge", "fisher_hartwig", "opuc_bulk"])
+def test_xi_fixed_by_the_measure_is_not_a_setting(tmp_path, experiment):
+    # the hard edge, the singular point and the free circle kernel fix xi at 0
+    raw = {"experiment": experiment, "xi": 0.0, "output_dir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.field == "xi"
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 2
 
 
 @pytest.mark.parametrize("raw, field", [

@@ -688,6 +688,16 @@ def test_nevai_ratio_off_support_no_overflow(a, n):
     assert abs(nevai_ratio(rec, x, n) / (r * r) - 1.0) <= 1e-12
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", [1e300, math.inf, math.nan])
+def test_nevai_ratio_overflow_is_typed(x):
+    # the ratio was nan here; kernel_diag raises at the same inputs
+    rec = stieltjes_coeffs(gallery("legendre"), 60)
+    with pytest.raises(KernelOverflowError) as exc:
+        nevai_ratio(rec, x, 50)
+    assert exc.value.index == 51
+
+
 def test_kernel_diag_overflow_is_typed():
     rec = RecurrenceCoeffs(a=np.ones(2001), b=np.zeros(2001))
     assert math.isfinite(kernel_diag(rec, 200, 2.5))

@@ -40,15 +40,14 @@ def test_grid_contains_origin():
 def test_convergence_study_bulk_small(leg):
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(2.0, 5)
-    fit_grid = complex_grid_pairs(1.0, 3)
     rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), sine_kernel,
-                            [30, 60, 120], grid, 0.05, fit_grid=fit_grid,
-                            target_name="sine kernel")
+                            [30, 60, 120], grid, 0.05)
     assert rep.passed
     assert rep.sup_errors[0] > rep.sup_errors[-1]
     assert abs(rep.fitted_scale - 1.0) <= 1e-3
-    # the report keeps the fit's samples: those of the largest index on fit_grid
-    assert rep.extras["fit_samples"] == rescaled_cd(leg, 0.0, h, 120, fit_grid)
+    # the report keeps the fit's samples: those of the largest index on the
+    # fixed 3x3 complex grid of half-width 1
+    assert rep.extras["fit_samples"] == rescaled_cd(leg, 0.0, h, 120, complex_grid_pairs(1.0, 3))
 
 
 def test_convergence_study_self_target(leg):
@@ -60,7 +59,7 @@ def test_convergence_study_self_target(leg):
         return rescaled_cd(leg, 0.0, h, 60, [(z, w)])[0].value
 
     rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), target, [60],
-                            grid, 1e-9, fit_grid=None, target_name="self")
+                            grid, 1e-9)
     assert rep.sup_errors[0] <= 1e-9
     assert abs(rep.fitted_scale - 1.0) <= 1e-9
 
@@ -80,8 +79,7 @@ def test_grid_density_robustness(leg):
     # because the sine kernel vanishes there
     for pp in (7, 13):
         rep = convergence_study(functools.partial(rescaled_cd, leg, 0.0, h), sine_kernel, [100],
-                                real_grid_pairs(2.0, pp), 1.0,
-                                fit_grid=complex_grid_pairs(1.0, 3))
+                                real_grid_pairs(2.0, pp), 1.0)
         errs.append(rep.sup_errors[0])
     assert abs(errs[1] - errs[0]) <= 0.1 * max(errs)
 
@@ -235,9 +233,7 @@ def test_schrodinger_source_convergence():
     h = RegVarFn(scale=1.0 / math.pi, index=1.0)
     grid = real_grid_pairs(1.0, 5)
     sampler = functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0, h)
-    rep = convergence_study(sampler, sine_kernel, [50.0, 100.0, 200.0],
-                            grid, 0.05, fit_grid=complex_grid_pairs(1.0, 3),
-                            target_name="sine kernel")
+    rep = convergence_study(sampler, sine_kernel, [50.0, 100.0, 200.0], grid, 0.05)
     assert rep.passed
 
 
@@ -248,9 +244,7 @@ def test_convergence_study_hamiltonian_source(leg):
     h = RegVarFn(scale=0.5, index=1.0)
     grid = real_grid_pairs(1.0, 5)
     sampler = functools.partial(rescaled_kernel_kh, ham, 0.0, h)
-    rep = convergence_study(sampler, sine_kernel, [60.0, 120.0], grid, 0.05,
-                            fit_grid=complex_grid_pairs(1.0, 3),
-                            target_name="sine kernel")
+    rep = convergence_study(sampler, sine_kernel, [60.0, 120.0], grid, 0.05)
     assert rep.passed
 
 
