@@ -54,7 +54,6 @@ from .opuc import (
 )
 from .canonical import (
     Hamiltonian,
-    TransferMatrix,
     WeylValue,
     transfer_matrix,
     kernel_kh,
@@ -71,6 +70,7 @@ from .universality import (
     convergence_study,
     zero_study,
     sparse_jacobi,
+    sparse_diagnostics,
     real_grid_pairs,
     complex_grid_pairs,
 )

@@ -30,7 +30,6 @@ from .special import sine_ratio
 
 __all__ = [
     "Hamiltonian",
-    "TransferMatrix",
     "WeylValue",
     "SchrodingerKernelValue",
     "transfer_matrix",
@@ -101,13 +100,6 @@ def _check_psd(m):
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    t: float
-    z: complex
-    entries: np.ndarray  # 2x2 complex
-
-
-@dataclass(frozen=True)
 class WeylValue:
     z: complex
     q: complex
@@ -149,7 +141,8 @@ def _iter_pieces(h, t):
 
 
 def transfer_matrix(h, t, z, derivative=False):
-    """W(t, z); multiplicative over pieces, identity at z = 0."""
+    """W(t, z) as a 2x2 complex array, and (W, dW/dz) with derivative=True;
+    multiplicative over pieces, identity at z = 0."""
     z = complex(z)
     w = np.eye(2, dtype=complex)
     dw = np.zeros((2, 2), dtype=complex) if derivative else None
@@ -158,8 +151,7 @@ def transfer_matrix(h, t, z, derivative=False):
         if derivative:
             dw = dw @ f + w @ df
         w = w @ f
-    tm = TransferMatrix(t=float(t), z=z, entries=w)
-    return (tm, dw) if derivative else tm
+    return (w, dw) if derivative else w
 
 
 def kernel_kh(h, t, z, w):
@@ -167,9 +159,9 @@ def kernel_kh(h, t, z, w):
     pair_kernel of (w21, w22)."""
     def components(x, derivative):
         if not derivative:
-            return tuple(transfer_matrix(h, t, x).entries[1])
-        tm, dm = transfer_matrix(h, t, x, derivative=True)
-        return tuple(tm.entries[1]) + tuple(dm[1])
+            return tuple(transfer_matrix(h, t, x)[1])
+        m, dm = transfer_matrix(h, t, x, derivative=True)
+        return tuple(m[1]) + tuple(dm[1])
 
     return complex(pair_kernel(components, complex(z), complex(w)))
 
@@ -205,8 +197,7 @@ def weyl(h, z, t_max):
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("weyl needs Im z > 0")
-    tm = transfer_matrix(h, t_max, z)
-    q = mobius(tm.entries, 1j)
+    q = mobius(transfer_matrix(h, t_max, z), 1j)
     kd = kernel_kh(h, t_max, z, z).real
     radius = math.inf if kd <= 0 else 1.0 / (2.0 * z.imag * kd)
     return WeylValue(z=z, q=q, disk_radius=radius)

@@ -2,7 +2,7 @@
 
     cdlab run --config cfg.json [--out DIR]
     cdlab list-experiments
-    cdlab identities [--filter MODULE]
+    cdlab identities [--filter MODULE] [--seed N]
 
 Every experiment is one entry of EXPERIMENTS, its runner: the runner's
 keyword arguments are the settings a config may give and their defaults.
@@ -30,7 +30,8 @@ from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
 from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .special import _MAX_BESSEL_ZEROS
-from .universality import convergence_study, real_grid_pairs, sparse_jacobi, zero_study
+from .universality import (convergence_study, real_grid_pairs, sparse_diagnostics, sparse_jacobi,
+                           zero_study)
 
 
 class ConfigError(ValueError):
@@ -383,8 +384,8 @@ def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.
     n_max = 2 * t_top
     j_count = int(math.log(n_max, ratio)) + 2
     v_vals = (np.arange(1, j_count + 1, dtype=float)) ** v_exponent
-    rec, diag = sparse_jacobi(v_vals, ("geometric", first, ratio), n_max)
-    dat = diag.at(xi)
+    rec = sparse_jacobi(v_vals, ("geometric", first, ratio), n_max)
+    dat = sparse_diagnostics(rec, xi)
     block_ok = dat.block_deviation <= 1e-12
     k1 = oprl.kernel_diag(rec, t_top, xi)
     k2 = oprl.kernel_diag(rec, 2 * t_top, xi)
@@ -468,8 +469,7 @@ def main(argv=None):
     p_run.add_argument("--out", default=None, help="override output directory")
     sub.add_parser("list-experiments", help="list experiment names")
     p_id = sub.add_parser("identities", help="run the exact-identity suites")
-    p_id.add_argument("--filter", default=None, choices=IDENTITY_MODULES,
-                      help="restrict to one module")
+    p_id.add_argument("--filter", default=None, help="restrict to one module")
     p_id.add_argument("--seed", type=int, default=SEED)
 
     args = parser.parse_args(argv)
@@ -478,7 +478,13 @@ def main(argv=None):
             print(f"{name:22s} {run.__doc__}")
         return 0
     if args.command == "identities":
-        lines, passed, _ = _run_identity_suite(None, module_filter=args.filter, seed=args.seed)
+        try:
+            cfg = parse_config({"experiment": "identities", "module_filter": args.filter,
+                                "seed": args.seed})
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        lines, passed, _ = _run_identity_suite(None, **cfg.settings)
         for line in lines:
             print(line)
         return 0 if passed else 1

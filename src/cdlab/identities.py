@@ -359,7 +359,7 @@ def _det_w_unit(rng):
     for _ in range(8):
         t = rng.uniform(0.1, h.total_length)
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w = canonical.transfer_matrix(h, t, z).entries
+        w = canonical.transfer_matrix(h, t, z)
         scale = max(1.0, float(np.max(np.abs(w))) ** 2)
         worst = max(worst, abs(np.linalg.det(w) - 1.0) / scale)
     return worst, 1e-10
@@ -372,10 +372,10 @@ def _multiplicativity(rng):
     for i, s in enumerate(cuts[:-1]):
         t = h.total_length
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w_full = canonical.transfer_matrix(h, t, z).entries
-        w_s = canonical.transfer_matrix(h, s, z).entries
+        w_full = canonical.transfer_matrix(h, t, z)
+        w_s = canonical.transfer_matrix(h, s, z)
         h_rest = canonical.Hamiltonian(h.lengths[i + 1:], h.matrices[i + 1:])
-        w_rest = canonical.transfer_matrix(h_rest, t - s, z).entries
+        w_rest = canonical.transfer_matrix(h_rest, t - s, z)
         scale = max(1.0, float(np.max(np.abs(w_full))))
         worst = max(worst, float(np.max(np.abs(w_full - w_s @ w_rest))) / scale)
     return worst, 1e-10
@@ -393,8 +393,8 @@ def _j_inner_integral(rng):
     z_eq = complex(rng.uniform(-1, 1), rng.uniform(0.2, 1.0))
     pairs.append((z_eq, z_eq))
     for z, w in pairs:
-        wz = canonical.transfer_matrix(h, t, z).entries
-        ww = canonical.transfer_matrix(h, t, w).entries
+        wz = canonical.transfer_matrix(h, t, z)
+        ww = canonical.transfer_matrix(h, t, w)
         lhs = (wz @ canonical.J @ ww.conj().T - canonical.J) / (z - np.conj(w))
         rhs = canonical.transfer_form_integral(h, t, z, w)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -460,7 +460,7 @@ def _rank_one_transfer(rng):
         for _ in range(4):
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             t = rng.uniform(0.1, 1.0)
-            w = canonical.transfer_matrix(h, t, z).entries
+            w = canonical.transfer_matrix(h, t, z)
             expected = np.eye(2) - t * z * np.outer(e, e) @ canonical.J
             worst = max(worst, float(np.max(np.abs(w - expected))))
     return worst, 1e-13

@@ -308,11 +308,13 @@ def eval_polys(rec, n, z):
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
     log_scale = 0.0
-    for k in range(1, n + 1):
-        p[k] = ((z - b[k - 1]) * p[k - 1] - (a[k - 2] * p[k - 2] if k >= 2 else 0.0)) / a[k - 1]
-        if abs(p[k]) > _RESCALE_LIMIT:
-            p[: k + 1] *= 1.0 / _RESCALE_LIMIT
-            log_scale += math.log(_RESCALE_LIMIT)
+    # a huge or infinite z overflows to inf or nan silently; the callers raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n + 1):
+            p[k] = ((z - b[k - 1]) * p[k - 1] - (a[k - 2] * p[k - 2] if k >= 2 else 0.0)) / a[k - 1]
+            if abs(p[k]) > _RESCALE_LIMIT:
+                p[: k + 1] *= 1.0 / _RESCALE_LIMIT
+                log_scale += math.log(_RESCALE_LIMIT)
     return PolyValues(z=z, values=p, log_scale=log_scale)
 
 
@@ -422,52 +424,43 @@ def interp_kernel(rec, t, z, w):
     return complex(k_lo + s * (k_hi - k_lo))
 
 
-def kernel_diag(rec, index, xi):
-    """K(index, xi, xi) for integer or real (interpolated) index."""
-    if index < 0:
-        raise ValueError("index must be >= 0")
-    xi = float(xi)
-    n = int(math.floor(index))
-    s = index - n
-    top = n if s == 0.0 else n + 1
-    pv = eval_polys(rec, max(top - 1, 0), xi)
+def kernel_diag(rec, n, xi):
+    """K(n, xi, xi) = sum_{j<n} |p_j(xi)|^2 at an integral level n >= 0; real
+    levels go through interp_kernel.  Raises ValueError for a fractional n or
+    a NaN xi, and KernelOverflowError when K is outside the double range."""
+    if n < 0 or not float(n).is_integer():
+        raise ValueError(f"n must be an integer >= 0, got {n}; real levels use interp_kernel")
+    n, xi = int(n), float(xi)
+    if math.isnan(xi):
+        raise ValueError("xi must not be NaN")
+    pv = eval_polys(rec, max(n - 1, 0), xi)
     with np.errstate(over="ignore"):
-        sq = np.abs(pv.values) ** 2
-    cum = np.concatenate([[0.0], np.cumsum(sq)])  # cum[m] = K(m, xi, xi)
-    out = cum[n] if s == 0.0 else cum[n] + s * (cum[n + 1] - cum[n])
+        out = np.cumsum(np.abs(pv.values) ** 2)[n - 1] if n else 0.0
     # a rescaled sequence had an entry above 1e280, so K exceeds 1e560
     if pv.log_scale > 0.0 or not math.isfinite(out):
-        raise KernelOverflowError(index, xi)
+        raise KernelOverflowError(n, xi)
     return float(out)
 
 
-def rescaled_cd(rec, xi, h, index, grid):
-    """Samples of K(index, xi + z/tau, xi + w/tau) / K(index, xi, xi),
-    tau = h(K(index, xi, xi)) -- the exact left-hand side of the scaling
-    limits."""
-    n = int(math.floor(index))
-    s = index - n
-
+def rescaled_cd(rec, xi, h, n, grid):
+    """Samples of K(n, xi + z/tau, xi + w/tau) / K(n, xi, xi),
+    tau = h(K(n, xi, xi)) -- the exact left-hand side of the scaling limits --
+    at an integral level n, checked as by kernel_diag."""
     def kernel(xs, pairs):
         xs = xs.tolist()
+        pair = _cd_pair(rec, int(n), xs)
+        return [pair_kernel(pair, xs[i], xs[j]) for i, j in pairs]
 
-        def level(lv):  # K(lv, ., .) at the pairs; K(0, ., .) = 0
-            if lv == 0:
-                return np.zeros(len(pairs))
-            pair = _cd_pair(rec, lv, xs)
-            return np.array([pair_kernel(pair, xs[i], xs[j]) for i, j in pairs])
-
-        val = level(n)
-        return val if s == 0.0 else val + s * (level(n + 1) - val)
-
-    return _rescaled_samples(kernel_diag(rec, index, xi), xi, h, grid, kernel)
+    return _rescaled_samples(kernel_diag(rec, n, xi), xi, h, grid, kernel)
 
 
 def nevai_ratio(rec, xi, n):
-    """K(n+1, xi, xi) / K(n, xi, xi).  Raises KernelOverflowError when the
-    ratio is not finite (xi huge, infinite or NaN)."""
+    """K(n+1, xi, xi) / K(n, xi, xi).  Raises ValueError for a NaN xi and
+    KernelOverflowError when the ratio is not finite (xi huge or infinite)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if math.isnan(xi):
+        raise ValueError("xi must not be NaN")
     v = np.abs(eval_polys(rec, n, xi).values)
     # an exact power-of-two scale keeps squares of entries up to the 1e280
     # rescale limit finite

@@ -9,6 +9,7 @@ constants are always reported next to the candidate closed forms
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -22,12 +23,12 @@ __all__ = [
     "ConvergenceReport",
     "ZeroReport",
     "ZeroWindowError",
-    "SparseDiagnostics",
     "real_grid_pairs",
     "complex_grid_pairs",
     "convergence_study",
     "zero_study",
     "sparse_jacobi",
+    "sparse_diagnostics",
 ]
 
 
@@ -317,56 +318,40 @@ class SparseDiagnosticsAt:
             * self.q[np.minimum(m, self.q.size) - 1]
 
     def scaling_inverse(self):
-        """Numeric asymptotic inverse of g_xi: h(t) with g_xi(h(t)) = t,
-        index 1; usable directly as the h of the scaling-limit statements."""
+        """Numeric asymptotic inverse of g_xi, h(t) with g_xi(h(t)) = t, by
+        linear interpolation; usable directly as the h of rescaled_cd."""
         ns = np.arange(1, self.q.size + 1)
-        g_vals = np.maximum.accumulate(self.g_xi(ns))
-
-        class _H:
-            index = 1.0
-
-            def __call__(self, t):
-                return float(np.interp(t, g_vals, ns))
-
-        return _H()
+        return functools.partial(np.interp, xp=np.maximum.accumulate(self.g_xi(ns)), fp=ns)
 
 
-@dataclass
-class SparseDiagnostics:
-    rec: RecurrenceCoeffs
-    bumps: np.ndarray     # positions N_j (1-based indices into b)
-    values: np.ndarray    # v_j
-
-    def at(self, xi):
-        if not -2.0 < xi < 2.0:
-            raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
-        rec = self.rec
-        n_max = len(rec)
-        pv = eval_polys(rec, n_max, xi)
-        ps = pv.values.real * math.exp(pv.log_scale)
-        a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
-        q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
-        norms_sq = 2.0 * q / (4.0 - xi * xi)
-        # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
-        # exactly at n = N_j, where b_n is nonzero)
-        edges = np.unique(np.concatenate([[1], self.bumps, [n_max + 1]])).astype(int)
-        dev = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            lo_i, hi_i = lo - 1, min(hi - 1, n_max)
-            if hi_i - lo_i >= 2:
-                block = norms_sq[lo_i:hi_i]
-                dev = max(dev, float(np.max(np.abs(block - block[0]))))
-        return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
+def sparse_diagnostics(rec, xi):
+    """Diagnostics of a sparse_jacobi matrix at xi in (-2, 2), from one run of
+    the recurrence: ||A_n||^2 of the oscillation vectors A_n, their largest
+    deviation within the blocks between nonzero b_n, and g_xi and its inverse."""
+    if not -2.0 < xi < 2.0:
+        raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
+    n_max = len(rec)
+    pv = eval_polys(rec, n_max, xi)
+    ps = pv.values.real * math.exp(pv.log_scale)
+    a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
+    q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
+    norms_sq = 2.0 * q / (4.0 - xi * xi)
+    # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
+    # exactly at n = N_j, where b_n is nonzero); edges index norms_sq from 0
+    edges = np.unique(np.concatenate([[0], np.flatnonzero(rec.b), [n_max]]))
+    dev = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi - lo >= 2:
+            dev = max(dev, float(np.max(np.abs(norms_sq[lo:hi] - norms_sq[lo]))))
+    return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
 
 
 def sparse_jacobi(v_values, growth, n_max):
     """Sparse decaying Jacobi matrix: a_n = 1, b_{N_j} = v_j, b_n = 0 otherwise.
 
     growth is either an explicit increasing sequence N_j or a rule
-    ("geometric", first, ratio).  Returns the coefficients and a diagnostics
-    object whose at(xi), for xi in (-2, 2), runs the recurrence at xi once and
-    holds ||A_n||^2 of the oscillation vectors A_n, their block constancy, the
-    measure scaling function g_xi and its inverse scaling_inverse().
+    ("geometric", first, ratio).  Returns the RecurrenceCoeffs; its
+    diagnostics at a point come from sparse_diagnostics.
     """
     v_values = np.asarray(v_values, dtype=float)
     if isinstance(growth, tuple) and growth and growth[0] == "geometric":
@@ -390,5 +375,4 @@ def sparse_jacobi(v_values, growth, n_max):
     for j, pos in enumerate(bumps):
         if j < v_values.size and 1 <= pos <= n_max:
             b[pos - 1] = v_values[j]
-    rec = RecurrenceCoeffs(a=np.ones(n_max), b=b, source="sparse jacobi")
-    return rec, SparseDiagnostics(rec=rec, bumps=bumps, values=v_values[: bumps.size])
+    return RecurrenceCoeffs(a=np.ones(n_max), b=b, source="sparse jacobi")

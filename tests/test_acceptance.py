@@ -36,6 +36,7 @@ from cdlab.universality import (
     complex_grid_pairs,
     convergence_study,
     real_grid_pairs,
+    sparse_diagnostics,
     sparse_jacobi,
     zero_study,
 )
@@ -221,13 +222,12 @@ def sparse_setup():
     n_max = 2 * max(t_vals)
     j_count = int(math.log(n_max, 4.0)) + 2
     v = np.arange(1, j_count + 1, dtype=float) ** -0.5
-    rec, diag = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
-    return t_vals, rec, diag
+    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    return t_vals, rec, sparse_diagnostics(rec, 0.0)
 
 
 def test_criterion_10_sparse_diagnostics(sparse_setup):
-    t_vals, rec, diag = sparse_setup
-    dat = diag.at(0.0)
+    t_vals, rec, dat = sparse_setup
     t_top = max(t_vals)
     ratio = kernel_diag(rec, 2 * t_top, 0.0) / kernel_diag(rec, t_top, 0.0)
     ok_blocks = dat.block_deviation <= 1e-12
@@ -242,8 +242,8 @@ def test_criterion_10_sparse_diagnostics(sparse_setup):
 def test_criterion_10_sparse_kernel_limit(sparse_setup):
     # known-red: constant-ratio N_j = 4^j is not sparse in the required sense
     # (see notes); the decreasing trend holds, the 0.15 bound does not
-    t_vals, rec, diag = sparse_setup
-    h = diag.at(0.0).scaling_inverse()
+    t_vals, rec, dat = sparse_setup
+    h = dat.scaling_inverse()
     sups = [_sup_vs_sine(rescaled_cd(rec, 0.0, h, t, GRID2)) for t in t_vals]
     decreasing = sups[1] < sups[0]
     passed = decreasing and sups[1] <= 0.15

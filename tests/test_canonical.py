@@ -81,7 +81,7 @@ def test_rank_one_transfer_alpha_zero():
     e = np.array([1.0, 0.0])
     h = Hamiltonian(np.array([1.0]), np.outer(e, e)[None, :, :])
     z = 0.7 - 0.3j
-    w = transfer_matrix(h, 1.0, z).entries
+    w = transfer_matrix(h, 1.0, z)
     assert np.max(np.abs(w - np.array([[1.0, z], [0.0, 1.0]]))) <= 1e-15
 
 
@@ -90,7 +90,7 @@ def test_transfer_identity_at_zero():
     m = rng.normal(size=(2, 2))
     m = m @ m.T
     h = Hamiltonian(np.array([1.5, 0.7]), np.array([m, m / 3.0]))
-    w = transfer_matrix(h, 2.0, 0.0).entries
+    w = transfer_matrix(h, 2.0, 0.0)
     assert np.max(np.abs(w - np.eye(2))) <= 1e-15
 
 
@@ -99,7 +99,7 @@ def test_free_half_rotation_vs_fine_step_product():
     h = Hamiltonian.constant(np.eye(2) / 2.0, length=10.0)
     z = 0.8 + 0.3j
     t = 3.7
-    w = transfer_matrix(h, t, z).entries
+    w = transfer_matrix(h, t, z)
     expected = np.array([
         [cmath.cos(t * z / 2), cmath.sin(t * z / 2)],
         [-cmath.sin(t * z / 2), cmath.cos(t * z / 2)],
@@ -108,7 +108,7 @@ def test_free_half_rotation_vs_fine_step_product():
     # product oracle: many short pieces of the same Hamiltonian
     n = 2000
     h_fine = Hamiltonian(np.full(n, t / n), np.tile(np.eye(2) / 2.0, (n, 1, 1)))
-    w_fine = transfer_matrix(h_fine, t, z).entries
+    w_fine = transfer_matrix(h_fine, t, z)
     assert np.max(np.abs(w - w_fine)) <= 1e-10
 
 
@@ -121,7 +121,7 @@ def test_det_unimodular():
         mats.append(m / np.trace(m))
     h = Hamiltonian(rng.uniform(0.2, 1.0, 5), np.array(mats))
     for t in (0.3, 1.7, h.total_length):
-        w = transfer_matrix(h, t, 1.2 - 0.8j).entries
+        w = transfer_matrix(h, t, 1.2 - 0.8j)
         assert abs(np.linalg.det(w) - 1.0) <= 1e-10 * max(1.0, np.max(np.abs(w)) ** 2)
 
 
@@ -167,8 +167,8 @@ def test_j_inner_integral_identity():
     h = Hamiltonian(rng.uniform(0.3, 1.0, 4), np.array(mats))
     t = h.total_length
     z, w = 0.8 + 0.4j, -0.2 + 0.9j
-    wz = transfer_matrix(h, t, z).entries
-    ww = transfer_matrix(h, t, w).entries
+    wz = transfer_matrix(h, t, z)
+    ww = transfer_matrix(h, t, w)
     lhs = (wz @ J @ ww.conj().T - J) / (z - np.conj(w))
     rhs = transfer_form_integral(h, t, z, w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
@@ -182,7 +182,7 @@ def test_transfer_form_integral_inside_a_piece_and_on_the_tail(t):
     h = Hamiltonian(np.array([1.0, 2.0]), np.array([[[0.7, 0.2], [0.2, 0.3]], np.eye(2) / 2.0]),
                     tail=np.array([[0.4, -0.1], [-0.1, 0.6]]))
     z, w = 0.8 + 0.4j, -0.2 + 0.9j
-    wz, ww = transfer_matrix(h, t, z).entries, transfer_matrix(h, t, w).entries
+    wz, ww = transfer_matrix(h, t, z), transfer_matrix(h, t, w)
     lhs = (wz @ J @ ww.conj().T - J) / (z - np.conj(w))
     assert np.max(np.abs(lhs - transfer_form_integral(h, t, z, w))) <= 1e-12
 

@@ -41,10 +41,20 @@ def test_unknown_identity_module_is_rejected(tmp_path, capsys):
     path = _write(tmp_path, {"experiment": "identities", "module_filter": "nonexistent",
                              "output_dir": str(tmp_path / "id")})
     assert main(["run", "--config", path]) == 2
-    with pytest.raises(SystemExit) as stop:
-        main(["identities", "--filter", "nonexistent"])
-    assert stop.value.code == 2
-    assert "--filter" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["identities", "--filter", "nonexistent"]) == 2
+    assert "module_filter" in capsys.readouterr().err
+
+
+def test_identities_subcommand_validates_like_a_config(tmp_path, monkeypatch, capsys):
+    # a negative seed ended in numpy's traceback; a config exits 2 naming it
+    assert main(["identities", "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    # the subcommand prints its verdicts and writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["identities", "--filter", "special_fn", "--seed", "3"]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    assert not any(tmp_path.iterdir())
 
 
 def test_identities_subcommand_filtered(capsys):

@@ -158,9 +158,16 @@ def test_interp_kernel(cheb):
 
 
 def test_kernel_diag_matches_interp(cheb):
-    for t in (5, 7.25, 12.9):
-        assert abs(kernel_diag(cheb, t, 0.2)
-                   - interp_kernel(cheb, t, 0.2, 0.2).real) <= 1e-10
+    assert abs(kernel_diag(cheb, 5, 0.2) - interp_kernel(cheb, 5, 0.2, 0.2).real) <= 1e-10
+
+
+def test_cd_levels_are_integers(cheb):
+    # CD kernels live at integer levels; real levels go through interp_kernel
+    assert kernel_diag(cheb, 7.0, 0.2) == kernel_diag(cheb, 7, 0.2)
+    with pytest.raises(ValueError, match="7.25"):
+        kernel_diag(cheb, 7.25, 0.2)
+    with pytest.raises(ValueError, match="7.25"):
+        rescaled_cd(cheb, 0.0, RegVarFn(), 7.25, [(0.0, 0.0)])
 
 
 def test_rescaled_cd_normalization(leg):
@@ -688,14 +695,20 @@ def test_nevai_ratio_off_support_no_overflow(a, n):
     assert abs(nevai_ratio(rec, x, n) / (r * r) - 1.0) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("x", [1e300, math.inf, math.nan])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e300, math.inf, -math.inf, math.nan])
 def test_nevai_ratio_overflow_is_typed(x):
-    # the ratio was nan here; kernel_diag raises at the same inputs
+    # the ratio was nan here, and both functions overflowed with
+    # RuntimeWarnings before the typed error; a NaN xi is rejected as such
     rec = stieltjes_coeffs(gallery("legendre"), 60)
-    with pytest.raises(KernelOverflowError) as exc:
-        nevai_ratio(rec, x, 50)
-    assert exc.value.index == 51
+    for f, index in ((lambda: kernel_diag(rec, 50, x), 50), (lambda: nevai_ratio(rec, x, 50), 51)):
+        if math.isnan(x):
+            with pytest.raises(ValueError, match="xi must not be NaN"):
+                f()
+            continue
+        with pytest.raises(KernelOverflowError) as exc:
+            f()
+        assert exc.value.index == index
 
 
 def test_kernel_diag_overflow_is_typed():

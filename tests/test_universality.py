@@ -19,6 +19,7 @@ from cdlab.universality import (
     complex_grid_pairs,
     convergence_study,
     real_grid_pairs,
+    sparse_diagnostics,
     sparse_jacobi,
     zero_study,
 )
@@ -181,7 +182,7 @@ def test_zero_study_window_too_narrow(leg, monkeypatch):
 
 
 def test_sparse_jacobi_construction():
-    rec, diag = sparse_jacobi([0.5, 0.25], ("geometric", 4.0, 4.0), 40)
+    rec = sparse_jacobi([0.5, 0.25], ("geometric", 4.0, 4.0), 40)
     assert rec.b[3] == 0.5 and rec.b[15] == 0.25
     assert np.sum(rec.b != 0.0) == 2
     assert np.all(rec.a == 1.0)
@@ -193,8 +194,8 @@ def test_sparse_jacobi_construction():
 
 
 def test_sparse_free_diagnostics():
-    rec, diag = sparse_jacobi([], ("geometric", 4.0, 4.0), 2000)
-    dat = diag.at(0.0)
+    rec = sparse_jacobi([], ("geometric", 4.0, 4.0), 2000)
+    dat = sparse_diagnostics(rec, 0.0)
     # free Jacobi: ||A_n||^2 = 1/2 and K(n,0,0)/n -> 1/2 against direct sums
     assert np.max(np.abs(dat.norms_sq - 0.5)) <= 1e-12
     assert abs(kernel_diag(rec, 2000, 0.0) / 2000.0 - 0.5) <= 1e-3
@@ -203,27 +204,26 @@ def test_sparse_free_diagnostics():
     assert abs(dat.g_xi(1000) - math.pi * 1000.0) <= 1e-9
     # its inverse: g_xi(t) = pi t, so h(pi t) = t
     h = dat.scaling_inverse()
-    assert h.index == 1.0
     assert abs(h(math.pi * 1000.0) - 1000.0) <= 1e-9
     # the diagnostics divide by 4 - xi^2: only the bulk (-2, 2) is valid
     for xi in (2.0, -2.5):
         with pytest.raises(ValueError):
-            diag.at(xi)
+            sparse_diagnostics(rec, xi)
 
 
 def test_sparse_block_constancy_nonzero_xi():
     # the constancy of ||A_n|| between bumps is nontrivial away from 0
     n_max = 4000
     v = np.arange(1, 8, dtype=float) ** -0.5
-    rec, diag = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
-    dat = diag.at(0.5)
+    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    dat = sparse_diagnostics(rec, 0.5)
     assert dat.block_deviation <= 1e-12
 
 
 def test_sparse_regular_variation_of_kernel():
     n_max = 20000
     v = np.arange(1, 10, dtype=float) ** -0.5
-    rec, diag = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
     k1 = kernel_diag(rec, 10000, 0.0)
     k2 = kernel_diag(rec, 20000, 0.0)
     assert 1.9 <= k2 / k1 <= 2.1
