@@ -11,8 +11,8 @@ one line per function (per code object: nested functions, lambdas and
 generator expressions count on their own) with an executable line that never
 ran:
 
-    oprl.py kernel_diag (427): 432, 435, 441
-    canonical.py rescaled_kernel_kh (169): never called
+    oprl.py kernel_diag (418): 423, 426, 432
+    cli.py __init__ (38): never called
 
 (file, name, first line of the code object: lines never run; the first line
 tells same-named functions apart).

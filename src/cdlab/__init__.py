@@ -32,7 +32,6 @@ from .measures import (
 )
 from .oprl import (
     RecurrenceCoeffs,
-    PolyValues,
     stieltjes_coeffs,
     eval_polys,
     cd_kernel,
@@ -45,7 +44,6 @@ from .oprl import (
 )
 from .opuc import (
     VerblunskyCoeffs,
-    SzegoValues,
     szego_eval,
     cd_kernel_circle,
     rescaled_cd_circle,
@@ -54,7 +52,6 @@ from .opuc import (
 )
 from .canonical import (
     Hamiltonian,
-    WeylValue,
     transfer_matrix,
     kernel_kh,
     weyl,

@@ -30,11 +30,8 @@ from .special import sine_ratio
 
 __all__ = [
     "Hamiltonian",
-    "WeylValue",
-    "SchrodingerKernelValue",
     "transfer_matrix",
     "kernel_kh",
-    "rescaled_kernel_kh",
     "rescaled_schrodinger",
     "weyl",
     "rescale_h",
@@ -99,13 +96,6 @@ def _check_psd(m):
         raise ValueError(f"piece is not PSD (eigenvalues {evals})")
 
 
-@dataclass(frozen=True)
-class WeylValue:
-    z: complex
-    q: complex
-    disk_radius: float
-
-
 def _piece_factor(m, ell, z, derivative=False):
     """Exact transfer factor of a constant piece, optionally with d/dz."""
     d = float(np.linalg.det(m))
@@ -166,15 +156,6 @@ def kernel_kh(h, t, z, w):
     return complex(pair_kernel(components, complex(z), complex(w)))
 
 
-def rescaled_kernel_kh(h, xi, scaling, t, grid):
-    """Samples of K_H(t, xi + z/tau, xi + w/tau) / K_H(t, xi, xi),
-    tau = scaling(K_H(t, xi, xi))."""
-    def kernel(xs, pairs):
-        return [kernel_kh(h, t, xs[i], xs[j]) for i, j in pairs]
-
-    return _rescaled_samples(kernel_kh(h, t, xi, xi).real, xi, scaling, grid, kernel)
-
-
 def mobius(matrix, tau):
     """(m11 tau + m12) / (m21 tau + m22) on the Riemann sphere."""
     m = np.asarray(matrix)
@@ -189,7 +170,8 @@ def mobius(matrix, tau):
 
 
 def weyl(h, z, t_max):
-    """Weyl coefficient approximant W(t_max, z) * i with a disk-radius estimate.
+    """(q, disk_radius): the Weyl coefficient approximant q = W(t_max, z) * i
+    and a disk-radius estimate.
 
     disk_radius = 1/(2 Im z K_H(t_max,z,z)) is the standard Weyl-disk bound;
     a large radius (non-convergence) is reported in the value, not raised.
@@ -200,7 +182,7 @@ def weyl(h, z, t_max):
     q = mobius(transfer_matrix(h, t_max, z), 1j)
     kd = kernel_kh(h, t_max, z, z).real
     radius = math.inf if kd <= 0 else 1.0 / (2.0 * z.imag * kd)
-    return WeylValue(z=z, q=q, disk_radius=radius)
+    return q, radius
 
 
 def rescale_h(h, g, r):
@@ -225,10 +207,10 @@ def jacobi_hamiltonian(rec, n_max):
         raise ValueError("n_max must be >= 1")
     if n_max > len(rec):
         raise ValueError(f"n_max = {n_max} exceeds declared length {len(rec)}")
-    pv = eval_polys(rec, n_max - 1, 0.0)
-    pv1 = eval_polys(RecurrenceCoeffs(rec.a[1:], rec.b[1:]), max(n_max - 2, 0), 0.0)
-    p = pv.values.real * math.exp(pv.log_scale)
-    q = np.append(0.0, pv1.values.real[: n_max - 1] * math.exp(pv1.log_scale) / rec.a[0])
+    p, log_p = eval_polys(rec, n_max - 1, 0.0)
+    p1, log_p1 = eval_polys(RecurrenceCoeffs(rec.a[1:], rec.b[1:]), max(n_max - 2, 0), 0.0)
+    p = p.real * math.exp(log_p)
+    q = np.append(0.0, p1.real[: n_max - 1] * math.exp(log_p1) / rec.a[0])
     mats = np.empty((n_max, 2, 2))
     for n in range(n_max):
         mats[n] = [[q[n] ** 2, -p[n] * q[n]], [-p[n] * q[n], p[n] ** 2]]
@@ -249,8 +231,8 @@ def opuc_hamiltonian(v, n_max):
         raise ValueError("n_max must be >= 1")
     if n_max > len(v):
         raise ValueError(f"n_max = {n_max} exceeds declared length {len(v)}")
-    phis = szego_eval(v, n_max - 1, 1.0).phi
-    psis = szego_eval(VerblunskyCoeffs(-v.alpha), n_max - 1, 1.0).phi
+    phis, _ = szego_eval(v, n_max - 1, 1.0)
+    psis, _ = szego_eval(VerblunskyCoeffs(-v.alpha), n_max - 1, 1.0)
     mats = np.empty((n_max, 2, 2))
     for n in range(n_max):
         phi, psi = phis[n], psis[n]
@@ -284,13 +266,6 @@ def transfer_form_integral(h, t, z, w):
 # ---------------------------------------------------------------------------
 # Schrodinger kernels
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SchrodingerKernelValue:
-    quadrature: complex
-    wronskian: complex
-    steps: int
-
 
 class SchrodingerToleranceError(RuntimeError):
     """Step control failed or the two kernel forms disagree."""
@@ -383,8 +358,9 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
         int_0^x u(y,z) conj(u(y,w)) dy
       = (u(x,z) conj(u'(x,w)) - u'(x,z) conj(u(x,w))) / (z - conj w),
 
-    both forms returned; Richardson step halving (at most 14 times) until they
-    stabilize to tol, error if the two forms disagree beyond 10x tol.
+    both forms returned, as (quadrature, wronskian); Richardson step halving
+    (at most 14 times) until they stabilize to tol, error if the two forms
+    disagree beyond 10x tol.
     """
     if x <= 0:
         raise ValueError("x must exceed the left endpoint 0")
@@ -408,7 +384,7 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
                 raise SchrodingerToleranceError(
                     f"kernel forms disagree: |quad - wronskian| = {abs(quad - wron):.3e}"
                 )
-            return SchrodingerKernelValue(quadrature=quad, wronskian=wron, steps=n)
+            return quad, wron
         prev = (quad, wron)
         n *= 2
     raise SchrodingerToleranceError(f"step control failed at {n} steps")

@@ -410,8 +410,8 @@ def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.
 
 def _run_schrodinger(out_dir, xi=1.0, n_values=(50, 100, 200), grid=GRID, tolerance=0.05):
     """free Schrodinger kernels: two-form agreement and bulk limit"""
-    val = canonical.schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
-    agree = abs(val.quadrature - val.wronskian) / (1.0 + abs(val.quadrature))
+    quad, wron = canonical.schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
+    agree = abs(quad - wron) / (1.0 + abs(quad))
     agree_ok = agree <= 1e-8
     eta = math.sqrt(xi) / math.pi
     h = RegVarFn(scale=eta, index=1.0)

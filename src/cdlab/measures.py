@@ -74,7 +74,6 @@ class Measure:
     atom_positions: np.ndarray = field(default_factory=lambda: np.empty(0))
     atom_masses: np.ndarray = field(default_factory=lambda: np.empty(0))
     pieces: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         pos = np.asarray(self.atom_positions, dtype=float)
@@ -206,7 +205,6 @@ def _mass_open_open(mu, a, b):
 
 @dataclass(frozen=True)
 class LocalScalingEstimate:
-    xi: float
     beta_hat: float
     sigma_minus_hat: float
     sigma_plus_hat: float
@@ -243,7 +241,6 @@ def local_scaling(mu, xi, r_grid):
     top = r_grid >= r_grid[-1] / 10.0
     g = r_grid[top] ** beta_hat
     return LocalScalingEstimate(
-        xi=float(xi),
         beta_hat=float(beta_hat),
         sigma_minus_hat=float(np.mean(g * m_minus[top])),
         sigma_plus_hat=float(np.mean(g * m_plus[top])),
@@ -310,7 +307,7 @@ def _pure_point_bulk(cutoff=100000):
     m = 1.0 / (j * (j + 1.0))
     pos = np.concatenate([-1.0 / j, (1.0 / j)[::-1]])
     masses = np.concatenate([m, m[::-1]])
-    return Measure(pos, masses, name=f"pure_point_bulk(cutoff={cutoff})")
+    return Measure(pos, masses)
 
 
 def _power_hard_edge(beta=1.5):
@@ -319,7 +316,7 @@ def _power_hard_edge(beta=1.5):
         raise ValueError("beta must be > 0")
     piece = AcPiece(0.0, 1.0, lambda x: beta * x ** (beta - 1.0),
                     singular_exponents=(beta - 1.0, 0.0))
-    return Measure(pieces=(piece,), name=f"power_hard_edge(beta={beta})")
+    return Measure(pieces=(piece,))
 
 
 def _even_fh(beta=1.5):
@@ -330,18 +327,18 @@ def _even_fh(beta=1.5):
     w = lambda x: (beta / 2.0) * np.abs(x) ** (beta - 1.0)
     left = AcPiece(-1.0, 0.0, w, singular_exponents=(0.0, beta - 1.0))
     right = AcPiece(0.0, 1.0, w, singular_exponents=(beta - 1.0, 0.0))
-    return Measure(pieces=(left, right), name=f"even_fh(beta={beta})")
+    return Measure(pieces=(left, right))
 
 
 def _chebyshev():
     piece = AcPiece(-1.0, 1.0, lambda x: 1.0 / (math.pi * np.sqrt(1.0 - x * x)),
                     singular_exponents=(-0.5, -0.5))
-    return Measure(pieces=(piece,), name="chebyshev")
+    return Measure(pieces=(piece,))
 
 
 def _legendre():
     piece = AcPiece(-1.0, 1.0, lambda x: np.full_like(x, 0.5))
-    return Measure(pieces=(piece,), name="legendre")
+    return Measure(pieces=(piece,))
 
 
 def _jump(sigma_minus=0.5, sigma_plus=1.0):
@@ -353,7 +350,7 @@ def _jump(sigma_minus=0.5, sigma_plus=1.0):
         pieces.append(AcPiece(-1.0, 0.0, lambda x, c=sm: np.full_like(x, c)))
     if sp > 0:
         pieces.append(AcPiece(0.0, 1.0, lambda x, c=sp: np.full_like(x, c)))
-    return Measure(pieces=tuple(pieces), name=f"jump({sm},{sp})")
+    return Measure(pieces=tuple(pieces))
 
 
 _GALLERY = {

@@ -15,11 +15,11 @@ a run's basis only when Simon's estimate fires or the run breaks down.  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
 bisection: deterministic, strictly increasing, and the same bits whether all
 n zeros are asked for (poly_zeros) or only a window of them around a point
-(zeros_near).  Up to n = 800, a dense eigvalsh (O(n^3) time, O(n^2) memory)
-and one certifying Sturm pass enclose each zero, and only the bisection steps
-inside an enclosure are counted; above it, where counting a window of zeros
-is cheaper, every step is counted, by multisection (one count pass per six
-halvings).  Either way the bits are bisection's.
+(zeros_near).  A dense eigvalsh (O(n^3) time, O(n^2) memory) and one
+certifying Sturm pass enclose each zero, and only the bisection steps inside
+an enclosure are counted, by multisection (one count pass per six halvings);
+for a window of zeros above n = 800, where counting is cheaper, every step is
+counted.  Either way the bits are bisection's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .limit_kernels import ZeroDiagonalError, _rescaled_samples, _tabulated, pai
 
 __all__ = [
     "RecurrenceCoeffs",
-    "PolyValues",
     "SupportTooSmallError",
     "PositivityLossError",
     "ZeroDiagonalError",
@@ -79,8 +78,6 @@ class KernelOverflowError(OverflowError):
 class RecurrenceCoeffs:
     a: np.ndarray  # a_1 .. a_N
     b: np.ndarray  # b_1 .. b_N
-    source: str = ""
-    mass_factor: float = 1.0  # original total mass before normalization
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -94,13 +91,6 @@ class RecurrenceCoeffs:
 
     def __len__(self):
         return self.a.size
-
-
-@dataclass(frozen=True)
-class PolyValues:
-    z: complex
-    values: np.ndarray  # p_0(z) .. p_n(z), times exp(log_scale)
-    log_scale: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +264,7 @@ def stieltjes_coeffs(mu, n_max):
     """Recurrence coefficients (a_1..a_n, b_1..b_n) of the measure.
 
     The measure is discretized exactly for degree 2*n_max + 1 (_discretize)
-    and normalized to unit mass; the original mass is recorded on the result.
+    and normalized to unit mass.
     A bit-exact mirror-symmetric discretization is folded (b = 0).  Folded or
     not, Lanczos merges a large node set into Jacobi blocks first (_lanczos).
     """
@@ -286,7 +276,7 @@ def stieltjes_coeffs(mu, n_max):
     a, b = (_folded_a(x, w / total, n_max) if mirror else None), np.zeros(n_max)
     if a is None:
         b, a = _lanczos(x, w / total, n_max + 1)
-    return RecurrenceCoeffs(a=a, b=b[:n_max], source=mu.name or "measure", mass_factor=total)
+    return RecurrenceCoeffs(a=a, b=b[:n_max])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,8 @@ def stieltjes_coeffs(mu, n_max):
 # ---------------------------------------------------------------------------
 
 def eval_polys(rec, n, z):
-    """p_0(z)..p_n(z) by forward recurrence.
+    """(p, log_scale) with p_k(z) = p[k] exp(log_scale), k = 0..n, by forward
+    recurrence.
 
     If values exceed 1e280 in modulus, the whole sequence is rescaled by a
     common factor and log_scale records its logarithm.
@@ -315,7 +306,7 @@ def eval_polys(rec, n, z):
             if abs(p[k]) > _RESCALE_LIMIT:
                 p[: k + 1] *= 1.0 / _RESCALE_LIMIT
                 log_scale += math.log(_RESCALE_LIMIT)
-    return PolyValues(z=z, values=p, log_scale=log_scale)
+    return p, log_scale
 
 
 def _chain(c, d, zs, start, derivative):
@@ -397,11 +388,11 @@ def cd_kernel(rec, n, z, w, method="cd_formula"):
     # an overflow surfaces as inf or nan in the value and is raised below
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "sum":
-            pv_z = eval_polys(rec, n - 1, z)
-            pv_w = eval_polys(rec, n - 1, w)
-            s = np.sum(pv_z.values * np.conj(pv_w.values))
+            p_z, log_z = eval_polys(rec, n - 1, z)
+            p_w, log_w = eval_polys(rec, n - 1, w)
+            s = np.sum(p_z * np.conj(p_w))
             try:
-                out = complex(s * math.exp(pv_z.log_scale + pv_w.log_scale))
+                out = complex(s * math.exp(log_z + log_w))
             except OverflowError:
                 out = cmath.inf
         else:
@@ -433,11 +424,11 @@ def kernel_diag(rec, n, xi):
     n, xi = int(n), float(xi)
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
-    pv = eval_polys(rec, max(n - 1, 0), xi)
+    p, log_scale = eval_polys(rec, max(n - 1, 0), xi)
     with np.errstate(over="ignore"):
-        out = np.cumsum(np.abs(pv.values) ** 2)[n - 1] if n else 0.0
+        out = np.cumsum(np.abs(p) ** 2)[n - 1] if n else 0.0
     # a rescaled sequence had an entry above 1e280, so K exceeds 1e560
-    if pv.log_scale > 0.0 or not math.isfinite(out):
+    if log_scale > 0.0 or not math.isfinite(out):
         raise KernelOverflowError(n, xi)
     return float(out)
 
@@ -461,7 +452,7 @@ def nevai_ratio(rec, xi, n):
         raise ValueError("n must be >= 1")
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
-    v = np.abs(eval_polys(rec, n, xi).values)
+    v = np.abs(eval_polys(rec, n, xi)[0])
     # an exact power-of-two scale keeps squares of entries up to the 1e280
     # rescale limit finite
     sq = np.ldexp(v, -math.frexp(v.max())[1]) ** 2
@@ -497,15 +488,14 @@ def _sturm_counts(d, e_sq, shifts):
 
 
 _LEVELS = 6  # halvings per multisection sweep
-_DENSE_MAX = 800  # largest n at which eigvalsh costs less than the Sturm passes it saves
+# largest n at which eigvalsh costs less than the Sturm passes it saves a
+# window of zeros (zeros_near); for all n zeros it costs less at every n
+_DENSE_MAX = 800
 
 
 def _estimates(d, e):
     """Eigenvalues of tridiag(d, e) by dense eigvalsh, O(n^3) time and O(n^2)
-    memory; None above _DENSE_MAX, where counting alone is cheaper for a window
-    of zeros (zeros_near)."""
-    if d.size > _DENSE_MAX:
-        return None
+    memory."""
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
@@ -594,12 +584,11 @@ def _jacobi(rec, n):
 
 def poly_zeros(rec, n):
     """All n zeros of p_n, strictly increasing: eigenvalues of the truncated
-    Jacobi matrix by Sturm bisection to bracket width 1e-13 (_bisect).  Up to
-    n = _DENSE_MAX, one dense eigvalsh (O(n^3) time, O(n^2) memory) and one
-    certifying pass enclose every zero, and only the steps inside an
-    enclosure are counted; above it every step is counted, O(n^2) per sweep.
-    Either way the bits are bisection's.  Studies that read zeros near one
-    point use zeros_near."""
+    Jacobi matrix by Sturm bisection to bracket width 1e-13 (_bisect).  One
+    dense eigvalsh (O(n^3) time, O(n^2) memory) and one certifying pass
+    enclose every zero, and only the steps inside an enclosure are counted:
+    for all n zeros that beats counting every step, O(n^2) per sweep, at
+    every n.  Studies that read zeros near one point use zeros_near."""
     d, e = _jacobi(rec, n)
     ks = np.arange(1, n + 1)
     lower, upper, _ = _enclosures(d, e, ks, _estimates(d, e), [])
@@ -626,7 +615,7 @@ def zeros_near(rec, n, xi, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     d, e = _jacobi(rec, n)
-    estimates = _estimates(d, e)
+    estimates = _estimates(d, e) if n <= _DENSE_MAX else None
     guess = 0 if estimates is None else int(np.searchsorted(estimates, xi))
     ranks = np.arange(max(guess - k - 3, 0), min(guess + k + 3, n)) + 1
     lower, upper, counts = _enclosures(d, e, ranks, estimates, [float(xi)])

@@ -26,7 +26,6 @@ from .oprl import KernelOverflowError, _chain
 
 __all__ = [
     "VerblunskyCoeffs",
-    "SzegoValues",
     "szego_eval",
     "cd_kernel_circle",
     "kernel_diag_circle",
@@ -39,7 +38,6 @@ __all__ = [
 @dataclass(frozen=True)
 class VerblunskyCoeffs:
     alpha: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         al = np.asarray(self.alpha, dtype=complex)
@@ -53,18 +51,11 @@ class VerblunskyCoeffs:
     @classmethod
     def free(cls, n):
         """alpha_k = 0 (normalized Lebesgue measure on the circle)."""
-        return cls(np.zeros(n, dtype=complex), source="free")
-
-
-@dataclass(frozen=True)
-class SzegoValues:
-    zeta: complex
-    phi: np.ndarray
-    phi_star: np.ndarray
+        return cls(np.zeros(n, dtype=complex))
 
 
 def szego_eval(v, n, zeta):
-    """phi_0..phi_n and phi*_0..phi*_n at zeta."""
+    """(phi, phi_star): phi_0..phi_n and phi*_0..phi*_n at zeta."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > len(v):
@@ -75,7 +66,7 @@ def szego_eval(v, n, zeta):
         r = 1.0 / math.sqrt(1.0 - abs(al) ** 2)
         phi.append(r * (zeta * phi[-1] - al.conjugate() * phs[-1]))
         phs.append(r * (phs[-1] - al * zeta * phi[-2]))
-    return SzegoValues(zeta=zeta, phi=np.array(phi), phi_star=np.array(phs))
+    return np.array(phi), np.array(phs)
 
 
 def _szego_last_batch(v, n, zetas, derivative=False):
@@ -122,9 +113,9 @@ def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
     # an overflow surfaces as inf or nan in the value and is raised below
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "sum":
-            sz = szego_eval(v, n - 1, zeta)
-            sw = szego_eval(v, n - 1, omega)
-            out = complex(np.sum(sz.phi * np.conj(sw.phi)))
+            phi_z, _ = szego_eval(v, n - 1, zeta)
+            phi_w, _ = szego_eval(v, n - 1, omega)
+            out = complex(np.sum(phi_z * np.conj(phi_w)))
         else:
             pair = _tabulated(functools.partial(_szego_last_batch, v, n, derivative=True),
                               [zeta, omega])
@@ -138,8 +129,8 @@ def kernel_diag_circle(v, n, xi):
     """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    sz = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
-    return float(np.sum(np.abs(sz.phi[:n]) ** 2))
+    phi, _ = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
+    return float(np.sum(np.abs(phi[:n]) ** 2))
 
 
 def rescaled_cd_circle(v, xi, h, n, grid):
@@ -177,8 +168,12 @@ def opuc_canonical_kernel(v, t, z, w):
     if t < 0:
         raise ValueError("t must be >= 0")
     n = int(math.floor(t))
-    s = t - n
+    return _chain_kernel(v, n, t - n, z, w)
 
+
+def _chain_kernel(v, n, s, z, w):
+    """K(n+s, z, w) of opuc_canonical_kernel from the level n and the offset s,
+    which may be 1: level n at s = 1 is level n + 1 at s = 0."""
     def components(x, derivative):
         e = cmath.exp(1j * x)
         phi, phs, *d = (c[0] for c in _szego_last_batch(v, n, [e], derivative))
@@ -198,7 +193,7 @@ def opuc_canonical_kernel(v, t, z, w):
     except OverflowError:
         out = cmath.inf
     if not cmath.isfinite(out):
-        raise KernelOverflowError(t, z, w)
+        raise KernelOverflowError(n + s, z, w)
     return out
 
 

@@ -331,8 +331,8 @@ def sparse_diagnostics(rec, xi):
     if not -2.0 < xi < 2.0:
         raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
     n_max = len(rec)
-    pv = eval_polys(rec, n_max, xi)
-    ps = pv.values.real * math.exp(pv.log_scale)
+    p, log_scale = eval_polys(rec, n_max, xi)
+    ps = p.real * math.exp(log_scale)
     a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
     q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
     norms_sq = 2.0 * q / (4.0 - xi * xi)
@@ -375,4 +375,4 @@ def sparse_jacobi(v_values, growth, n_max):
     for j, pos in enumerate(bumps):
         if j < v_values.size and 1 <= pos <= n_max:
             b[pos - 1] = v_values[j]
-    return RecurrenceCoeffs(a=np.ones(n_max), b=b, source="sparse jacobi")
+    return RecurrenceCoeffs(a=np.ones(n_max), b=b)

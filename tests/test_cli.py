@@ -232,6 +232,22 @@ def test_bulk_run_small_and_deterministic(tmp_path):
     assert csv1 == csv2
 
 
+def test_bulk_run_estimates_the_scaling_without_a_pin(tmp_path):
+    # no scaling.eta: h comes from the local_scaling estimates of the measure
+    reports = []
+    for out in ("out1", "out2"):
+        raw = {"experiment": "bulk", "n_values": [20, 40], "tolerance": 0.2,
+               "grid": {"half_width": 1.0, "points_per_axis": 4},
+               "output_dir": str(tmp_path / out)}
+        assert main(["run", "--config", _write(tmp_path, raw)]) == 0
+        reports.append((tmp_path / out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    scaling = json.loads(reports[0])["data"]["scaling"]
+    assert abs(scaling["beta_hat"] - 1.0) <= 1e-2
+    assert abs(scaling["sigma_minus_hat"] - 0.5) <= 1e-2
+    assert abs(scaling["sigma_plus_hat"] - 0.5) <= 1e-2
+
+
 def test_run_builds_the_gallery_measure_once(tmp_path, monkeypatch):
     # parse_config builds the measure to check its parameters; the run reuses it
     calls = []

@@ -102,27 +102,27 @@ def test_stieltjes_tiny_support_scales(scale):
 
 
 def test_eval_polys_basics(cheb):
-    pv = eval_polys(cheb, 0, 0.37 + 0.1j)
-    assert pv.values[0] == 1.0
+    p, _ = eval_polys(cheb, 0, 0.37 + 0.1j)
+    assert p[0] == 1.0
     # T_{2m}(0) pattern: p_{2m}(0) = sqrt(2) (-1)^m, odd ones vanish
-    pv = eval_polys(cheb, 21, 0.0)
+    p, _ = eval_polys(cheb, 21, 0.0)
     for m in range(1, 11):
-        assert abs(pv.values[2 * m] - math.sqrt(2.0) * (-1) ** m) <= 1e-9
-        assert pv.values[2 * m - 1] == 0.0
+        assert abs(p[2 * m] - math.sqrt(2.0) * (-1) ** m) <= 1e-9
+        assert p[2 * m - 1] == 0.0
 
 
 def test_legendre_p1_normalization(leg):
     # p_1(z) = sqrt(3) z; oracle: quadrature normalization of the weight 1/2
     z = 0.83
-    pv = eval_polys(leg, 1, z)
-    assert abs(pv.values[1] - math.sqrt(3.0) * z) <= 1e-9
+    p, _ = eval_polys(leg, 1, z)
+    assert abs(p[1] - math.sqrt(3.0) * z) <= 1e-9
 
 
 def test_eval_polys_overflow_guard():
     rec = RecurrenceCoeffs(a=np.full(2500, 0.5), b=np.zeros(2500))
-    pv = eval_polys(rec, 2500, 4.0)
-    assert pv.log_scale > 0.0
-    assert np.all(np.isfinite(pv.values[np.isfinite(pv.values)].real))
+    p, log_scale = eval_polys(rec, 2500, 4.0)
+    assert log_scale > 0.0
+    assert np.all(np.isfinite(p[np.isfinite(p)].real))
 
 
 def test_cd_kernel_trivial_and_chebyshev(cheb):
@@ -205,8 +205,8 @@ def test_nevai_ratio(cheb):
     mu = Measure(np.array([-0.7, 0.0, 0.4, 0.9]), np.array([0.1, 2.0, 0.1, 0.1]))
     rec = stieltjes_coeffs(mu, 3)
     r = nevai_ratio(rec, 0.0, 2)
-    pv = eval_polys(rec, 2, 0.0)
-    direct = float(np.sum(np.abs(pv.values) ** 2) / np.sum(np.abs(pv.values[:2]) ** 2))
+    p, _ = eval_polys(rec, 2, 0.0)
+    direct = float(np.sum(np.abs(p) ** 2) / np.sum(np.abs(p[:2]) ** 2))
     assert abs(r - direct) <= 1e-12
 
 
@@ -417,6 +417,19 @@ def test_enclosures_certify_every_gallery_zero(case, n):
     lower, upper, counts = _enclosures(d, e, ks, _estimates(d, e), [0.0])
     assert np.all(lower < upper) and np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
     assert counts[0] == _sturm_counts(d, e * e, [0.0])[0]
+
+
+def test_poly_zeros_encloses_every_zero_above_the_window_crossover(monkeypatch):
+    # above n = 800, where a window of zeros is counted alone, poly_zeros
+    # counted every step too: 9 count passes on the n = 1,000 Legendre matrix
+    rec = stieltjes_coeffs(gallery("legendre"), 1000)
+    passes = []
+    monkeypatch.setattr(oprl, "_sturm_counts", lambda *a: passes.append(1) or _sturm_counts(*a))
+    zeros = poly_zeros(rec, 1000)
+    assert len(passes) <= 3
+    monkeypatch.undo()
+    for xi in (0.0, 0.3, -0.97, zeros[333]):
+        _assert_window_is_slice(rec, 1000, xi, 3, zeros)
 
 
 def test_zeros_near_rejects_nan_xi_and_negative_k(leg):
@@ -779,10 +792,10 @@ def _sum_form_state(kind, coeffs, n, point):
     """The state at level n from eval_polys or szego_eval, and the largest
     modulus of the sequence up to n."""
     if kind == "oprl":
-        p = eval_polys(coeffs, n, point).values
+        p, _ = eval_polys(coeffs, n, point)
         return np.array([p[n], p[n - 1] if n else 0.0]), np.max(np.abs(p))
-    sz = szego_eval(coeffs, n, point)
-    return np.array([sz.phi[n], sz.phi_star[n]]), np.max(np.abs([sz.phi, sz.phi_star]))
+    phi, phi_star = szego_eval(coeffs, n, point)
+    return np.array([phi[n], phi_star[n]]), np.max(np.abs([phi, phi_star]))
 
 
 @pytest.mark.parametrize("kind", ["oprl", "opuc"])
