@@ -9,12 +9,17 @@ milliseconds over the number of calls given in each key, after one untimed
 call (none for the slowest cases, whose one call is timed alone).  Times
 `special.bessel_zeros(0.5, k)` at k = 3 and k = 20 the same way; a tree whose
 `bessel_zeros` raises there gives the exception's name instead of a time.
+Times the Gauss-Legendre rule `measures._leggauss.__wrapped__(n)` (its body,
+past the cache) at n = 310, 411, 612 and 814, the sizes the two zero_laws
+configs ask for, and at 3008.
 Then runs the two zero_laws configs (configs/hard_edge.json and
 configs/fisher_hartwig.json) once each, in-process into a temporary
-directory, and counts the `oprl._sturm_counts` passes and
-`special.bessel_zeros` calls of each run by wrapping those functions in every
-cdlab module that holds them.  The cdlab on PYTHONPATH is the one timed, so
-the same script times any two trees.
+directory, with the `_leggauss` cache emptied first, and counts the
+`oprl._sturm_counts` passes, `special.bessel_zeros` calls and
+`measures._leggauss` calls (cache hits included) of each run by wrapping
+those functions in every cdlab module that holds them; the distinct sizes
+of the `_leggauss` calls are listed too.  The cdlab on PYTHONPATH is the one
+timed, so the same script times any two trees.
 """
 
 import json
@@ -25,7 +30,7 @@ import time
 
 import numpy as np
 
-from cdlab import cli, oprl, special, universality
+from cdlab import cli, measures, oprl, special, universality
 from cdlab.oprl import RecurrenceCoeffs, poly_zeros, zeros_near
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -72,18 +77,28 @@ def main():
             out[key] = median_ms(lambda: special.bessel_zeros(0.5, k), 15)
         except Exception as exc:
             out[key] = f"raises {type(exc).__name__}"
+    rule = measures._leggauss
+    for n in (310, 411, 612, 814, 3008):
+        reps = 15 if n <= 814 else 3
+        out[f"_leggauss n={n} calls={reps}"] = median_ms(lambda: rule.__wrapped__(n), reps)
     tally = {"_sturm_counts": 0, "bessel_zeros": 0}
     counted([oprl], "_sturm_counts", tally)
     counted([special, universality], "bessel_zeros", tally)
+    sizes = []  # the n of every _leggauss call
+    measures._leggauss = lambda n: sizes.append(n) or rule(n)
     with tempfile.TemporaryDirectory() as tmp:
         for name in ("hard_edge", "fisher_hartwig"):
             for key in tally:
                 tally[key] = 0
+            sizes.clear()
+            rule.cache_clear()
             cfg = cli.load_config(CONFIGS / f"{name}.json")
             cfg.output_dir = str(pathlib.Path(tmp) / name)
             cli.run_experiment(cfg)
             out[f"{name} _sturm_counts passes"] = tally["_sturm_counts"]
             out[f"{name} bessel_zeros calls"] = tally["bessel_zeros"]
+            out[f"{name} _leggauss calls"] = len(sizes)
+            out[f"{name} _leggauss sizes"] = sorted(set(sizes))
     print(json.dumps(out, indent=1))
 
 

@@ -30,6 +30,7 @@ from .special import sine_ratio
 
 __all__ = [
     "Hamiltonian",
+    "TransferOverflowError",
     "transfer_matrix",
     "kernel_kh",
     "rescaled_schrodinger",
@@ -49,6 +50,10 @@ _J_INV = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 class DomainError(ValueError):
     """t beyond the finite Hamiltonian domain without a tail rule."""
+
+
+class TransferOverflowError(OverflowError):
+    """W(t, z) or dW/dz leaves the double range."""
 
 
 @dataclass(frozen=True)
@@ -132,15 +137,27 @@ def _iter_pieces(h, t):
 
 def transfer_matrix(h, t, z, derivative=False):
     """W(t, z) as a 2x2 complex array, and (W, dW/dz) with derivative=True;
-    multiplicative over pieces, identity at z = 0."""
+    multiplicative over pieces, identity at z = 0.  Raises ValueError for a
+    non-finite z and TransferOverflowError when W or dW/dz leaves the double
+    range."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     w = np.eye(2, dtype=complex)
     dw = np.zeros((2, 2), dtype=complex) if derivative else None
-    for ell, m in _iter_pieces(h, t):
-        f, df = _piece_factor(m, ell, z, derivative)
-        if derivative:
-            dw = dw @ f + w @ df
-        w = w @ f
+    # an overflow surfaces as inf or nan, or as OverflowError from cmath
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ell, m in _iter_pieces(h, t):
+                f, df = _piece_factor(m, ell, z, derivative)
+                if derivative:
+                    dw = dw @ f + w @ df
+                w = w @ f
+    except OverflowError:
+        w = None
+    if w is None or not (np.isfinite(w).all() and (dw is None or np.isfinite(dw).all())):
+        raise TransferOverflowError(
+            f"W(t, z) overflows double precision at z = {z} over the length t = {t}")
     return (w, dw) if derivative else w
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "LimitKernelSpec",
     "KernelSample",
     "ZeroDiagonalError",
+    "SineKernelOverflowError",
     "ScaleFit",
     "ScaleFitError",
     "build_limit_kernel",
@@ -69,6 +70,10 @@ class KernelSample:
 
 class ZeroDiagonalError(ValueError):
     """K(xi, xi) is not positive (zero, or NaN); cannot rescale."""
+
+
+class SineKernelOverflowError(OverflowError):
+    """sine_kernel(z, w) is outside the double range."""
 
 
 def pair_kernel(components, z, w):
@@ -237,9 +242,17 @@ def eval_limit_kernel(spec, z, w):
 
 
 def sine_kernel(z, w):
-    """sin(pi(z - conj w)) / (pi(z - conj w)); 1 on the diagonal."""
+    """sin(pi(z - conj w)) / (pi(z - conj w)); 1 on the diagonal.  Raises
+    ValueError when z - conj w is not finite, and SineKernelOverflowError when
+    the value leaves the double range (|Im(z - conj w)| beyond about 226)."""
     u = complex(z) - complex(w).conjugate()
-    return sine_ratio(math.pi * u)
+    if not cmath.isfinite(u):
+        raise ValueError(f"sine_kernel needs a finite z - conj w, got z = {z}, w = {w}")
+    try:
+        return sine_ratio(math.pi * u)
+    except OverflowError as exc:
+        raise SineKernelOverflowError(
+            f"sine_kernel({z}, {w}) overflows double precision") from exc
 
 
 def fh_bessel_kernel(beta, z, w):
@@ -250,10 +263,12 @@ def fh_bessel_kernel(beta, z, w):
     with kappa from the two-sided spec at sigma+- = 1, so the result is
     directly comparable to eval_limit_kernel.
     """
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
-    kap = build_limit_kernel(1.0, 1.0, beta).kappa
     nu = beta / 2.0
+    # bessel_f needs nu - 1 > -1, which a tiny beta > 0 loses to rounding
+    if not nu - 1.0 > -1.0:
+        raise ValueError(f"fh_bessel_kernel needs beta > 0 with beta/2 - 1 > -1 in double "
+                         f"precision, got beta = {beta}")
+    kap = build_limit_kernel(1.0, 1.0, beta).kappa
     g_a, g_b = gamma_cx(nu).real, gamma_cx(nu + 1.0).real
 
     def components(x, derivative):

@@ -5,13 +5,16 @@ the experiments.
 Interval convention is half-open [a, b) throughout: an atom at a counts, an
 atom at b does not.  AC pieces carry endpoint singularity exponents > -1; all
 quadrature goes through a power substitution that removes (or tames) the
-endpoint singularity before Gauss-Legendre panels are applied.
+endpoint singularity before Gauss-Legendre panels are applied.  The
+Gauss-Legendre rules come from Newton's method on the Legendre recurrence
+(_leggauss), in O(n) memory, with no companion-matrix eigensolve.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -36,7 +39,8 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Panel doubling failed to stabilize the integral."""
+    """Panel doubling failed to stabilize the integral, or Newton failed to
+    converge on a Gauss-Legendre rule."""
 
 
 class AtomAtPointError(ValueError):
@@ -95,7 +99,7 @@ class Measure:
     def total_mass(self):
         out = float(self.atom_masses.sum())
         for p in self.pieces:
-            out += _integrate_piece(p, p.a, p.b)
+            out += float(np.real(_integrate_piece(p, p.a, p.b)))
         return out
 
 
@@ -105,7 +109,38 @@ class Measure:
 
 @lru_cache(maxsize=128)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    """n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n for the ceil(n/2) nodes in [0, 1) at once, from
+    Tricomi's asymptotic nodes (the start of Hale & Townsend 2013, SIAM J.
+    Sci. Comput. 35), with P_n and P_{n-1} from the three-term recurrence and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1): O(n^2) time, O(n) memory.  It
+    stops once max |dx| <= 4e-16 (QuadratureError after 10 passes); the
+    weights are 2 / ((1 - x^2) P_n'^2), with P_n' from that last pass.  The
+    other half is the mirror image, so x == -x[::-1] and w == w[::-1] hold
+    bit for bit, and the middle node of odd n is 0.0.
+    """
+    n = operator.index(n)  # a Python int: n**4 of a numpy int wraps beyond n = 55,108
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    phi = np.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)) * np.cos(phi)
+    if n % 2:
+        x[-1] = 0.0  # a root of every odd P_n, where the recurrence gives P_n = 0 exactly
+    for _ in range(10):
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        dx = p1 / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 4e-16:
+            break
+    else:
+        raise QuadratureError(f"Newton for the {n}-point Gauss-Legendre nodes did not converge")
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    # x runs from the node nearest 1 down to the middle; mirror it about 0
+    return np.concatenate((-x[: n // 2], x[::-1])), np.concatenate((w[: n // 2], w[::-1]))
 
 
 def _subst_exponent(gamma):

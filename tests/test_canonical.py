@@ -9,6 +9,7 @@ from cdlab.canonical import (
     DomainError,
     Hamiltonian,
     J,
+    TransferOverflowError,
     jacobi_hamiltonian,
     kernel_kh,
     mobius,
@@ -132,6 +133,23 @@ def test_domain_error_without_tail():
     h_tail = Hamiltonian(np.array([1.0]), np.eye(2)[None, :, :] / 2.0,
                          tail=np.eye(2) / 2.0)
     transfer_matrix(h_tail, 2.0, 1.0)  # no error
+
+
+@pytest.mark.parametrize("h, t, z, derivative", [
+    (Hamiltonian.constant(np.eye(2)), 1e3, 1e3j, False),  # cmath.cos raised a bare OverflowError
+    (Hamiltonian(np.ones(3), np.array([np.eye(2)] * 3)), 3.0, 300j, False),  # the product overflows
+    (Hamiltonian(np.ones(3), np.array([np.eye(2)] * 3)), 3.0, 300j, True),
+], ids=["factor", "product", "derivative"])
+def test_transfer_matrix_overflow_is_typed(h, t, z, derivative):
+    with np.errstate(all="raise"):
+        with pytest.raises(TransferOverflowError, match=f"at z = {z} over the length t = {t}"):
+            transfer_matrix(h, t, z, derivative=derivative)
+    assert issubclass(TransferOverflowError, OverflowError)
+
+
+def test_transfer_matrix_rejects_non_finite_z():
+    with pytest.raises(ValueError, match="z must be finite"):
+        transfer_matrix(Hamiltonian.constant(np.eye(2)), 1.0, complex(math.nan, 0.0))
 
 
 def test_kernel_kh_free_half():

@@ -248,6 +248,18 @@ def test_bulk_run_estimates_the_scaling_without_a_pin(tmp_path):
     assert abs(scaling["sigma_plus_hat"] - 0.5) <= 1e-2
 
 
+def test_bulk_run_without_a_pin_prints_plain_numbers(tmp_path, capsys):
+    # Measure.total_mass returned np.float64, and the scaling line printed its repr
+    raw = {"experiment": "bulk", "n_values": [20, 40], "tolerance": 0.2,
+           "output_dir": str(tmp_path / "out")}
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 0
+    lines = json.loads((tmp_path / "out" / "report.json").read_text())["lines"]
+    scaling = [line for line in lines if line.startswith("[INFO] scaling data:")]
+    assert len(scaling) == 1 and "'sigma_minus_hat': 0.4999" in scaling[0]
+    assert "np.float64(" not in capsys.readouterr().out
+    assert not any("np.float64(" in line for line in lines)
+
+
 def test_run_builds_the_gallery_measure_once(tmp_path, monkeypatch):
     # parse_config builds the measure to check its parameters; the run reuses it
     calls = []

@@ -14,6 +14,7 @@ from cdlab.limit_kernels import (
     DIAGONAL_SWITCH,
     KernelSample,
     ScaleFitError,
+    SineKernelOverflowError,
     build_limit_kernel,
     eval_limit_kernel,
     fh_bessel_kernel,
@@ -29,6 +30,7 @@ from cdlab.special import (
     SeriesConvergenceError,
     SeriesPrecisionError,
     gamma_cx,
+    sine_ratio,
 )
 
 
@@ -204,6 +206,35 @@ def test_sine_kernel_examples():
     assert abs(sine_kernel(0.0, 0.0) - 1.0) <= 1e-15
     assert abs(sine_kernel(1.0, 0.0)) <= 1e-15
     assert abs(sine_kernel(0.5, 0.0) - 2.0 / math.pi) <= 1e-15
+
+
+def test_sine_kernel_overflow_is_typed():
+    # cmath.sin raised a bare OverflowError ("math range error")
+    with pytest.raises(SineKernelOverflowError, match=r"sine_kernel\(\(300\+300j\), 0\.3\)"):
+        sine_kernel(300 + 300j, 0.3)
+    assert issubclass(SineKernelOverflowError, OverflowError)
+
+
+@pytest.mark.parametrize("z, w", [(math.inf, 0.3), (0.3, complex(0.0, -math.inf)), (math.nan, 0.0)])
+def test_sine_kernel_rejects_non_finite(z, w):
+    # sine_kernel(inf, 0.3) returned nan+nanj
+    with pytest.raises(ValueError, match="sine_kernel needs a finite z - conj w"):
+        sine_kernel(z, w)
+
+
+def test_sine_kernel_in_range_bits():
+    # the finiteness and overflow checks leave every in-range value as it was
+    for z, w in [(0.0, 0.0), (0.5, 0.0), (1.3 - 0.2j, -0.4 + 0.7j), (3 + 200j, 1.0)]:
+        got = sine_kernel(z, w)
+        expect = sine_ratio(math.pi * (complex(z) - complex(w).conjugate()))
+        assert struct.pack("dd", got.real, got.imag) == struct.pack("dd", expect.real, expect.imag)
+
+
+def test_fh_bessel_kernel_names_a_tiny_beta():
+    # beta/2 - 1 rounded to -1 and bessel_f said "requires nu > -1, got -1.0"
+    for beta in (1e-300, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"got beta = {beta}"):
+            fh_bessel_kernel(beta, 0.5, 0.3)
 
 
 def test_fh_bessel_kernel_diag_normalization():

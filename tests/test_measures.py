@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlab import measures
 from cdlab.measures import (
     AcPiece,
     AtomAtPointError,
@@ -227,3 +229,77 @@ def test_gallery_masses():
     assert mu.total_mass <= 2.0
     assert abs(mu.total_mass - 2.0 * (1.0 - 1.0 / 101.0)) <= 1e-14
     assert abs(mass(gallery("power_hard_edge", beta=1.5), 0.0, 0.5) - 0.5 ** 1.5) <= 1e-12
+
+
+def _legendre_oracle(mpmath, n, x):
+    """The node of P_n nearest x and its weight, by Newton in mpmath."""
+    def evaluate(t):
+        p0, p1 = mpmath.mpf(1), t
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        return p1, n * (t * p1 - p0) / (t * t - 1)
+
+    t = mpmath.mpf(float(x))
+    for _ in range(3):
+        p, dp = evaluate(t)
+        t -= p / dp
+    _, dp = evaluate(t)
+    return t, 2 / ((1 - t * t) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [64, 411, 814])
+def test_leggauss_mpmath_oracle(n):
+    # numpy's companion-matrix rule was off by 2.1e-9 relative in the end weight at n = 814
+    mpmath = pytest.importorskip("mpmath")
+    x, w = measures._leggauss.__wrapped__(n)
+    mid = n // 2
+    picks = [*range(5), *range(mid - 2, mid + 2), *range(n - 5, n)]
+    with mpmath.workdps(40):
+        for i in picks:
+            node, weight = _legendre_oracle(mpmath, n, x[i])
+            assert abs(mpmath.mpf(x[i]) - node) <= 1e-16, (n, i)
+            assert abs(mpmath.mpf(w[i]) / weight - 1) <= 1e-11, (n, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 411, 814])
+def test_leggauss_mirror_exact(n):
+    x, w = measures._leggauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+def test_leggauss_small_and_invalid_sizes():
+    x, w = measures._leggauss(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            measures._leggauss.__wrapped__(n)
+
+
+def test_leggauss_memory_is_linear():
+    # the companion matrix of an eigensolve alone is 32 MB at n = 2000
+    tracemalloc.start()
+    try:
+        measures._leggauss.__wrapped__(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_legendre_discretization_folds():
+    # the mirror-exact rule keeps the discretization of a symmetric measure
+    # symmetric bit for bit, so stieltjes_coeffs folds it and b is exactly 0
+    rec = stieltjes_coeffs(gallery("legendre"), 200)
+    assert np.all(rec.b == 0.0)
+    k = np.arange(1, 201)
+    assert np.max(np.abs(rec.a - k / np.sqrt(4.0 * k * k - 1.0))) <= 1e-13
+
+
+def test_total_mass_is_a_float():
+    for name in ("legendre", "jump", "pure_point_bulk"):
+        assert type(gallery(name).total_mass) is float
