@@ -30,7 +30,9 @@ from .special import sine_ratio
 
 __all__ = [
     "Hamiltonian",
+    "DomainError",
     "TransferOverflowError",
+    "SchrodingerToleranceError",
     "transfer_matrix",
     "kernel_kh",
     "rescaled_schrodinger",

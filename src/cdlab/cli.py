@@ -2,10 +2,11 @@
 
     cdlab run --config cfg.json [--out DIR]
     cdlab list-experiments
-    cdlab identities [--filter MODULE] [--seed N]
 
 Every experiment is one entry of EXPERIMENTS, its runner: the runner's
 keyword arguments are the settings a config may give and their defaults.
+The exact-identity suites are the identities experiment; its config may
+name one module (module_filter) and a seed.
 Validation errors (a field the experiment does not read, a bad value) carry
 the offending field path so the CLI can name it.  Exit status: 0 pass,
 1 experiment fail, 2 config error.  Outputs are bit-stable for a fixed config
@@ -32,6 +33,9 @@ from .measures import RegVarFn, gallery, local_scaling
 from .special import _MAX_BESSEL_ZEROS
 from .universality import (convergence_study, real_grid_pairs, sparse_diagnostics, sparse_jacobi,
                            zero_study)
+
+__all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "load_config",
+           "run_experiment", "main"]
 
 
 class ConfigError(ValueError):
@@ -285,9 +289,8 @@ def _run_opuc_bulk(out_dir, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
 
 
 def _zeros_rows(zr):
-    raw = zr.extras.get("raw_zeros", {})
-    return [(n, k, raw.get((n, k), math.nan), val)
-            for (n, k), val in sorted(zr.scaled_zeros.items())]
+    raw = zr.extras["raw_zeros"]
+    return [(n, k, raw[(n, k)], val) for (n, k), val in sorted(zr.scaled_zeros.items())]
 
 
 def _run_hard_edge(out_dir, n_values=(100, 200, 300), tolerance=0.02, k_max=3, betas=(1.5,)):
@@ -468,26 +471,12 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="override output directory")
     sub.add_parser("list-experiments", help="list experiment names")
-    p_id = sub.add_parser("identities", help="run the exact-identity suites")
-    p_id.add_argument("--filter", default=None, help="restrict to one module")
-    p_id.add_argument("--seed", type=int, default=SEED)
 
     args = parser.parse_args(argv)
     if args.command == "list-experiments":
         for name, run in EXPERIMENTS.items():
             print(f"{name:22s} {run.__doc__}")
         return 0
-    if args.command == "identities":
-        try:
-            cfg = parse_config({"experiment": "identities", "module_filter": args.filter,
-                                "seed": args.seed})
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        lines, passed, _ = _run_identity_suite(None, **cfg.settings)
-        for line in lines:
-            print(line)
-        return 0 if passed else 1
     if args.command == "run":
         try:
             cfg = load_config(args.config)

@@ -291,6 +291,8 @@ class RegVarFn:
     index: float = 1.0
 
     def __post_init__(self):
+        _finite("scale", self.scale)
+        _finite("index", self.index)
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
 
@@ -308,8 +310,10 @@ def asymptotic_inverse(g):
 
 
 def cauchy_transform(mu, z):
-    """m(z) = int dmu(t) / (t - z), Im z != 0."""
+    """m(z) = int dmu(t) / (t - z), z finite with Im z != 0."""
     z = complex(z)
+    if not np.isfinite(z):
+        raise ValueError(f"cauchy_transform needs a finite z, got {z}")
     if z.imag == 0.0:
         raise ValueError("cauchy_transform needs Im z != 0")
     out = 0.0 + 0.0j

@@ -126,9 +126,11 @@ def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
 
 
 def kernel_diag_circle(v, n, xi):
-    """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0."""
+    """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0.  The angle xi is finite."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got {xi}")
     phi, _ = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
     return float(np.sum(np.abs(phi[:n]) ** 2))
 

@@ -36,6 +36,7 @@ __all__ = [
     "bessel_f_prime",
     "bessel_zero",
     "bessel_zeros",
+    "sine_ratio",
 ]
 
 # Series truncation.  A term is "small" when |term| <= _REL_TOL * |partial

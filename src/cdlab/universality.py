@@ -28,6 +28,7 @@ __all__ = [
     "convergence_study",
     "zero_study",
     "sparse_jacobi",
+    "SparseDiagnosticsAt",
     "sparse_diagnostics",
 ]
 

@@ -27,6 +27,14 @@ def test_list_experiments(capsys):
         assert line.endswith(run.__doc__)
 
 
+def test_identities_is_an_experiment_not_a_command(capsys):
+    # the suites run as `cdlab run` of an identities config, with module_filter and seed
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--filter", "special_fn"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'identities'" in capsys.readouterr().err
+
+
 def test_packaged_configs_load():
     paths = sorted(CONFIG_DIR.glob("*.json"))
     assert paths
@@ -34,34 +42,13 @@ def test_packaged_configs_load():
         assert load_config(path).experiment in EXPERIMENTS
 
 
-def test_unknown_identity_module_is_rejected(tmp_path, capsys):
+def test_unknown_identity_module_is_rejected(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config({"experiment": "identities", "module_filter": "nonexistent"})
     assert exc.value.field == "module_filter"
     path = _write(tmp_path, {"experiment": "identities", "module_filter": "nonexistent",
                              "output_dir": str(tmp_path / "id")})
     assert main(["run", "--config", path]) == 2
-    capsys.readouterr()
-    assert main(["identities", "--filter", "nonexistent"]) == 2
-    assert "module_filter" in capsys.readouterr().err
-
-
-def test_identities_subcommand_validates_like_a_config(tmp_path, monkeypatch, capsys):
-    # a negative seed ended in numpy's traceback; a config exits 2 naming it
-    assert main(["identities", "--seed", "-1"]) == 2
-    assert "'seed'" in capsys.readouterr().err
-    # the subcommand prints its verdicts and writes nothing
-    monkeypatch.chdir(tmp_path)
-    assert main(["identities", "--filter", "special_fn", "--seed", "3"]) == 0
-    assert "[PASS]" in capsys.readouterr().out
-    assert not any(tmp_path.iterdir())
-
-
-def test_identities_subcommand_filtered(capsys):
-    assert main(["identities", "--filter", "special_fn"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    assert "canonical" not in out
 
 
 def test_config_validation_names_field(tmp_path):
@@ -284,6 +271,7 @@ def test_identities_experiment_exit_status(tmp_path):
     cfg = parse_config({
         "experiment": "identities",
         "module_filter": "measures",
+        "seed": 3,
         "output_dir": str(tmp_path / "id"),
     })
     lines, passed, data = run_experiment(cfg)

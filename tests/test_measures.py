@@ -188,6 +188,25 @@ def test_asymptotic_inverse_requires_positive_index():
         asymptotic_inverse(RegVarFn(scale=1.0, index=-1.0))
 
 
+@pytest.mark.parametrize("field, scale, index", [
+    ("scale", math.nan, 1.0), ("scale", math.inf, 1.0),
+    ("index", 1.0, math.nan), ("index", 2.0, math.inf), ("index", 1.0, -math.inf)])
+def test_regvarfn_rejects_non_finite_fields(field, scale, index):
+    # RegVarFn(1.0, inf)(2.0) was inf, and asymptotic_inverse of it had index 0
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RegVarFn(scale=scale, index=index)
+
+
+@pytest.mark.parametrize("mu", [Measure(np.array([0.0]), np.array([1.0])), gallery("legendre")],
+                         ids=["atom", "legendre"])
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.3, math.inf),
+                               complex(-math.inf, 1.0)])
+def test_cauchy_transform_rejects_non_finite_z(mu, z):
+    # an atom gave nan+nanj; legendre ran every panel doubling, then QuadratureError
+    with pytest.raises(ValueError, match="finite z"):
+        cauchy_transform(mu, z)
+
+
 def test_cauchy_transform_atom():
     mu = Measure(np.array([0.0]), np.array([1.0]))
     assert abs(cauchy_transform(mu, 1j) - 1j) <= 1e-15

@@ -88,6 +88,13 @@ def test_diag_monotone(alphas):
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_kernel_diag_circle_rejects_non_finite_xi(alphas, xi):
+    # returned nan, where oprl.kernel_diag raises on a NaN xi
+    with pytest.raises(ValueError, match="xi must be finite"):
+        kernel_diag_circle(alphas, 5, xi)
+
+
 def test_rescaled_cd_circle_normalization(alphas):
     h = RegVarFn(scale=1.0 / (2 * math.pi), index=1.0)
     s = rescaled_cd_circle(alphas, 0.2, h, 30, [(0.0, 0.0)])
