@@ -105,24 +105,26 @@ def _discretize(mu, n_max):
     integrand of a degree-(2 n_max + 1) moment is integrated exactly.  Nodes
     of zero weight are dropped; raises ValueError on a non-finite weight (a
     density that returns NaN or inf) and SupportTooSmallError unless more than
-    n_max nodes remain.
+    n_max nodes remain.  A measure of atoms only gives its own two arrays,
+    which Measure keeps finite, strictly increasing and positive: no copy.
     """
     from .measures import _piece_nodes, _subst_exponent  # shared quadrature plumbing
 
-    xs = [mu.atom_positions]
-    ws = [mu.atom_masses]
-    for p in mu.pieces:
-        k = max(_subst_exponent(g) for g in p.singular_exponents)
-        x, w = _piece_nodes(p, p.a, p.b, k * (n_max + 2) + 8)
-        xs.append(x)
-        ws.append(w)
-    x = np.concatenate(xs)
-    w = np.real(np.concatenate(ws))
-    if not np.all(np.isfinite(w)):
-        raise ValueError("the measure has non-finite weights (a density returned NaN or inf)")
-    order = np.argsort(x, kind="stable")
-    x, w = x[order], w[order]
-    x, w = x[w > 0], w[w > 0]
+    x, w = mu.atom_positions, mu.atom_masses
+    if mu.pieces:
+        xs, ws = [x], [w]
+        for p in mu.pieces:
+            k = max(_subst_exponent(g) for g in p.singular_exponents)
+            x, w = _piece_nodes(p, p.a, p.b, k * (n_max + 2) + 8)
+            xs.append(x)
+            ws.append(w)
+        x = np.concatenate(xs)
+        w = np.real(np.concatenate(ws))
+        if not np.all(np.isfinite(w)):
+            raise ValueError("the measure has non-finite weights (a density returned NaN or inf)")
+        order = np.argsort(x, kind="stable")
+        x, w = x[order], w[order]
+        x, w = x[w > 0], w[w > 0]
     if x.size <= n_max:
         raise SupportTooSmallError(
             f"support has {x.size} points after discretization; need > {n_max}"
@@ -139,24 +141,28 @@ def _lanczos(x, w, m):
     moments (discretize-and-merge: Gautschi 2004, Sec. 2.2), and Lanczos goes
     on over the block-diagonal tridiagonal operator.  Equal adjacent nodes are
     first made one node, and B is a multiple of m, so no run splits a node or
-    a block.  A level's runs go through _krylov in stacks of about 2^15
-    entries with no stored basis; a run is redone with its basis only when
-    Simon's estimate fires or it breaks down (then it keeps its entries).
+    a block.  A level's full runs go through _krylov as the rows of views of
+    its arrays, in stacks of about 2^15 entries, and a shorter last run as a
+    stack of its own, all with no stored basis; a run is redone with its basis
+    only when Simon's estimate fires or it breaks down (then it keeps its
+    entries).  The last level, one run, is redone with its basis the same way.
     """
     if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
         distinct = np.append(True, x[1:] != x[:-1])
         x, w = x[distinct], np.add.reduceat(w, np.flatnonzero(distinct))
     block, off = 32 * m, None  # off[i] couples entries i and i + 1; None while no block has two
     while x.size > 2 * block:
-        runs, per = -(-x.size // block), max(1, 2**15 // block)  # per: cache-sized stacks
-        # the runs as rows, the last padded by uncoupled entries of zero weight
-        X, W, O = (None if a is None else np.pad(a, (0, runs * block - x.size)).reshape(runs, block)
-                   for a in (x, w, off))
+        full, per = x.size // block, max(1, 2**15 // block)  # per: cache-sized stacks
+        stacks = [(lo, min(lo + per * block, full * block), block)
+                  for lo in range(0, full * block, per * block)]
+        if x.size > full * block:
+            stacks.append((full * block, x.size, x.size - full * block))
         d, e = map(np.concatenate, zip(*(
-            _krylov(X[i : i + per], W[i : i + per], m, None if O is None else O[i : i + per, :-1], False)
-            for i in range(0, runs, per))))
+            _krylov(x[lo:hi].reshape(-1, n), w[lo:hi].reshape(-1, n), m,
+                    None if off is None else off[lo:hi].reshape(-1, n)[:, :-1], False)
+            for lo, hi, n in stacks)))
         parts = []
-        for r in range(runs):
+        for r in range(len(d)):
             run = slice(r * block, (r + 1) * block)
             try:
                 if np.isnan(d[r, 0]):
@@ -167,7 +173,9 @@ def _lanczos(x, w, m):
         if sum(p[0].size for p in parts) == x.size:  # no run could be merged
             break
         x, w, off = map(np.concatenate, zip(*parts))
-    return _krylov(x, w, m, None if off is None else off[:-1])
+    off = None if off is None else off[:-1]
+    d, e = _krylov(x, w, m, off, False)
+    return _krylov(x, w, m, off) if np.isnan(d[0]) else (d, e)
 
 
 def _krylov(x, w, m, off=None, basis=True):
@@ -215,7 +223,8 @@ def _krylov(x, w, m, off=None, basis=True):
         stop = ~(e[:, k] > 1e-14 * scale)  # a breakdown, relative to the scale of the operator
         if basis and stop[0]:
             raise PositivityLossError(k + 1)
-        ek = e[:, k] if basis else np.where(stop, 1.0, e[:, k])  # a stopped row goes on finite
+        # a stopped row goes on finite; count_nonzero costs a third of stop.any() on few rows
+        ek = np.where(stop, 1.0, e[:, k]) if np.count_nonzero(stop) else e[:, k]
         t = (d[:, :k] - d[:, k, None]) * omega[:, :k] + e[:, :k] * omega[:, 1 : k + 1] \
             - e[:, k - 1, None] * omega_prev[:, :k]
         t[:, 1:] += e[:, :k][:, :-1] * omega[:, :k][:, :-1]
@@ -223,11 +232,11 @@ def _krylov(x, w, m, off=None, basis=True):
         row[:, :k] = (t + np.copysign(eps * scale[:, None], t)) / ek[:, None]
         row[:, k] = eps  # row[:, k + 1] is still 1
         stop |= np.abs(row[:, : k + 1]).max(axis=1) > math.sqrt(eps)
-        if not basis:
+        if not basis and np.count_nonzero(stop):
             row[stop, : k + 1] = eps
             if (stopped := stopped | stop).all():
                 break
-        elif again or stop[0]:
+        elif basis and (again or stop[0]):
             u = v[0]  # reorthogonalized in place
             u -= Q[: k + 1].T @ (Q[: k + 1] @ u)
             if np.linalg.norm(u) < e[0, k] / math.sqrt(2.0):  # cancelled: pass twice
@@ -242,12 +251,13 @@ def _krylov(x, w, m, off=None, basis=True):
     return (d[0], e[0]) if one else (d, e)
 
 
-def _folded_a(x, w, m):
-    """a_1..a_m by Lanczos on the fold x -> x^2 of a measure that is its own
-    mirror image (alpha_k = a_{2k}^2 + a_{2k+1}^2, beta_k = a_{2k+1} a_{2k+2});
-    None where the fold breaks down or a pivot a_{2k+1}^2 cancels digits."""
+def _folded_a(x, w, total, m):
+    """a_1..a_m by Lanczos on the fold x -> x^2 of a measure of mass total
+    that is its own mirror image (alpha_k = a_{2k}^2 + a_{2k+1}^2, beta_k =
+    a_{2k+1} a_{2k+2}); None where the fold breaks down or a pivot a_{2k+1}^2
+    cancels digits.  Only the half that the fold reads is normalized."""
     try:
-        alpha, beta = _lanczos(x[x.size // 2:] ** 2, w[x.size // 2:], m // 2 + 1)
+        alpha, beta = _lanczos(x[x.size // 2:] ** 2, w[x.size // 2:] / total, m // 2 + 1)
     except PositivityLossError:
         return None
     a = [0.0]  # a[j] = a_j
@@ -273,7 +283,7 @@ def stieltjes_coeffs(mu, n_max):
     x, w = _discretize(mu, n_max)
     total = float(w.sum())
     mirror = x.size % 2 == 0 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-    a, b = (_folded_a(x, w / total, n_max) if mirror else None), np.zeros(n_max)
+    a, b = (_folded_a(x, w, total, n_max) if mirror else None), np.zeros(n_max)
     if a is None:
         b, a = _lanczos(x, w / total, n_max + 1)
     return RecurrenceCoeffs(a=a, b=b[:n_max])

@@ -54,10 +54,16 @@ class VerblunskyCoeffs:
         return cls(np.zeros(n, dtype=complex))
 
 
+def _level(n):
+    """An integral level n >= 0 as an int; ValueError for any other n."""
+    if n < 0 or not float(n).is_integer():
+        raise ValueError(f"n must be an integer >= 0, got {n}")
+    return int(n)
+
+
 def szego_eval(v, n, zeta):
     """(phi, phi_star): phi_0..phi_n and phi*_0..phi*_n at zeta."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _level(n)
     if n > len(v):
         raise ValueError(f"n = {n} exceeds declared length {len(v)}")
     zeta = complex(zeta)
@@ -127,8 +133,7 @@ def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
 
 def kernel_diag_circle(v, n, xi):
     """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0.  The angle xi is finite."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _level(n)
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
     phi, _ = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))

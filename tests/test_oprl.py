@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdlab import oprl
-from cdlab.measures import Measure, RegVarFn, gallery
+from cdlab.measures import AcPiece, Measure, RegVarFn, gallery
 from cdlab.oprl import (
     KernelOverflowError,
     PositivityLossError,
@@ -607,16 +607,22 @@ def _merge_case(case):
 
 
 @pytest.mark.parametrize("case, stored", [
-    # the final block only; a stack with an off-diagonal merges the tridiagonal level
-    ("two_levels", [((50,), True)]),
-    # the last run of the stack is redone with its basis stored
-    ("fires_in_stack", [((6432,), False), ((603,), True)]),
+    # full runs go as rows of 320 in stacks of 102 and the shorter last run as a
+    # stack of its own, on both levels; the final block stores no basis
+    ("two_levels", [((102, 320), False, False), ((54, 320), False, False), ((1, 80), False, False),
+                    ((4, 320), True, False), ((1, 290), True, False), ((50,), True, False)]),
+    # the last run of the stack is redone with its basis stored, and so is the
+    # final block, whose estimate fires too
+    ("fires_in_stack", [((3, 6432), False, False), ((6432,), False, True),
+                        ((603,), True, False), ((603,), True, True)]),
     # the middle run is redone, breaks down and keeps its 1,600 entries
-    ("breaks_down_in_stack", [((1600,), False), ((1700,), True)]),
+    ("breaks_down_in_stack", [((3, 1600), False, False), ((1600,), False, True),
+                              ((1700,), True, False)]),
 ])
 def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, stored):
-    # stored lists the (shape, off-diagonal given) of every _krylov call with
-    # a stored basis; the others run a stack of runs
+    # stored lists every _krylov call in order as (shape, off-diagonal given,
+    # basis stored): a basis is stored only to redo a run or the final block
+    # whose estimate fired or that broke down
     x, w, m = _merge_case(case)
     calls = []
 
@@ -629,12 +635,7 @@ def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, 
     a, b = _full_reorth_lanczos(x, w, m)
     assert np.max(np.abs(d - b)) <= 1e-12
     assert np.max(np.abs(e - a[: m - 1]) / a[: m - 1]) <= 1e-12
-    assert [(shape, off) for shape, off, basis in calls if basis] == stored
-    stacks = [(shape, off) for shape, off, basis in calls if not basis]
-    if case == "two_levels":
-        assert stacks[-1][1] and not stacks[0][1]
-    else:
-        assert stacks == [((3, x.size // 3), False)]
+    assert calls == stored
 
 
 def test_stieltjes_pure_point_peak_memory():
@@ -645,7 +646,36 @@ def test_stieltjes_pure_point_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 12e6
+
+
+def test_stieltjes_jump_stores_no_basis():
+    # no Lanczos estimate fires on jump, so its 402 x 1,644 basis (5.3 MB) is
+    # never stored
+    mu = gallery("jump")
+    tracemalloc.start()
+    try:
+        stieltjes_coeffs(mu, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_discretize_atoms_are_not_copied():
+    mu = gallery("pure_point_bulk", cutoff=2000)
+    x, w = _discretize(mu, 201)
+    assert x is mu.atom_positions and w is mu.atom_masses
+    # a piece of zero density sends the atoms through the general path, which
+    # drops its nodes again
+    zero = AcPiece(-0.5, 0.5, lambda t: np.zeros_like(t))
+    x_general, w_general = _discretize(Measure(mu.atom_positions, mu.atom_masses, (zero,)), 201)
+    assert np.array_equal(x, x_general) and np.array_equal(w, w_general)
+    # stieltjes_coeffs reads the measure's arrays and writes none of them
+    before = x.copy(), w.copy()
+    x.flags.writeable = w.flags.writeable = False
+    stieltjes_coeffs(mu, 201)
+    assert np.array_equal(x, before[0]) and np.array_equal(w, before[1])
 
 
 _FOUR_ATOMS_A = [math.sqrt(0.625), 0.375 / math.sqrt(0.625), math.sqrt(0.4)]

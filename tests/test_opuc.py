@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,20 @@ def test_kernel_diag_circle_rejects_non_finite_xi(alphas, xi):
     # returned nan, where oprl.kernel_diag raises on a NaN xi
     with pytest.raises(ValueError, match="xi must be finite"):
         kernel_diag_circle(alphas, 5, xi)
+
+
+@pytest.mark.parametrize("fn", [kernel_diag_circle, szego_eval])
+def test_opuc_level_takes_an_integral_float(alphas, fn):
+    # a float level raised numpy's bare TypeError
+    got, want = fn(alphas, 3.0, 0.3), fn(alphas, 3, 0.3)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fn", [kernel_diag_circle, szego_eval])
+@pytest.mark.parametrize("n", [2.5, -1])
+def test_opuc_level_names_a_fractional_or_negative_n(fn, n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 0, got {n}")):
+        fn(VerblunskyCoeffs.free(10), n, 0.3)
 
 
 def test_rescaled_cd_circle_normalization(alphas):
