@@ -6,9 +6,12 @@ Usage: python scripts/run_all_experiments.py [--out-root DIR] [--against DIR]
 The summary gives, per config, the exit status of its run, the result of
 perfbench's reference check (`check_output` in perfbench/run.py: exit status,
 verdict tags, `passed` and every report.json value against
-perfbench/reference.json) and the largest relative change of a report.json
+perfbench/reference.json), the largest relative change of a report.json
 number against that reference (numbers at rounding level, at most perfbench's
-ATOL on both sides, are left out: the check compares them to ATOL only).
+ATOL on both sides, are left out: the check compares them to ATOL only), and
+the largest share of the check's allowance RTOL max(|a|, |b|) + ATOL that a
+number uses (the check fails above 1, so a share near 1 is a config that a
+small numerical change can push over the gate).
 With --against DIR it also compares each config's output directory with the
 one of the same config under the output root DIR, for example one written by
 this script at another commit: it gives `identical` when every output file
@@ -46,16 +49,29 @@ def _perfbench():
     return module
 
 
-def largest_change(got, ref, atol):
-    """(relative change, field) of the number in got furthest from ref, over
-    the numbers above atol in size."""
-    worst = (0.0, "-")
+def _number_pairs(got, ref):
+    """(field, new, old) of each finite number of ref that got also holds as one."""
     for key, old in ref.items():
         new = got.get(key)
         if all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-               for x in (old, new)) and old != new and max(abs(old), abs(new)) > atol:
-            worst = max(worst, (abs(new - old) / max(abs(old), abs(new)), key))
-    return worst
+               for x in (old, new)):
+            yield key, new, old
+
+
+def largest_change(got, ref, atol):
+    """(relative change, field) of the number in got furthest from ref, over
+    the numbers above atol in size."""
+    return max(((abs(new - old) / max(abs(old), abs(new)), key)
+                for key, new, old in _number_pairs(got, ref)
+                if old != new and max(abs(old), abs(new)) > atol), default=(0.0, "-"))
+
+
+def tolerance_used(got, ref, bench):
+    """(share, field) of the number in got that uses the largest share of the
+    reference check's allowance |a - b| <= RTOL max(|a|, |b|) + ATOL; the
+    check fails a number whose share is above 1."""
+    return max(((abs(new - old) / (bench.RTOL * max(abs(old), abs(new)) + bench.ATOL), key)
+                for key, new, old in _number_pairs(got, ref)), default=(0.0, "-"))
 
 
 def reference_check(bench, reference, path, code, out):
@@ -73,7 +89,9 @@ def reference_check(bench, reference, path, code, out):
     except (OSError, ValueError, KeyError, TypeError):
         return not problems, verdict
     change, key = largest_change(got, ref["values"], bench.ATOL)
-    return not problems, f"{verdict}; largest relative change {change:.2g} ({key})"
+    share, share_key = tolerance_used(got, ref["values"], bench)
+    return not problems, (f"{verdict}; largest relative change {change:.2g} ({key}); "
+                          f"{share:.2f} of the tolerance used ({share_key})")
 
 
 def differing_files(out, other):

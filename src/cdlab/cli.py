@@ -28,7 +28,7 @@ import numpy as np
 
 from . import canonical, measures, oprl, opuc
 from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
-from .limit_kernels import build_limit_kernel, fit_internal_scale, sine_kernel
+from .limit_kernels import build_limit_kernel, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .special import _MAX_BESSEL_ZEROS
 from .universality import (convergence_study, real_grid_pairs, sparse_diagnostics, sparse_jacobi,
@@ -225,7 +225,7 @@ def _convergence(out_dir, sampler, target, n_values, grid, tolerance, index=int)
     report = convergence_study(sampler, target, [index(n) for n in n_values],
                                real_grid_pairs(grid["half_width"], grid["points_per_axis"]),
                                tolerance)
-    for idx, samples in report.extras["samples_by_index"].items():
+    for idx, samples in report.samples_by_index.items():
         tag = str(idx).replace(".", "_")
         _write_kernel_csv(os.path.join(out_dir, f"kernel_{tag}.csv"), samples)
     return report
@@ -271,20 +271,20 @@ def _run_opuc_bulk(out_dir, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
     # k_n(zeta, omega) = sum_j (zeta conj(omega))^j here, so xi cancels: take 0
     report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, 0.0, h), sine_kernel,
                           n_values, grid, tolerance)
-    # internal scale against the printed two-sided kernel at sigma = 1, beta = 1,
-    # on the samples the sine-kernel fit used
-    fit = fit_internal_scale(report.extras["fit_samples"], build_limit_kernel(1.0, 1.0, 1.0))
-    c_ok = abs(fit.c - math.pi) <= 1e-3
+    # internal scale against the printed two-sided kernel at sigma = 1, beta = 1:
+    # the k111_sine identity K_{1,1,1}(pi z, pi w) = S(z, w) makes it pi c
+    c = math.pi * report.fitted_scale
+    c_ok = abs(c - math.pi) <= 1e-3
     passed = report.passed and c_ok
     lines = [
         f"[{'PASS' if report.passed else 'FAIL'}] opuc_bulk: rotated rescaled circle "
         f"CD kernel -> sine kernel; sup errors {['%.5f' % e for e in report.sup_errors]} "
         f"at n = {report.indices}, tol {tolerance}",
         f"[{'PASS' if c_ok else 'FAIL'}] opuc_bulk: internal scale of the printed "
-        f"two-sided kernel: fitted c = {fit.c:.9f}, |c - pi| = {abs(fit.c - math.pi):.2e}",
+        f"two-sided kernel: fitted c = {c:.9f}, |c - pi| = {abs(c - math.pi):.2e}",
     ]
     data = {"sup_errors": report.sup_errors, "indices": report.indices,
-            "fitted_c_vs_printed_kernel": fit.c}
+            "fitted_c_vs_printed_kernel": c}
     return lines, passed, data
 
 
@@ -387,7 +387,7 @@ def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.
     n_max = 2 * t_top
     j_count = int(math.log(n_max, ratio)) + 2
     v_vals = (np.arange(1, j_count + 1, dtype=float)) ** v_exponent
-    rec = sparse_jacobi(v_vals, ("geometric", first, ratio), n_max)
+    rec = sparse_jacobi(v_vals, first, ratio, n_max)
     dat = sparse_diagnostics(rec, xi)
     block_ok = dat.block_deviation <= 1e-12
     k1 = oprl.kernel_diag(rec, t_top, xi)

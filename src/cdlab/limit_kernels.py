@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,17 +184,16 @@ def kernel_components(spec, z, derivative=False):
     conjugates of the components at conj z: the kernel is exactly Hermitian.
 
     The series values are memoized in one bounded LRU (_sums) keyed on the
-    spec and the bits of z: a kernel on N^2 sample pairs needs A and B at only
-    N points, and a point asked for with derivative=True after a plain call
-    sums only the series A' and B' add.  A hit returns the bits a fresh
-    evaluation gives; failures are not cached, and a z holding a NaN is never
-    looked up.
+    spec and z: a kernel on N^2 sample pairs needs A and B at only N points,
+    and a point asked for with derivative=True after a plain call sums only
+    the series A' and B' add.  A zero real part of either sign keys one entry
+    (x - 0j, reflected, keys that of x + 0j); a hit returns the bits a fresh
+    evaluation gives.  Failures are not cached; a NaN z is never looked up.
     """
     z = complex(z)
     if math.copysign(1.0, z.imag) < 0:
         return tuple(c.conjugate() for c in kernel_components(spec, z.conjugate(), derivative))
-    key = struct.pack("<2d", z.real, z.imag)
-    sums = _sums(spec, key) if z == z else _sums.__wrapped__(spec, key)
+    sums = _sums(spec, z) if z == z else _sums.__wrapped__(spec, z)
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         if derivative and len(sums) == 3:
@@ -225,11 +223,10 @@ def kernel_components(spec, z, derivative=False):
 
 
 @functools.lru_cache(maxsize=256)
-def _sums(spec, key):
-    """The series A and B need at the z of key: [M(a,b,u), M(a+1,b,u),
-    M(a+1,b+1,u)] (two-sided) or [0F1(b,-sz), 0F1(b+1,-sz)] (one-sided).
-    kernel_components appends, in place, the one or two that A' and B' add."""
-    z = complex(*struct.unpack("<2d", key))
+def _sums(spec, z):
+    """The series A and B need at z: [M(a,b,u), M(a+1,b,u), M(a+1,b+1,u)]
+    (two-sided) or [0F1(b,-sz), 0F1(b+1,-sz)] (one-sided).  kernel_components
+    appends, in place, the one or two that A' and B' add."""
     if spec.case == "two-sided":
         a, b, u = spec.alpha, spec.beta, -2j * spec.kappa * z
         return [kummer_m(a, b, u), kummer_m(a + 1, b, u), kummer_m(a + 1, b + 1, u)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .limit_kernels import fit_internal_scale
+from .limit_kernels import build_limit_kernel, fit_internal_scale
 from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
 from .special import bessel_zeros, gamma_cx
 
@@ -62,7 +62,7 @@ class ConvergenceReport:
     fitted_scale: float
     fitted_scale_residual: float
     passed: bool
-    extras: dict = field(default_factory=dict)
+    samples_by_index: dict  # index -> the samples on grid
 
 
 def convergence_study(sampler, target, indices, grid, tolerance):
@@ -73,16 +73,14 @@ def convergence_study(sampler, target, indices, grid, tolerance):
     The internal scale c is fitted once, at the largest index on FIT_GRID, the
     3x3 complex grid of half-width 1; sup-errors are then recorded per index on
     grid after scale alignment.  Passed iff the errors decrease and the final
-    one meets the tolerance.  extras holds the samples per index
-    ("samples_by_index") and those of the fit ("fit_samples"), for reuse.
+    one meets the tolerance.  The report keeps the samples per index.
     """
     indices = list(indices)
     if not indices:
         raise ValueError("need at least one index")
     if not any(z == 0 and w == 0 for z, w in grid):
         raise ValueError("grid must include (0, 0)")
-    fit_samples = sampler(max(indices), FIT_GRID)
-    fit = fit_internal_scale(fit_samples, target)
+    fit = fit_internal_scale(sampler(max(indices), FIT_GRID), target)
     sup_errors = []
     samples_by_index = {}
     for idx in indices:
@@ -100,7 +98,7 @@ def convergence_study(sampler, target, indices, grid, tolerance):
         fitted_scale=fit.c,
         fitted_scale_residual=fit.residual,
         passed=passed,
-        extras={"samples_by_index": samples_by_index, "fit_samples": fit_samples},
+        samples_by_index=samples_by_index,
     )
 
 
@@ -128,20 +126,17 @@ class ZeroWindowError(ValueError):
         super().__init__(f"{mode} zero study: p_{n} {cause} (xi = {xi!r})")
 
 
-def _window(rec, n, xi, k, mode, right=False):
+def _window(rec, n, xi, k, mode):
     """(zeros, i): zeros of p_n near xi (zeros_near) and the index in them of
     the first zero right of xi.
 
     The window holds the k + 1 zeros on each side of xi, or every zero on a
     side with fewer, so indexing relative to it matches the full spectrum.
-    With right=True there must be a zero right of xi.
     """
     first, zeros = zeros_near(rec, n, xi, k)
     i = int(np.searchsorted(zeros, xi, side="right"))
     if (i <= k and first > 0) or (zeros.size - i <= k and first + zeros.size < n):
         raise ZeroWindowError(mode, n, xi, "has zeros too close to xi for its window")
-    if right and i == zeros.size:
-        raise ZeroWindowError(mode, n, xi, "has no zero right of xi")
     return zeros, i
 
 
@@ -170,29 +165,36 @@ def _clock_study(rec, xi, h, n_values, k_max):
     )
 
 
+def _ratio_law(rec, n, xi, h, mode, bessel, power, raw, scaled, kappa=1.0):
+    """(window, h(K(n, xi, xi)), worst error) of the Bessel ratio law at degree
+    n: the first len(bessel) zeros xi_k of p_n right of xi (a zero at xi, as of
+    an odd p_n at the centre of an even weight, is left of it) go into raw and,
+    as kappa h(K) (xi_k - xi), into scaled, by (n, k); the error is the worst
+    |r_k / (j_k/j_1)^power - 1| of r_k = (xi_k - xi)/(xi_1 - xi)."""
+    zeros, i = _window(rec, n, xi + 1e-300, len(bessel), mode)
+    if i == zeros.size:
+        raise ZeroWindowError(mode, n, xi, "has no zero right of xi")
+    pos = zeros[i: i + len(bessel)]
+    hk = float(h(kernel_diag(rec, n, xi)))
+    errs = []
+    for k in range(1, pos.size + 1):
+        raw[(n, k)] = float(pos[k - 1])
+        scaled[(n, k)] = kappa * hk * (pos[k - 1] - xi)
+        ratio = (pos[k - 1] - xi) / (pos[0] - xi)
+        errs.append(abs(ratio / float((bessel[k - 1] / bessel[0]) ** power) - 1.0))
+    return zeros, hk, max(errs)
+
+
 def _hard_edge_study(rec, xi, h, n_values, k_max):
     beta = 1.0 / h.index
     j_bessel = np.array(bessel_zeros(beta - 1.0, k_max))
-    pred_ratios = {k: float((j_bessel[k - 1] / j_bessel[0]) ** 2)
-                   for k in range(1, k_max + 1)}
-    scaled = {}
-    raw = {}
-    ratio_errors_by_n = {}
-    first_zero = []
-    hk_values = []
+    scaled, raw, ratio_errors_by_n = {}, {}, {}
+    first_zero, hk_values = [], []
     for n in n_values:
-        zeros, i = _window(rec, n, xi, k_max, "hard_edge", right=True)
-        zeros = zeros[i: i + k_max]
-        hk = float(h(kernel_diag(rec, n, xi)))
+        _, hk, ratio_errors_by_n[n] = _ratio_law(rec, n, xi, h, "hard_edge", j_bessel, 2,
+                                                 raw, scaled)
         hk_values.append(hk)
-        first_zero.append(float(zeros[0] - xi))
-        errs = []
-        for k in range(1, min(k_max, zeros.size) + 1):
-            raw[(n, k)] = float(zeros[k - 1])
-            scaled[(n, k)] = hk * (zeros[k - 1] - xi)
-            ratio = (zeros[k - 1] - xi) / (zeros[0] - xi)
-            errs.append(abs(ratio / pred_ratios[k] - 1.0))
-        ratio_errors_by_n[n] = max(errs)
+        first_zero.append(raw[(n, 1)] - xi)
     # empirical exponent e in xi_1 ~ C h(K)^(-e): log-log regression
     x = np.log(hk_values)
     y = np.log(first_zero)
@@ -210,8 +212,7 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
     const_meas = scaled[(n_top, 1)] / float(j_bessel[0] ** 2)
     g1 = gamma_cx(beta + 1.0).real
     const_thm = math.pi ** (1.0 / beta) / (4.0 * g1 ** (1.0 / beta))
-    sigma_def = (g1 ** 2 / math.pi) ** (1.0 / beta)
-    const_def = 1.0 / (4.0 * sigma_def)
+    const_def = 1.0 / (4.0 * build_limit_kernel(0.0, 1.0, beta).sigma)
     return ZeroReport(
         n_values=list(n_values),
         scaled_zeros=scaled,
@@ -235,31 +236,18 @@ def _hard_edge_study(rec, xi, h, n_values, k_max):
 
 def _even_fh_study(rec, xi, h, n_values, k_max):
     beta = 1.0 / h.index
-    j_even = np.array(bessel_zeros(beta / 2.0 - 1.0, k_max))
-    j_odd = np.array(bessel_zeros(beta / 2.0, k_max))
-    preds = {("even", k): float(j_even[k - 1] / j_even[0]) for k in range(1, k_max + 1)}
-    preds.update(
-        {("odd", k): float(j_odd[k - 1] / j_odd[0]) for k in range(1, k_max + 1)}
-    )
-    kappa = 2.0 * (2.0 * gamma_cx(beta / 2.0 + 1.0).real ** 2 / math.pi) ** (1.0 / beta)
-    scaled = {}
-    raw = {}
-    odd_zero_at_origin = {}
+    # p_2n sees order beta/2 - 1 and p_{2n+1} order beta/2
+    laws = (("even", 0, np.array(bessel_zeros(beta / 2.0 - 1.0, k_max))),
+            ("odd", 1, np.array(bessel_zeros(beta / 2.0, k_max))))
+    kappa = build_limit_kernel(1.0, 1.0, beta).kappa
+    scaled, raw, odd_zero_at_origin = {}, {}, {}
     errors = {"even": {}, "odd": {}}
     for n in n_values:
-        for parity, degree in (("even", 2 * n), ("odd", 2 * n + 1)):
-            zeros, i = _window(rec, degree, xi + 1e-300, k_max, "even_fh", right=True)
-            if parity == "odd":
+        for parity, odd, j_bessel in laws:
+            zeros, _, errors[parity][n] = _ratio_law(rec, 2 * n + odd, xi, h, "even_fh",
+                                                     j_bessel, 1, raw, scaled, kappa)
+            if odd:
                 odd_zero_at_origin[n] = float(np.min(np.abs(zeros - xi)))
-            pos = zeros[i: i + k_max]
-            hk = float(h(kernel_diag(rec, degree, xi)))
-            errs = []
-            for k in range(1, min(k_max, pos.size) + 1):
-                raw[(degree, k)] = float(pos[k - 1])
-                scaled[(degree, k)] = kappa * hk * (pos[k - 1] - xi)
-                ratio = (pos[k - 1] - xi) / (pos[0] - xi)
-                errs.append(abs(ratio / preds[(parity, k)] - 1.0))
-            errors[parity][n] = max(errs)
     n_top = max(n_values)
     worst = max(errors["even"][n_top], errors["odd"][n_top])
     return ZeroReport(
@@ -347,33 +335,23 @@ def sparse_diagnostics(rec, xi):
     return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
 
 
-def sparse_jacobi(v_values, growth, n_max):
-    """Sparse decaying Jacobi matrix: a_n = 1, b_{N_j} = v_j, b_n = 0 otherwise.
-
-    growth is either an explicit increasing sequence N_j or a rule
-    ("geometric", first, ratio).  Returns the RecurrenceCoeffs; its
-    diagnostics at a point come from sparse_diagnostics.
+def sparse_jacobi(v_values, first, ratio, n_max):
+    """Sparse decaying Jacobi matrix: a_n = 1, b_{N_j} = v_j, b_n = 0 otherwise,
+    at the bumps N_j = round(first ratio^(j-1)) up to n_max; ValueError unless
+    they strictly increase.  Returns the RecurrenceCoeffs; its diagnostics at
+    a point come from sparse_diagnostics.
     """
     v_values = np.asarray(v_values, dtype=float)
-    if isinstance(growth, tuple) and growth and growth[0] == "geometric":
-        _, first, ratio = growth
-        bumps = []
-        m = float(first)
-        while m <= n_max and len(bumps) < v_values.size:
-            bumps.append(int(round(m)))
-            m *= ratio
-        bumps = np.array(bumps, dtype=int)
-    else:
-        bumps = np.asarray(growth, dtype=int)
-        bumps = bumps[bumps <= n_max]
-    if bumps.size >= 2:
-        ratios = bumps[1:] / bumps[:-1]
-        if np.any(np.diff(ratios) < -1e-9):
-            raise ValueError("N_{j+1}/N_j must be non-decreasing")
-        if np.any(ratios <= 1.0):
-            raise ValueError("N_j must be strictly increasing")
+    bumps = []
+    m = float(first)
+    while m <= n_max and len(bumps) < v_values.size:
+        bumps.append(int(round(m)))
+        m *= ratio
+    if any(b <= a for a, b in zip(bumps, bumps[1:])):
+        raise ValueError(f"the rounded bump positions of first = {first}, ratio = {ratio} "
+                         "do not strictly increase")
     b = np.zeros(n_max)
-    for j, pos in enumerate(bumps):
-        if j < v_values.size and 1 <= pos <= n_max:
-            b[pos - 1] = v_values[j]
+    for v, pos in zip(v_values, bumps):
+        if pos >= 1:
+            b[pos - 1] = v
     return RecurrenceCoeffs(a=np.ones(n_max), b=b)

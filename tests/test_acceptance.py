@@ -222,7 +222,7 @@ def sparse_setup():
     n_max = 2 * max(t_vals)
     j_count = int(math.log(n_max, 4.0)) + 2
     v = np.arange(1, j_count + 1, dtype=float) ** -0.5
-    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    rec = sparse_jacobi(v, 4.0, 4.0, n_max)
     return t_vals, rec, sparse_diagnostics(rec, 0.0)
 
 

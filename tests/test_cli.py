@@ -6,8 +6,9 @@ import pathlib
 
 import pytest
 
-from cdlab import cli, measures
+from cdlab import cli, measures, universality
 from cdlab.cli import EXPERIMENTS, ConfigError, load_config, main, parse_config, run_experiment
+from cdlab.limit_kernels import build_limit_kernel
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -307,6 +308,33 @@ def test_hard_edge_run_writes_zero_csv(tmp_path):
     zeros = (tmp_path / "he" / "zeros_beta_1.5.csv").read_text()
     assert zeros.startswith("n,k,zero,scaled_zero")
     assert "beta=1.5" in data
+
+
+def test_opuc_bulk_fits_the_scale_once(tmp_path, monkeypatch):
+    # the k111_sine identity K_{1,1,1}(pi z, pi w) = S(z, w) gives the printed
+    # kernel's scale as pi times the sine-kernel fit's, so the run fits once
+    fits = []
+    fit = universality.fit_internal_scale
+    monkeypatch.setattr(universality, "fit_internal_scale",
+                        lambda samples, target: fits.append(samples) or fit(samples, target))
+    _, passed, data = run_experiment(parse_config({"experiment": "opuc_bulk",
+                                                   "output_dir": str(tmp_path / "ob")}))
+    assert passed and len(fits) == 1
+    assert not hasattr(cli, "fit_internal_scale")
+    direct = fit(fits[0], build_limit_kernel(1.0, 1.0, 1.0)).c
+    assert abs(data["fitted_c_vs_printed_kernel"] - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("ratio", [1.5, 2.5])
+def test_sparse_run_with_a_fractional_ratio_reaches_a_verdict(tmp_path, ratio):
+    # the rounded bump positions of these ratios do not keep N_{j+1}/N_j
+    # monotone, and the run still reaches its three verdicts
+    raw = {"experiment": "sparse", "n_values": [100, 1000], "ratio": ratio,
+           "output_dir": str(tmp_path / "sp")}
+    code = main(["run", "--config", _write(tmp_path, raw)])
+    report = json.loads((tmp_path / "sp" / "report.json").read_text())
+    assert code == (0 if report["passed"] else 1)
+    assert [line[:6] in ("[PASS]", "[FAIL]") for line in report["lines"]] == [True] * 3
 
 
 def test_missing_config_file():

@@ -173,12 +173,37 @@ def test_memo_sums_each_series_once_per_point(monkeypatch, sigmas_beta, series, 
     assert len(calls) == sums
 
 
+# pairs of points that share one memo entry: a zero real part of either sign,
+# and x + 0j with x - 0j, which kernel_components reflects to x + 0j
+_SHARED_KEYS = [(complex(0.0, 0.7), complex(-0.0, 0.7)), (complex(0.0, 0.0), complex(-0.0, 0.0)),
+                (complex(0.0, -0.7), complex(-0.0, -0.7)), (complex(-1.3, 0.0), complex(-1.3, -0.0)),
+                (complex(0.6, 0.0), complex(0.6, -0.0))]
+
+
+@pytest.mark.parametrize("sigmas_beta", [(0.5, 1.0, 1.5), (1.0, 1.0, 1.0), (0.0, 1.0, 2.5),
+                                         (1.0, 0.0, 1.5)])
+@pytest.mark.parametrize("derivatives", [(False, False), (False, True), (True, False),
+                                         (True, True)])
+def test_memo_hit_across_a_shared_key_returns_fresh_bits(sigmas_beta, derivatives):
+    # the memo is keyed on z itself: each point of a pair, in either order,
+    # gets the bits of its own fresh evaluation from the entry the other filled
+    spec = build_limit_kernel(*sigmas_beta)
+    for pair in _SHARED_KEYS:
+        for order in (pair, pair[::-1]):
+            limit_kernels._sums.cache_clear()
+            for z, derivative in zip(order, derivatives):
+                got = kernel_components(spec, z, derivative)
+                assert _bits(got) == _bits(_fresh(spec, z, derivative)), (order, z)
+            assert limit_kernels._sums.cache_info().hits == 1
+
+
 def test_kappa_legendre_duplication():
+    # the Fisher-Hartwig zero study scales its zeros by this kappa
     for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
         spec = build_limit_kernel(1.0, 1.0, beta)
         g = gamma_cx(beta / 2.0 + 1.0).real
         dup = 2.0 * (2.0 * g * g / math.pi) ** (1.0 / beta)
-        assert abs(spec.kappa - dup) <= 1e-12 * dup
+        assert abs(spec.kappa - dup) <= 1e-14 * dup
     assert abs(build_limit_kernel(1.0, 1.0, 1.0).kappa - 1.0) <= 1e-13
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from cdlab import universality
 from cdlab.canonical import jacobi_hamiltonian, kernel_kh, rescaled_schrodinger
-from cdlab.limit_kernels import ZeroDiagonalError, sine_kernel
+from cdlab.limit_kernels import ZeroDiagonalError, build_limit_kernel, sine_kernel
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
 from cdlab.oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
 from cdlab.opuc import VerblunskyCoeffs, rescaled_cd_circle
+from cdlab.special import gamma_cx
 from cdlab.universality import (
     complex_grid_pairs,
     convergence_study,
@@ -41,9 +42,10 @@ def test_convergence_study_bulk_small(leg):
     assert rep.passed
     assert rep.sup_errors[0] > rep.sup_errors[-1]
     assert abs(rep.fitted_scale - 1.0) <= 1e-3
-    # the report keeps the fit's samples: those of the largest index on the
-    # fixed 3x3 complex grid of half-width 1
-    assert rep.extras["fit_samples"] == rescaled_cd(leg, 0.0, h, 120, complex_grid_pairs(1.0, 3))
+    # the report keeps the samples of each index on the grid
+    assert list(rep.samples_by_index) == [30, 60, 120]
+    for n, samples in rep.samples_by_index.items():
+        assert samples == rescaled_cd(leg, 0.0, h, n, grid)
 
 
 def test_convergence_study_self_target(leg):
@@ -95,6 +97,18 @@ def test_zero_study_hard_edge_ratio_law():
     assert zr.max_rel_error_ratios <= 0.02
     # measured exponent of h(K) is the proof's first power, not the square
     assert abs(zr.extras["exponent"] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
+def test_hard_edge_takes_the_family_sigma(beta):
+    # the hard-edge study's 1/(4 sigma) takes the one-sided sigma of
+    # build_limit_kernel, bit for bit (Gamma(beta+1)^2/pi)^(1/beta)
+    sigma = (gamma_cx(beta + 1.0).real ** 2 / math.pi) ** (1.0 / beta)
+    assert build_limit_kernel(0.0, 1.0, beta).sigma == sigma
+    rec = stieltjes_coeffs(gallery("power_hard_edge", beta=beta), 60)
+    zr = zero_study(rec, 0.0, RegVarFn(scale=1.0, index=1.0 / beta), "hard_edge", [60], 3)
+    assert zr.extras["candidate_constants"][
+        "one-sided component prediction 1/(4 sigma)"] == 1.0 / (4.0 * sigma)
 
 
 def test_zero_study_even_fh():
@@ -177,19 +191,24 @@ def test_zero_study_window_too_narrow(leg, monkeypatch):
 
 
 def test_sparse_jacobi_construction():
-    rec = sparse_jacobi([0.5, 0.25], ("geometric", 4.0, 4.0), 40)
+    rec = sparse_jacobi([0.5, 0.25], 4.0, 4.0, 40)
     assert rec.b[3] == 0.5 and rec.b[15] == 0.25
     assert np.sum(rec.b != 0.0) == 2
     assert np.all(rec.a == 1.0)
     with pytest.raises(ValueError):
-        sparse_jacobi([0.1, 0.1], [10, 5], 40)
-    with pytest.raises(ValueError):
-        # decreasing ratios: 4 -> 2
-        sparse_jacobi([0.1] * 3, [4, 16, 32], 40)
+        # decreasing positions: 10 -> 5
+        sparse_jacobi([0.1, 0.1], 10.0, 0.5, 40)
+    # round(first ratio^j) at 1, 1.1: the positions 1, 1 repeat
+    with pytest.raises(ValueError, match=r"first = 1\.0, ratio = 1\.1"):
+        sparse_jacobi([0.1] * 3, 1.0, 1.1, 40)
+    # rounded positions whose ratios N_{j+1}/N_j are not monotone (2.5, 2.48, 2.52)
+    rec = sparse_jacobi([1.0, 2.0, 3.0, 4.0, 5.0], 4.0, 2.5, 200)
+    assert list(np.flatnonzero(rec.b) + 1) == [4, 10, 25, 62, 156]
+    assert list(rec.b[[3, 9, 24, 61, 155]]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_sparse_free_diagnostics():
-    rec = sparse_jacobi([], ("geometric", 4.0, 4.0), 2000)
+    rec = sparse_jacobi([], 4.0, 4.0, 2000)
     dat = sparse_diagnostics(rec, 0.0)
     # free Jacobi: ||A_n||^2 = 1/2 and K(n,0,0)/n -> 1/2 against direct sums
     assert np.max(np.abs(dat.norms_sq - 0.5)) <= 1e-12
@@ -210,7 +229,7 @@ def test_sparse_block_constancy_nonzero_xi():
     # the constancy of ||A_n|| between bumps is nontrivial away from 0
     n_max = 4000
     v = np.arange(1, 8, dtype=float) ** -0.5
-    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    rec = sparse_jacobi(v, 4.0, 4.0, n_max)
     dat = sparse_diagnostics(rec, 0.5)
     assert dat.block_deviation <= 1e-12
 
@@ -218,7 +237,7 @@ def test_sparse_block_constancy_nonzero_xi():
 def test_sparse_regular_variation_of_kernel():
     n_max = 20000
     v = np.arange(1, 10, dtype=float) ** -0.5
-    rec = sparse_jacobi(v, ("geometric", 4.0, 4.0), n_max)
+    rec = sparse_jacobi(v, 4.0, 4.0, n_max)
     k1 = kernel_diag(rec, 10000, 0.0)
     k2 = kernel_diag(rec, 20000, 0.0)
     assert 1.9 <= k2 / k1 <= 2.1
