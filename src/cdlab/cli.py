@@ -31,8 +31,8 @@ from .identities import MODULES as IDENTITY_MODULES, SEED, run_identities
 from .limit_kernels import build_limit_kernel, sine_kernel
 from .measures import RegVarFn, gallery, local_scaling
 from .special import _MAX_BESSEL_ZEROS
-from .universality import (convergence_study, real_grid_pairs, sparse_diagnostics, sparse_jacobi,
-                           zero_study)
+from .universality import (_bump_positions, convergence_study, real_grid_pairs, sparse_diagnostics,
+                           sparse_jacobi, zero_study)
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS", "parse_config", "load_config",
            "run_experiment", "main"]
@@ -134,6 +134,12 @@ def parse_config(raw):
             _gallery_measure(settings["measure"])
         except ValueError as exc:
             raise ConfigError("measure.params", str(exc)) from None
+    if exp == "sparse":  # the run's bump rule: its positions must strictly increase
+        n_max, count = _sparse_size(settings["n_values"], settings["ratio"])
+        try:
+            _bump_positions(settings["first"], settings["ratio"], n_max, count)
+        except ValueError as exc:
+            raise ConfigError("ratio", str(exc)) from None
     return ExperimentConfig(exp, out_dir, settings)
 
 
@@ -380,12 +386,18 @@ def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
     return lines, report.passed, data
 
 
+def _sparse_size(n_values, ratio):
+    """(n_max, bump count) of a sparse run: n_max = 2 max(n_values) and
+    int(log_ratio(n_max)) + 2 bump heights."""
+    n_max = 2 * int(max(n_values))
+    return n_max, int(math.log(n_max, ratio)) + 2
+
+
 def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.15,
                 v_exponent=-0.5, first=4.0, ratio=4.0):
     """sparse decaying Jacobi matrix: diagnostics and sine-kernel limit"""
     t_top = int(max(n_values))
-    n_max = 2 * t_top
-    j_count = int(math.log(n_max, ratio)) + 2
+    n_max, j_count = _sparse_size(n_values, ratio)
     v_vals = (np.arange(1, j_count + 1, dtype=float)) ** v_exponent
     rec = sparse_jacobi(v_vals, first, ratio, n_max)
     dat = sparse_diagnostics(rec, xi)

@@ -324,15 +324,17 @@ def _chain(c, d, zs, start, derivative):
     start, and its z-derivative (None unless derivative), each of shape
     (2, len(zs)); c and d have shape (n, 2, 2).
 
-    The steps go in blocks of ceil(sqrt(n)), the last padded with identity
-    steps.  One pass over the steps of a block multiplies out the product M
-    of every block and its derivative, d(T M) = D M + T dM, on (2, 2, blocks,
-    points) arrays; a second pass applies the block products to the state in
-    order: about 2 sqrt(n) numpy steps instead of n.  A product t m is
-    t[:, 0] m[0] + t[:, 1] m[1], elementwise over the stacked entries (matmul
-    on stacks of 2 x 2 matrices is slower).  Where the steps are near
-    parabolic (band and gap edges), the error of a block product applied to
-    the state can reach about sqrt(n) times that of the steps one at a time.
+    The steps go in blocks of ceil(sqrt(n)).  One pass over the step index i
+    multiplies out the product M of every block and its derivative, d(T M) =
+    D M + T dM, on (2, 2, blocks, points) arrays, reading step i of every
+    block as a strided view of c and d (no copy); a shorter last block leaves
+    the stack, its product complete, once it has no step i.  A second pass
+    applies the block products to the state in order: about 2 sqrt(n) numpy
+    steps instead of n.  A product t m is t[:, 0] m[0] + t[:, 1] m[1],
+    elementwise over the stacked entries (matmul on stacks of 2 x 2 matrices
+    is slower).  Where the steps are near parabolic (band and gap edges), the
+    error of a block product applied to the state can reach about sqrt(n)
+    times that of the steps one at a time.
     """
     def times(t, m):  # t (2, 2, ...) times m (2, k, ...)
         return t[:, 0, None] * m[0] + t[:, 1, None] * m[1]
@@ -340,22 +342,30 @@ def _chain(c, d, zs, start, derivative):
     def product(t, dt, m, dm):  # (t m, dt m + t dm)
         return times(t, m), None if dm is None else times(dt, m) + times(t, dm)
 
+    def block(x, j):  # block j (an index or a slice) of a stack of products, or None
+        return None if x is None else x[:, :, j]
+
+    def step(i):  # step i of every block that has one: (2, 2, blocks, 1) views
+        ci, di = (x[i::size].transpose(1, 2, 0)[..., None] for x in (c, d))
+        return ci + zs * di, di
+
     zs = np.asarray(zs, dtype=complex)
     n = len(c)
     size = math.isqrt(max(n - 1, 0)) + 1
-    blocks = -(-n // size)
-    steps = np.zeros((2, blocks * size, 2, 2), dtype=np.result_type(c, d))
-    steps[0, n:] = np.eye(2)
-    steps[0, :n], steps[1, :n] = c, d
-    # step i of every block, (2, 2, blocks, 1): entries broadcast over zs
-    c, d = steps.reshape(2, blocks, size, 2, 2).transpose(0, 2, 3, 4, 1)[..., None]
-    m, dm = c[0] + zs * d[0], (d[0] if derivative else None)
-    for ci, di in zip(c[1:], d[1:]):
-        m, dm = product(ci + zs * di, di, m, dm)
+    blocks, rem = divmod(n, size)
+    m, dm = step(0)
+    dm = dm if derivative else None
+    for i in range(1, size):
+        if i == rem:  # the short last block has no step i: its product is complete
+            last = m[:, :, blocks], block(dm, blocks)
+            m, dm = m[:, :, :blocks], block(dm, slice(blocks))
+        m, dm = product(*step(i), m, dm)
     s = np.multiply.outer(start, np.ones((1,) + zs.shape, dtype=complex))  # a 2 x 1 column
     ds = np.zeros_like(s) if derivative else None
     for j in range(blocks):
-        s, ds = product(m[..., j, :], None if dm is None else dm[..., j, :], s, ds)
+        s, ds = product(m[:, :, j], block(dm, j), s, ds)
+    if rem:
+        s, ds = product(*last, s, ds)
     return s[:, 0], None if ds is None else ds[:, 0]
 
 

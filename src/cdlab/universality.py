@@ -335,6 +335,20 @@ def sparse_diagnostics(rec, xi):
     return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
 
 
+def _bump_positions(first, ratio, n_max, count):
+    """The bumps N_j = round(first ratio^(j-1)) up to n_max, at most count of
+    them; ValueError unless they strictly increase."""
+    bumps = []
+    m = float(first)
+    while m <= n_max and len(bumps) < count:
+        bumps.append(int(round(m)))
+        m *= ratio
+    if any(b <= a for a, b in zip(bumps, bumps[1:])):
+        raise ValueError(f"the rounded bump positions of first = {first}, ratio = {ratio} "
+                         "do not strictly increase")
+    return bumps
+
+
 def sparse_jacobi(v_values, first, ratio, n_max):
     """Sparse decaying Jacobi matrix: a_n = 1, b_{N_j} = v_j, b_n = 0 otherwise,
     at the bumps N_j = round(first ratio^(j-1)) up to n_max; ValueError unless
@@ -342,16 +356,8 @@ def sparse_jacobi(v_values, first, ratio, n_max):
     a point come from sparse_diagnostics.
     """
     v_values = np.asarray(v_values, dtype=float)
-    bumps = []
-    m = float(first)
-    while m <= n_max and len(bumps) < v_values.size:
-        bumps.append(int(round(m)))
-        m *= ratio
-    if any(b <= a for a, b in zip(bumps, bumps[1:])):
-        raise ValueError(f"the rounded bump positions of first = {first}, ratio = {ratio} "
-                         "do not strictly increase")
     b = np.zeros(n_max)
-    for v, pos in zip(v_values, bumps):
+    for v, pos in zip(v_values, _bump_positions(first, ratio, n_max, v_values.size)):
         if pos >= 1:
             b[pos - 1] = v
     return RecurrenceCoeffs(a=np.ones(n_max), b=b)

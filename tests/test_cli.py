@@ -337,5 +337,19 @@ def test_sparse_run_with_a_fractional_ratio_reaches_a_verdict(tmp_path, ratio):
     assert [line[:6] in ("[PASS]", "[FAIL]") for line in report["lines"]] == [True] * 3
 
 
+def test_sparse_bumps_that_do_not_strictly_increase_are_a_config_error(tmp_path, capsys):
+    # round(1.1^j) gives the positions 1, 1: parse_config runs the run's bump
+    # rule, so the config exits 2 with one line instead of a traceback at exit 1
+    raw = {"experiment": "sparse", "first": 1, "ratio": 1.1, "n_values": [100],
+           "output_dir": str(tmp_path / "sp")}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.field == "ratio"
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'ratio'" in err[0] and "first = 1.0, ratio = 1.1" in err[0]
+    assert not (tmp_path / "sp").exists()
+
+
 def test_missing_config_file():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2

@@ -872,6 +872,37 @@ def test_chain_at_1_and_81_points(kind, n):
         assert np.linalg.norm(state[:, i] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
+# blocks of ceil(sqrt(n)): 1 and 2 are one block, 16 is 4 blocks of 4, 20 is
+# 4 blocks of 5, and 21 and 23 are those and a last block of 1 and 3 steps
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 16, 20, 21, 23])
+def test_chain_matches_a_step_by_step_loop(n, dtype):
+    rng = np.random.default_rng(n)
+    steps = rng.uniform(-0.7, 0.7, (2, n, 2, 2))
+    if dtype is complex:
+        steps = steps + 0.3j * rng.uniform(-1.0, 1.0, steps.shape)
+    c, d = steps
+    zs = np.array([0.3 + 0.1j, -0.8 + 0.02j, 1.1])
+    state, deriv = oprl._chain(c, d, zs, (1.0, 0.5), True)
+    for i, z in enumerate(zs):
+        s, ds = np.array([1.0, 0.5], dtype=complex), np.zeros(2, dtype=complex)
+        for ck, dk in zip(c, d):
+            s, ds = (ck + z * dk) @ s, dk @ s + (ck + z * dk) @ ds
+        assert np.linalg.norm(state[:, i] - s) <= 1e-14 * np.linalg.norm(s)
+        assert np.linalg.norm(deriv[:, i] - ds) <= 1e-14 * (np.linalg.norm(ds) + np.linalg.norm(s))
+
+
+def test_chain_reads_its_steps_without_a_copy():
+    # the blocks are views of c and d: the chain's own arrays are O(sqrt(n))
+    n = 10_000
+    c, d = np.random.default_rng(0).uniform(-0.5, 0.5, (2, n, 2, 2))
+    tracemalloc.start()
+    oprl._chain(c, d, np.array([0.3 + 0.1j]), (1.0, 0.0), True)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < c.nbytes / 2
+
+
 def test_cd_kernel_overflow_on_the_diagonal_is_typed():
     # the diagonal reads the derivatives: p_n(2.5) grows like 2^n, p'_n too
     rec = RecurrenceCoeffs(a=np.ones(2001), b=np.zeros(2001))
