@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, pair_kernel
-from .oprl import RecurrenceCoeffs, eval_polys
+from .oprl import RecurrenceCoeffs, _level, eval_polys
 from .opuc import VerblunskyCoeffs, szego_eval
 from .special import sine_ratio
 
@@ -222,10 +222,7 @@ def rescale_h(h, g, r):
 def jacobi_hamiltonian(rec, n_max):
     """Unit-length rank-one pieces [[q_n(0)^2, -p_n q_n],[-p_n q_n, p_n(0)^2]]; the
     second kind q_0 = 0, q_n = p^(1)_{n-1} / a_1 from the shifted coefficients."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_max > len(rec):
-        raise ValueError(f"n_max = {n_max} exceeds declared length {len(rec)}")
+    n_max = _level(n_max, 1, len(rec), "n_max")
     p, log_p = eval_polys(rec, n_max - 1, 0.0)
     p1, log_p1 = eval_polys(RecurrenceCoeffs(rec.a[1:], rec.b[1:]), max(n_max - 2, 0), 0.0)
     p = p.real * math.exp(log_p)
@@ -246,10 +243,7 @@ def opuc_hamiltonian(v, n_max):
     kernels K(n+s,.,.) exactly (free case: H = I/2, K(t,0,0) = t/2).  The
     second kind psi_n is the phi_n of the coefficients -alpha.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if n_max > len(v):
-        raise ValueError(f"n_max = {n_max} exceeds declared length {len(v)}")
+    n_max = _level(n_max, 1, len(v), "n_max")
     phis, _ = szego_eval(v, n_max - 1, 1.0)
     psis, _ = szego_eval(VerblunskyCoeffs(-v.alpha), n_max - 1, 1.0)
     mats = np.empty((n_max, 2, 2))
@@ -359,8 +353,10 @@ def _schrodinger_sweep(v_fn, beta_bc, x, lams, n_steps, derivative=False):
 
 def rescaled_schrodinger(v_fn, beta_bc, xi, h, x, grid):
     """Samples of K(x, xi + z/tau, xi + w/tau) / K(x, xi, xi), tau = h(K(x, xi, xi)),
-    of the Schrodinger kernel on [0, x]: each K is an m of _schrodinger_sweep
-    in max(1024, 16 x) steps."""
+    of the Schrodinger kernel on [0, x], x finite and > 0: each K is an m of
+    _schrodinger_sweep in max(1024, 16 x) steps."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be finite and > 0, got {x}")
     steps = max(1024, int(16 * x))
     _, m = _schrodinger_sweep(v_fn, beta_bc, x, [xi, xi], steps)
 
@@ -381,8 +377,8 @@ def schrodinger_kernel(v_fn, beta_bc, x, z, w, tol=1e-8):
     (at most 14 times) until they stabilize to tol, error if the two forms
     disagree beyond 10x tol.
     """
-    if x <= 0:
-        raise ValueError("x must exceed the left endpoint 0")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be finite and > 0, got {x}")
     z, w = complex(z), complex(w)
     vbar = w.conjugate()
     confluent = abs(z - vbar) < DIAGONAL_SWITCH

@@ -8,9 +8,10 @@ keyword arguments are the settings a config may give and their defaults.
 The exact-identity suites are the identities experiment; its config may
 name one module (module_filter) and a seed.
 Validation errors (a field the experiment does not read, a bad value) carry
-the offending field path so the CLI can name it.  Exit status: 0 pass,
-1 experiment fail, 2 config error.  Outputs are bit-stable for a fixed config
-(floats printed with 17 significant digits).
+the offending field path so the CLI can name it.  The n_values are integer
+levels n >= 1 (oprl._level), or for schrodinger lengths x.  Exit status:
+0 pass, 1 experiment fail, 2 config error.  Outputs are bit-stable for a
+fixed config (floats printed with 17 significant digits).
 """
 
 from __future__ import annotations
@@ -100,13 +101,21 @@ _FLOATS = {"xi", "tolerance", "grid.half_width", "v_exponent", "first", "ratio"}
 
 def _checked(path, value, default=None):
     """value of the setting at path, checked by CHECKS; a JSON integer where
-    the setting is a float (_FLOATS) becomes a float."""
+    the setting is a float (_FLOATS) becomes a float, and n_values a tuple of
+    the type of its default's entries (integer levels >= 1, or floats)."""
     _expect(path in CHECKS, path, "unknown field")
     check, message = CHECKS[path]
     _expect(check(value), path, message)
     if isinstance(default, dict):
         return {key: _checked(f"{path}.{key}", item)
                 for key, item in {**default, **value}.items()}
+    if path == "n_values" and isinstance(default[0], float):  # schrodinger's lengths x
+        return tuple(map(float, value))
+    if path == "n_values":
+        try:
+            return tuple(oprl._level(n, 1, math.inf) for n in value)
+        except ValueError:
+            raise ConfigError(path, f"must be integer levels >= 1, got {value}") from None
     return float(value) if path in _FLOATS else value
 
 
@@ -223,12 +232,12 @@ def _estimated_scaling(mu, xi, pinned):
 GRID = {"half_width": 2.0, "points_per_axis": 5}
 
 
-def _convergence(out_dir, sampler, target, n_values, grid, tolerance, index=int):
-    """convergence_study of sampler(index, grid) at every index of n_values (cast
-    by index) on the real grid of the grid setting, with the internal scale
-    fitted on the study's fixed 3x3 complex grid of half-width 1; writes
-    kernel_<index>.csv per index."""
-    report = convergence_study(sampler, target, [index(n) for n in n_values],
+def _convergence(out_dir, sampler, target, n_values, grid, tolerance):
+    """convergence_study of sampler(index, grid) at every index of n_values on
+    the real grid of the grid setting, with the internal scale fitted on the
+    study's fixed 3x3 complex grid of half-width 1; writes kernel_<index>.csv
+    per index."""
+    report = convergence_study(sampler, target, n_values,
                                real_grid_pairs(grid["half_width"], grid["points_per_axis"]),
                                tolerance)
     for idx, samples in report.samples_by_index.items():
@@ -242,7 +251,7 @@ def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
     """rescaled CD kernels of a gallery measure vs the sine kernel"""
     mu = _gallery_measure(measure)
     h, scl = _estimated_scaling(mu, xi, scaling)
-    n_top = int(max(n_values))
+    n_top = max(n_values)
     rec = oprl.stieltjes_coeffs(mu, n_top + 1)
     report = _convergence(out_dir, partial(oprl.rescaled_cd, rec, xi, h), sine_kernel,
                           n_values, grid, tolerance)
@@ -271,8 +280,7 @@ def _run_bulk(out_dir, measure={"name": "legendre", "params": {}}, xi=0.0,
 
 def _run_opuc_bulk(out_dir, n_values=(1000, 10000), grid=GRID, tolerance=0.01):
     """circle CD kernels (free coefficients) vs the sine kernel"""
-    n_top = int(max(n_values))
-    v = opuc.VerblunskyCoeffs.free(n_top)
+    v = opuc.VerblunskyCoeffs.free(max(n_values))
     h = RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)
     # k_n(zeta, omega) = sum_j (zeta conj(omega))^j here, so xi cancels: take 0
     report = _convergence(out_dir, partial(opuc.rescaled_cd_circle, v, 0.0, h), sine_kernel,
@@ -305,9 +313,8 @@ def _run_hard_edge(out_dir, n_values=(100, 200, 300), tolerance=0.02, k_max=3, b
     for beta in betas:
         mu = gallery("power_hard_edge", beta=beta)
         h = RegVarFn(scale=1.0, index=1.0 / beta)  # g(r) = r^beta exactly at the edge 0
-        n_top = int(max(n_values))
-        rec = oprl.stieltjes_coeffs(mu, n_top)
-        zr = zero_study(rec, 0.0, h, "hard_edge", [int(n) for n in n_values], k_max)
+        rec = oprl.stieltjes_coeffs(mu, max(n_values))
+        zr = zero_study(rec, 0.0, h, "hard_edge", n_values, k_max)
         ok = zr.max_rel_error_ratios <= tolerance
         passed = passed and ok
         ex = zr.extras
@@ -342,9 +349,8 @@ def _run_fisher_hartwig(out_dir, n_values=(50, 100, 200), tolerance=0.02, k_max=
         mu = gallery("even_fh", beta=beta)
         # at the singular point 0, nu([0,1/r)) = r^-beta/2, so g(r) = 2 r^beta
         h = measures.asymptotic_inverse(RegVarFn(scale=2.0, index=beta))
-        n_top = int(max(n_values))
-        rec = oprl.stieltjes_coeffs(mu, 2 * n_top + 1)
-        zr = zero_study(rec, 0.0, h, "even_fh", [int(n) for n in n_values], k_max)
+        rec = oprl.stieltjes_coeffs(mu, 2 * max(n_values) + 1)
+        zr = zero_study(rec, 0.0, h, "even_fh", n_values, k_max)
         odd_zero = max(zr.extras["odd_zero_at_origin"].values())
         ok = zr.max_rel_error_ratios <= tolerance and odd_zero <= 1e-12
         passed = passed and ok
@@ -370,8 +376,7 @@ def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
     sm, sp = scl["sigma_minus_hat"], scl["sigma_plus_hat"]
     spec = build_limit_kernel(sm, sp, 1.0)
     h = RegVarFn(scale=1.0, index=1.0)
-    n_top = int(max(n_values))
-    rec = oprl.stieltjes_coeffs(mu, n_top + 1)
+    rec = oprl.stieltjes_coeffs(mu, max(n_values) + 1)
     report = _convergence(out_dir, partial(oprl.rescaled_cd, rec, xi, h), spec,
                           n_values, grid, tolerance)
     lines = [
@@ -389,14 +394,14 @@ def _run_jump(out_dir, measure={"name": "jump", "params": {}}, xi=0.0,
 def _sparse_size(n_values, ratio):
     """(n_max, bump count) of a sparse run: n_max = 2 max(n_values) and
     int(log_ratio(n_max)) + 2 bump heights."""
-    n_max = 2 * int(max(n_values))
+    n_max = 2 * max(n_values)
     return n_max, int(math.log(n_max, ratio)) + 2
 
 
 def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.15,
                 v_exponent=-0.5, first=4.0, ratio=4.0):
     """sparse decaying Jacobi matrix: diagnostics and sine-kernel limit"""
-    t_top = int(max(n_values))
+    t_top = max(n_values)
     n_max, j_count = _sparse_size(n_values, ratio)
     v_vals = (np.arange(1, j_count + 1, dtype=float)) ** v_exponent
     rec = sparse_jacobi(v_vals, first, ratio, n_max)
@@ -423,7 +428,7 @@ def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.
     return lines, passed, data
 
 
-def _run_schrodinger(out_dir, xi=1.0, n_values=(50, 100, 200), grid=GRID, tolerance=0.05):
+def _run_schrodinger(out_dir, xi=1.0, n_values=(50.0, 100.0, 200.0), grid=GRID, tolerance=0.05):
     """free Schrodinger kernels: two-form agreement and bulk limit"""
     quad, wron = canonical.schrodinger_kernel(lambda y: 0.0, 0.0, 5.0, 1.0 + 0.2j, 2.0, tol=1e-10)
     agree = abs(quad - wron) / (1.0 + abs(quad))
@@ -431,7 +436,7 @@ def _run_schrodinger(out_dir, xi=1.0, n_values=(50, 100, 200), grid=GRID, tolera
     eta = math.sqrt(xi) / math.pi
     h = RegVarFn(scale=eta, index=1.0)
     sampler = partial(canonical.rescaled_schrodinger, lambda y: 0.0, 0.0, xi, h)
-    report = _convergence(out_dir, sampler, sine_kernel, n_values, grid, tolerance, index=float)
+    report = _convergence(out_dir, sampler, sine_kernel, n_values, grid, tolerance)
     passed = agree_ok and report.passed
     lines = [
         f"[{'PASS' if agree_ok else 'FAIL'}] schrodinger: quadrature form = "

@@ -146,8 +146,8 @@ def build_limit_kernel(sigma_minus, sigma_plus, beta):
     """Derive (alpha, kappa) or sigma and return the kernel spec."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    if sigma_minus < 0 or sigma_plus < 0 or (sigma_minus == 0 and sigma_plus == 0):
-        raise ValueError("need sigma+- >= 0 and not both zero")
+    if not (sigma_minus >= 0 and sigma_plus >= 0 and 0 < sigma_minus + sigma_plus < math.inf):
+        raise ValueError(f"need finite sigma+- >= 0, not both 0, got {sigma_minus}, {sigma_plus}")
     try:
         gamma_beta_sq = gamma_cx(beta + 1).real ** 2
     except OverflowError as exc:
@@ -188,12 +188,14 @@ def kernel_components(spec, z, derivative=False):
     and a point asked for with derivative=True after a plain call sums only
     the series A' and B' add.  A zero real part of either sign keys one entry
     (x - 0j, reflected, keys that of x + 0j); a hit returns the bits a fresh
-    evaluation gives.  Failures are not cached; a NaN z is never looked up.
+    evaluation gives.  Failures are not cached; a non-finite z is a ValueError.
     """
     z = complex(z)
     if math.copysign(1.0, z.imag) < 0:
         return tuple(c.conjugate() for c in kernel_components(spec, z.conjugate(), derivative))
-    sums = _sums(spec, z) if z == z else _sums.__wrapped__(spec, z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    sums = _sums(spec, z)
     if spec.case == "two-sided":
         a, b, kap = spec.alpha, spec.beta, spec.kappa
         if derivative and len(sums) == 3:

@@ -20,6 +20,10 @@ certifying Sturm pass enclose each zero, and only the bisection steps inside
 an enclosure are counted, by multisection (one count pass per six halvings);
 for a window of zeros above n = 800, where counting is cheaper, every step is
 counted.  Either way the bits are bisection's.
+
+Integer levels n (and degrees and counts) follow one rule, _level, here and in
+opuc and canonical; real levels t, those of the de Branges chain, go through
+interp_kernel.
 """
 
 from __future__ import annotations
@@ -86,11 +90,25 @@ class RecurrenceCoeffs:
         object.__setattr__(self, "b", b)
         if a.shape != b.shape:
             raise ValueError("a and b must have equal length")
-        if np.any(a <= 0):
-            raise ValueError("all a_n must be > 0")
+        if not (np.all((a > 0) & (a < np.inf)) and np.all(np.isfinite(b))):
+            raise ValueError("all a_n must be finite and > 0, and all b_n finite")
 
     def __len__(self):
         return self.a.size
+
+
+def _level(n, least, top, name="n"):
+    """n as an int: an int, a numpy integer or an integral float with
+    least <= n <= top.  Anything else (a fractional, NaN or infinite n, or one
+    outside the range) raises a ValueError that names the argument, n and the
+    bound it breaks."""
+    if isinstance(n, (int, np.integer)) or isinstance(n, (float, np.floating)) and n.is_integer():
+        if least <= n <= top:
+            return int(n)
+        if n > top:
+            raise ValueError(f"{name} = {n} exceeds the top level {top}")
+    raise ValueError(f"{name} must be an integer >= {least}, got {n}; real levels go through "
+                     "interp_kernel or opuc_canonical_kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +296,7 @@ def stieltjes_coeffs(mu, n_max):
     A bit-exact mirror-symmetric discretization is folded (b = 0).  Folded or
     not, Lanczos merges a large node set into Jacobi blocks first (_lanczos).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = _level(n_max, 1, math.inf, "n_max")
     x, w = _discretize(mu, n_max)
     total = float(w.sum())
     mirror = x.size % 2 == 0 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
@@ -300,11 +317,7 @@ def eval_polys(rec, n, z):
     If values exceed 1e280 in modulus, the whole sequence is rescaled by a
     common factor and log_scale records its logarithm.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > len(rec):
-        raise ValueError(f"n = {n} exceeds declared length {len(rec)}")
-    z = complex(z)
+    n, z = _level(n, 0, len(rec)), complex(z)
     a, b = rec.a, rec.b
     p = np.empty(n + 1, dtype=complex)
     p[0] = 1.0
@@ -370,11 +383,10 @@ def _chain(c, d, zs, start, derivative):
 
 
 def _batch_level(rec, n, zs):
-    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at level n >= 1, vectorized in z: the
+    """(p_{n-1}, p_n, p'_{n-1}, p'_n) at level n >= 0, vectorized in z: the
     steps (p_k, p_{k-1}) = ((z - b_k) / a_k p_{k-1} - a_{k-1} / a_k p_{k-2},
     p_{k-1}) from (p_0, p_{-1}) = (1, 0) by _chain."""
-    if n > len(rec):
-        raise ValueError(f"level {n} exceeds declared length {len(rec)}")
+    n = _level(n, 0, len(rec))
     a = rec.a[:n]
     c, d = np.zeros((2, n, 2, 2))
     c[:, 0, 0], c[:, 0, 1], c[:, 1, 0] = -rec.b[:n] / a, -np.append(0.0, a)[:n] / a, 1.0
@@ -394,16 +406,15 @@ def _cd_pair(rec, n, points):
 
 
 def cd_kernel(rec, n, z, w, method="cd_formula"):
-    """K(n,z,w) = sum_{j<n} p_j(z) conj(p_j(w)); n >= 1.
+    """K(n,z,w) = sum_{j<n} p_j(z) conj(p_j(w)); 1 <= n <= len(rec) + 1 by the sum.
 
-    method "sum" sums the series; "cd_formula" is the Christoffel-Darboux
+    method "sum" sums the series; "cd_formula" (n <= len(rec)) is the CD
     identity, pair_kernel of (p_{n-1}, a_n p_n).  Raises KernelOverflowError
     when the value is outside the double range.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if method not in ("sum", "cd_formula"):
         raise ValueError(f"unknown method {method!r}")
+    n = _level(n, 1, len(rec) + (method == "sum"))
     z, w = complex(z), complex(w)
     # an overflow surfaces as inf or nan in the value and is raised below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -423,9 +434,9 @@ def cd_kernel(rec, n, z, w, method="cd_formula"):
 
 
 def interp_kernel(rec, t, z, w):
-    """Piecewise-linear-in-t kernel; K(0,.,.) = 0, integers match cd_kernel."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Piecewise-linear kernel at a real level t >= 0; K(0,.,.) = 0, integers match cd_kernel."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     n = int(math.floor(t))
     s = t - n
     k_lo = 0.0 if n == 0 else cd_kernel(rec, n, z, w)
@@ -436,12 +447,10 @@ def interp_kernel(rec, t, z, w):
 
 
 def kernel_diag(rec, n, xi):
-    """K(n, xi, xi) = sum_{j<n} |p_j(xi)|^2 at an integral level n >= 0; real
-    levels go through interp_kernel.  Raises ValueError for a fractional n or
-    a NaN xi, and KernelOverflowError when K is outside the double range."""
-    if n < 0 or not float(n).is_integer():
-        raise ValueError(f"n must be an integer >= 0, got {n}; real levels use interp_kernel")
-    n, xi = int(n), float(xi)
+    """K(n, xi, xi) = sum_{j<n} |p_j(xi)|^2, 0 <= n <= len(rec) + 1; real levels
+    go through interp_kernel.  Raises ValueError for any other n or a NaN xi,
+    and KernelOverflowError when K is outside the double range."""
+    n, xi = _level(n, 0, len(rec) + 1), float(xi)
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
     p, log_scale = eval_polys(rec, max(n - 1, 0), xi)
@@ -456,20 +465,21 @@ def kernel_diag(rec, n, xi):
 def rescaled_cd(rec, xi, h, n, grid):
     """Samples of K(n, xi + z/tau, xi + w/tau) / K(n, xi, xi),
     tau = h(K(n, xi, xi)) -- the exact left-hand side of the scaling limits --
-    at an integral level n, checked as by kernel_diag."""
+    at an integer level 0 <= n <= len(rec)."""
+    n = _level(n, 0, len(rec))
+
     def kernel(xs, pairs):
         xs = xs.tolist()
-        pair = _cd_pair(rec, int(n), xs)
+        pair = _cd_pair(rec, n, xs)
         return [pair_kernel(pair, xs[i], xs[j]) for i, j in pairs]
 
     return _rescaled_samples(kernel_diag(rec, n, xi), xi, h, grid, kernel)
 
 
 def nevai_ratio(rec, xi, n):
-    """K(n+1, xi, xi) / K(n, xi, xi).  Raises ValueError for a NaN xi and
-    KernelOverflowError when the ratio is not finite (xi huge or infinite)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """K(n+1, xi, xi) / K(n, xi, xi), 1 <= n <= len(rec).  Raises ValueError for
+    a NaN xi and KernelOverflowError when the ratio is not finite."""
+    n = _level(n, 1, len(rec))
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
     v = np.abs(eval_polys(rec, n, xi)[0])
@@ -594,11 +604,8 @@ def _bisect(d, e, ks, lower, upper):
 
 
 def _jacobi(rec, n):
-    """Diagonal and off-diagonal of the n x n truncated Jacobi matrix."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > len(rec):
-        raise ValueError(f"n = {n} exceeds declared length {len(rec)}")
+    """Diagonal and off-diagonal of the n x n truncated Jacobi matrix, 1 <= n <= len(rec)."""
+    n = _level(n, 1, len(rec))
     return rec.b[:n].astype(float), rec.a[: n - 1].astype(float)
 
 
@@ -610,7 +617,7 @@ def poly_zeros(rec, n):
     for all n zeros that beats counting every step, O(n^2) per sweep, at
     every n.  Studies that read zeros near one point use zeros_near."""
     d, e = _jacobi(rec, n)
-    ks = np.arange(1, n + 1)
+    ks = np.arange(1, d.size + 1)
     lower, upper, _ = _enclosures(d, e, ks, _estimates(d, e), [])
     return _bisect(d, e, ks, lower, upper)
 
@@ -632,14 +639,13 @@ def zeros_near(rec, n, xi, k):
     """
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _level(k, 0, math.inf, "k")
     d, e = _jacobi(rec, n)
-    estimates = _estimates(d, e) if n <= _DENSE_MAX else None
+    estimates = _estimates(d, e) if d.size <= _DENSE_MAX else None
     guess = 0 if estimates is None else int(np.searchsorted(estimates, xi))
-    ranks = np.arange(max(guess - k - 3, 0), min(guess + k + 3, n)) + 1
+    ranks = np.arange(max(guess - k - 3, 0), min(guess + k + 3, d.size)) + 1
     lower, upper, counts = _enclosures(d, e, ranks, estimates, [float(xi)])
     c = int(counts[0])
     first = max(c - k - 2, 0)
-    ks = np.arange(first, min(c + k + 2, n)) + 1
+    ks = np.arange(first, min(c + k + 2, d.size)) + 1
     return first, _bisect(d, e, ks, lower[ks - 1], upper[ks - 1])

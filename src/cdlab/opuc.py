@@ -9,7 +9,8 @@ Second-kind polynomials psi_k are not a separate sequence: they are the phi_k
 of the coefficients -alpha_k, so szego_eval of VerblunskyCoeffs(-alpha) gives
 them (Simon 2005, OPUC Part 1, Sec. 3.2).
 The measure is a probability measure; rotation to a point e^{i xi} is handled
-by rotating kernel arguments, never by re-deriving coefficients.
+by rotating kernel arguments, never by re-deriving coefficients.  Integer
+levels n follow oprl._level; real levels t are opuc_canonical_kernel's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
-from .oprl import KernelOverflowError, _chain
+from .oprl import KernelOverflowError, _chain, _level
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -42,8 +43,8 @@ class VerblunskyCoeffs:
     def __post_init__(self):
         al = np.asarray(self.alpha, dtype=complex)
         object.__setattr__(self, "alpha", al)
-        if al.size and np.max(np.abs(al)) >= 1.0:
-            raise ValueError("Verblunsky coefficients must satisfy |alpha_n| < 1")
+        if not np.all(np.abs(al) < 1.0):  # a NaN fails too
+            raise ValueError("Verblunsky coefficients must be finite with |alpha_n| < 1")
 
     def __len__(self):
         return self.alpha.size
@@ -54,19 +55,9 @@ class VerblunskyCoeffs:
         return cls(np.zeros(n, dtype=complex))
 
 
-def _level(n):
-    """An integral level n >= 0 as an int; ValueError for any other n."""
-    if n < 0 or not float(n).is_integer():
-        raise ValueError(f"n must be an integer >= 0, got {n}")
-    return int(n)
-
-
 def szego_eval(v, n, zeta):
-    """(phi, phi_star): phi_0..phi_n and phi*_0..phi*_n at zeta."""
-    n = _level(n)
-    if n > len(v):
-        raise ValueError(f"n = {n} exceeds declared length {len(v)}")
-    zeta = complex(zeta)
+    """(phi, phi_star): phi_0..phi_n and phi*_0..phi*_n at zeta, 0 <= n <= len(v)."""
+    n, zeta = _level(n, 0, len(v)), complex(zeta)
     phi, phs = [1.0 + 0j], [1.0 + 0j]
     for al in v.alpha[:n].tolist():  # Python complex: no numpy call per step
         r = 1.0 / math.sqrt(1.0 - abs(al) ** 2)
@@ -78,9 +69,8 @@ def szego_eval(v, n, zeta):
 def _szego_last_batch(v, n, zetas, derivative=False):
     """(phi_n, phi*_n [, phi'_n, phi*'_n]) at many points: the Szego steps
     (phi, phi*) -> r (zeta phi - conj(alpha) phi*, phi* - alpha zeta phi),
-    r = (1 - |alpha|^2)^(-1/2), from (1, 1) by _chain."""
-    if n > len(v):
-        raise ValueError(f"n = {n} exceeds declared length {len(v)}")
+    r = (1 - |alpha|^2)^(-1/2), from (1, 1) by _chain; 0 <= n <= len(v)."""
+    n = _level(n, 0, len(v))
     alpha = v.alpha[:n]
     r = 1.0 / np.sqrt(1.0 - np.abs(alpha) ** 2)
     c, d = np.zeros((2, n, 2, 2), dtype=complex)
@@ -109,12 +99,12 @@ def _circle_kernel(components, zeta, omega):
 
 
 def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
-    """k_n(zeta, omega) = sum_{j<n} phi_j(zeta) conj(phi_j(omega)); raises
+    """k_n(zeta, omega) = sum_{j<n} phi_j(zeta) conj(phi_j(omega)), 1 <= n <=
+    len(v) + 1 by the sum and len(v) by the CD formula; raises
     KernelOverflowError when the value is outside the double range."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if method not in ("sum", "cd_formula"):
         raise ValueError(f"unknown method {method!r}")
+    n = _level(n, 1, len(v) + (method == "sum"))
     zeta, omega = complex(zeta), complex(omega)
     # an overflow surfaces as inf or nan in the value and is raised below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -132,8 +122,8 @@ def cd_kernel_circle(v, n, zeta, omega, method="cd_formula"):
 
 
 def kernel_diag_circle(v, n, xi):
-    """k_n(e^{i xi}, e^{i xi}) via the sum; k_0 = 0.  The angle xi is finite."""
-    n = _level(n)
+    """k_n(e^{i xi}, e^{i xi}) via the sum, 0 <= n <= len(v) + 1; xi is finite."""
+    n = _level(n, 0, len(v) + 1)
     if not math.isfinite(xi):
         raise ValueError(f"xi must be finite, got {xi}")
     phi, _ = szego_eval(v, max(n - 1, 0), cmath.exp(1j * xi))
@@ -142,13 +132,9 @@ def kernel_diag_circle(v, n, xi):
 
 def rescaled_cd_circle(v, xi, h, n, grid):
     """e^{-in(z - conj w)/(2 tau)} k_n(e^{i(xi+z/tau)}, e^{i(xi+w/tau)}) / k_n,
-    where k_n = k_n(e^{i xi}, e^{i xi}) and tau = h(k_n).  n is an integer
-    level (an integral float is taken as that integer); real levels go through
-    opuc_canonical_kernel."""
-    if not float(n).is_integer():
-        raise ValueError(f"rescaled_cd_circle needs an integral level n, got {n}; "
-                         "real levels go through opuc_canonical_kernel")
-    n = int(n)
+    where k_n = k_n(e^{i xi}, e^{i xi}) and tau = h(k_n), at an integer level
+    0 <= n <= len(v); real levels go through opuc_canonical_kernel."""
+    n = _level(n, 0, len(v))
 
     def kernel(xs, pairs):
         zetas = np.exp(1j * xs).tolist()
@@ -172,8 +158,8 @@ def opuc_canonical_kernel(v, t, z, w):
     and G(x) = e^{-i(n+s)x/2} phi*_n(e^{ix}) = conj(F(conj x)).  Raises
     KernelOverflowError when the value is outside the double range.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     n = int(math.floor(t))
     return _chain_kernel(v, n, t - n, z, w)
 
@@ -209,12 +195,14 @@ def opuc_interp_kernel(v, t, z, w):
 
     K(n+s) = sin((1-s)u/2)/sin(u/2) K(n) + sin(s u/2)/sin(u/2) K(n+1).
     """
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     n = int(math.floor(t))
     s = t - n
-    if s == 0.0:
-        return opuc_canonical_kernel(v, float(n), z, w)
-    u = complex(z) - complex(w).conjugate()
     k0 = opuc_canonical_kernel(v, float(n), z, w)
+    if s == 0.0:
+        return k0
+    u = complex(z) - complex(w).conjugate()
     k1 = opuc_canonical_kernel(v, float(n + 1), z, w)
     if abs(u) < 1e-6:
         c0, c1 = 1.0 - s, s  # limits of the sin ratios

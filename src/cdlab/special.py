@@ -297,9 +297,9 @@ def bessel_zeros(nu, k):
     """
     if not nu > -1:
         raise ValueError(f"bessel_zeros requires nu > -1, got {nu}")
-    if not 1 <= k <= _MAX_BESSEL_ZEROS:
-        raise ValueError(f"k must be in [1, {_MAX_BESSEL_ZEROS}], got {k}")
-    rows, last = _BESSEL_ROWS, 0
+    if not (1 <= k <= _MAX_BESSEL_ZEROS and float(k).is_integer()):
+        raise ValueError(f"k must be in [1, {_MAX_BESSEL_ZEROS}] and an integer, got {k}")
+    k, rows, last = int(k), _BESSEL_ROWS, 0
     while last < rows and nu <= (_BESSEL_MAX_ROWS / 7.0) ** 3:  # else 7 nu^(1/3) passes the rows
         m = np.arange(1.0, rows) + nu
         off = 0.5 / np.sqrt(m * (m + 1.0))

@@ -279,7 +279,7 @@ def zero_study(rec, xi, h, mode, n_values, k_max):
     ends of the spectrum) and the worst error at the largest n; hard_edge and
     even_fh add the raw zeros and the ratio errors per n to extras.
     """
-    n_values = sorted(int(n) for n in n_values)
+    n_values = sorted(n_values)
     if mode == "clock":
         return _clock_study(rec, xi, h, n_values, k_max)
     if mode == "hard_edge":

@@ -15,6 +15,7 @@ from cdlab.canonical import (
     mobius,
     opuc_hamiltonian,
     rescale_h,
+    rescaled_schrodinger,
     schrodinger_kernel,
     transfer_form_integral,
     transfer_matrix,
@@ -23,7 +24,8 @@ from cdlab.canonical import (
 )
 from cdlab.measures import RegVarFn, cauchy_transform, gallery
 from cdlab.oprl import RecurrenceCoeffs, eval_polys, interp_kernel, kernel_diag, stieltjes_coeffs
-from cdlab.opuc import VerblunskyCoeffs, kernel_diag_circle, opuc_canonical_kernel, szego_eval
+from cdlab.opuc import (VerblunskyCoeffs, kernel_diag_circle, opuc_canonical_kernel,
+                       opuc_interp_kernel, szego_eval)
 
 
 @pytest.fixture(scope="module")
@@ -213,12 +215,30 @@ _H12 = Hamiltonian(np.array([1.0, 2.0]), np.array([np.eye(2) / 2.0, np.eye(2) / 
     lambda t: kernel_kh(_H12, t, 0.5, 0.5),
     lambda t: weyl(_H12, 0.5j, t),
     lambda t: transfer_form_integral(_H12, t, 0.5, 0.5),
-], ids=["transfer_matrix", "kernel_kh", "weyl", "transfer_form_integral"])
+    lambda t: interp_kernel(RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5)), t, 0.5, 0.5),
+    lambda t: opuc_canonical_kernel(VerblunskyCoeffs.free(5), t, 0.5, 0.5),
+    lambda t: opuc_interp_kernel(VerblunskyCoeffs.free(5), t, 0.5, 0.5),
+], ids=["transfer_matrix", "kernel_kh", "weyl", "transfer_form_integral", "interp_kernel",
+        "opuc_canonical_kernel", "opuc_interp_kernel"])
 @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
 def test_non_finite_or_negative_t_is_named(call, t):
-    # a NaN t took every whole piece: kernel_kh returned the t = 3 value 1.5
+    # a NaN t took every whole piece: kernel_kh returned the t = 3 value 1.5;
+    # the chain kernels raised "cannot convert float NaN to integer" or a bare
+    # OverflowError at inf
     with pytest.raises(ValueError, match=f"t must be finite and >= 0, got {t}"):
         call(t)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: rescaled_schrodinger(lambda y: 0.0, 0.0, 1.0, RegVarFn(), x, [(0.0, 0.0)]),
+    lambda x: schrodinger_kernel(lambda y: 0.0, 0.0, x, 1.0, 2.0),
+], ids=["rescaled_schrodinger", "schrodinger_kernel"])
+@pytest.mark.parametrize("x", [math.inf, math.nan, -1.0, 0.0])
+def test_non_finite_or_non_positive_length_is_named(call, x):
+    # x = inf raised a bare OverflowError, and rescaled_schrodinger at x = -1
+    # a ZeroDiagonalError "K = -0.27"
+    with pytest.raises(ValueError, match=f"x must be finite and > 0, got {x}"):
+        call(x)
 
 def test_weyl_free_half():
     h = Hamiltonian.constant(np.eye(2) / 2.0, length=50.0, tail=True)

@@ -351,5 +351,45 @@ def test_sparse_bumps_that_do_not_strictly_increase_are_a_config_error(tmp_path,
     assert not (tmp_path / "sp").exists()
 
 
+@pytest.mark.parametrize("experiment", ["bulk", "jump", "opuc_bulk", "sparse", "hard_edge",
+                                        "fisher_hartwig"])
+def test_fractional_level_is_a_config_error(tmp_path, capsys, experiment):
+    # [0.5] passed every check and ran level int(0.5) = 0: a ZeroDiagonalError
+    # or "math domain error" traceback at exit 1
+    raw = {"experiment": experiment, "n_values": [0.5], "output_dir": str(tmp_path / "out")}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert exc.value.field == "n_values"
+    assert main(["run", "--config", _write(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'n_values'" in err[0] and "0.5" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_level_is_that_integer(tmp_path):
+    # [20, 40.7] ran level 40 silently; 40.0 is the level 40, and nothing else is
+    csvs = []
+    for out, n_values in (("int", [20, 40]), ("float", [20, 40.0])):
+        raw = {"experiment": "bulk", "n_values": n_values, "tolerance": 0.2,
+               "scaling": {"eta": 0.5}, "grid": {"half_width": 1.0, "points_per_axis": 4},
+               "output_dir": str(tmp_path / out)}
+        assert parse_config(raw).settings["n_values"] == (20, 40)
+        assert main(["run", "--config", _write(tmp_path, raw)]) == 0
+        csvs.append((tmp_path / out / "kernel_40.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    with pytest.raises(ConfigError) as exc:
+        parse_config({"experiment": "bulk", "n_values": [20, 40.7]})
+    assert exc.value.field == "n_values"
+
+
+def test_schrodinger_lengths_are_real(tmp_path):
+    cfg = parse_config({"experiment": "schrodinger", "n_values": [20.5], "output_dir":
+                        str(tmp_path / "s"), "grid": {"half_width": 1.0, "points_per_axis": 3}})
+    assert cfg.settings["n_values"] == (20.5,)
+    lines, _, data = run_experiment(cfg)
+    assert "at x = [20.5]" in lines[1] and len(data["sup_errors"]) == 1
+    assert (tmp_path / "s" / "kernel_20_5.csv").exists()
+
+
 def test_missing_config_file():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2

@@ -27,7 +27,6 @@ from cdlab.oprl import RecurrenceCoeffs, cd_kernel
 from cdlab.opuc import VerblunskyCoeffs, opuc_canonical_kernel
 from cdlab.special import (
     GammaOverflowError,
-    SeriesConvergenceError,
     SeriesPrecisionError,
     gamma_cx,
     sine_ratio,
@@ -48,6 +47,23 @@ def test_build_validation():
         build_limit_kernel(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         build_limit_kernel(-0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("sigmas", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                    (math.inf, 0.0)])
+def test_build_rejects_non_finite_sigmas(sigmas):
+    # NaN gave a one-sided spec, and an infinite sigma a "math domain error"
+    with pytest.raises(ValueError, match="need finite sigma"):
+        build_limit_kernel(*sigmas, 1.0)
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, -1j * math.inf, complex(math.nan, 1.0)])
+def test_limit_kernel_rejects_a_non_finite_point(z):
+    # inf gave a numpy RuntimeWarning and then "no convergence after 2000
+    # terms", as did NaN
+    for spec in (build_limit_kernel(1.0, 1.0, 1.0), build_limit_kernel(0.0, 1.0, 1.5)):
+        with pytest.raises(ValueError, match="z must be finite"):
+            eval_limit_kernel(spec, z, 0.0)
 
 
 def test_build_scale_overflow():
@@ -149,7 +165,7 @@ def test_memo_does_not_cache_failures():
     assert (info.misses, info.currsize) == (2, 0)
     # a NaN point is not looked up at all
     for _ in range(2):
-        with pytest.raises(SeriesConvergenceError):
+        with pytest.raises(ValueError, match=r"z must be finite, got \(nan\+0j\)"):
             kernel_components(spec, complex(math.nan, 0.0))
     assert limit_kernels._sums.cache_info() == info
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdlab import oprl
+from cdlab import canonical, oprl, opuc
 from cdlab.measures import AcPiece, Measure, RegVarFn, gallery
 from cdlab.oprl import (
     KernelOverflowError,
@@ -438,7 +438,7 @@ def test_zeros_near_rejects_nan_xi_and_negative_k(leg):
         zeros_near(leg, 20, float("nan"), 2)
     # k = -1 shrank the window; k = -5 failed inside numpy
     for k in (-1, -5):
-        with pytest.raises(ValueError, match="k must be >= 0"):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 0, got {k}"):
             zeros_near(leg, 20, 0.0, k)
 
 
@@ -910,3 +910,76 @@ def test_cd_kernel_overflow_on_the_diagonal_is_typed():
     with pytest.raises(KernelOverflowError) as exc:
         cd_kernel(rec, 2000, 2.5, 2.5)
     assert (exc.value.index, exc.value.xi, exc.value.w) == (2000, 2.5, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# integer levels: one rule (oprl._level) at every entry point
+# ---------------------------------------------------------------------------
+
+_REC6 = RecurrenceCoeffs(a=np.linspace(0.4, 0.6, 6), b=np.linspace(-0.1, 0.1, 6))
+_V6 = VerblunskyCoeffs(np.linspace(0.1, 0.3, 6) * np.exp(0.7j * np.arange(6)))
+_GRID = [(0.0, 0.0), (0.5 + 0.2j, -0.3)]
+
+# (call of the level, argument name, least level, top level or None for no top)
+_LEVEL_ENTRY_POINTS = {
+    "stieltjes_coeffs": (lambda n: stieltjes_coeffs(gallery("chebyshev"), n), "n_max", 1, None),
+    "eval_polys": (lambda n: eval_polys(_REC6, n, 0.3 + 0.1j), "n", 0, 6),
+    "cd_kernel_sum": (lambda n: cd_kernel(_REC6, n, 0.3, 0.2j, "sum"), "n", 1, 7),
+    "cd_kernel_formula": (lambda n: cd_kernel(_REC6, n, 0.3, 0.2j), "n", 1, 6),
+    "kernel_diag": (lambda n: kernel_diag(_REC6, n, 0.3), "n", 0, 7),
+    "rescaled_cd": (lambda n: rescaled_cd(_REC6, 0.1, RegVarFn(), n, _GRID), "n", 0, 6),
+    "nevai_ratio": (lambda n: nevai_ratio(_REC6, 0.3, n), "n", 1, 6),
+    "poly_zeros": (lambda n: poly_zeros(_REC6, n), "n", 1, 6),
+    "zeros_near": (lambda n: zeros_near(_REC6, n, 0.1, 1), "n", 1, 6),
+    "zeros_near_k": (lambda k: zeros_near(_REC6, 6, 0.1, k), "k", 0, None),
+    "szego_eval": (lambda n: szego_eval(_V6, n, 0.3 + 0.1j), "n", 0, 6),
+    "cd_kernel_circle_sum": (lambda n: opuc.cd_kernel_circle(_V6, n, 0.3, 0.2j, "sum"), "n", 1, 7),
+    "cd_kernel_circle_formula": (lambda n: opuc.cd_kernel_circle(_V6, n, 0.3, 0.2j), "n", 1, 6),
+    "kernel_diag_circle": (lambda n: opuc.kernel_diag_circle(_V6, n, 0.3), "n", 0, 7),
+    "rescaled_cd_circle": (lambda n: opuc.rescaled_cd_circle(_V6, 0.1, RegVarFn(), n, _GRID),
+                           "n", 0, 6),
+    "jacobi_hamiltonian": (lambda n: canonical.jacobi_hamiltonian(_REC6, n), "n_max", 1, 6),
+    "opuc_hamiltonian": (lambda n: canonical.opuc_hamiltonian(_V6, n), "n_max", 1, 6),
+}
+
+
+def _bits(x):
+    """A nested result as one flat list of Python scalars, with types."""
+    if hasattr(x, "__dataclass_fields__"):
+        return [_bits(getattr(x, f)) for f in x.__dataclass_fields__]
+    if isinstance(x, (tuple, list)):
+        return [_bits(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return [x.dtype.str, x.shape, x.tobytes()]
+    return [type(x).__name__, repr(x)]
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_ENTRY_POINTS))
+def test_integer_level_rule(name):
+    # 2.0 raised numpy's bare TypeError (or IndexError) at nine of these, and
+    # the others floored or took a fractional level in their own ways
+    call, arg, least, top = _LEVEL_ENTRY_POINTS[name]
+    assert _bits(call(2.0)) == _bits(call(2)) == _bits(call(np.int64(2)))
+    for bad in (2.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{arg} must be an integer >= {least}, got {bad}"):
+            call(bad)
+    if top is not None:
+        call(top)
+        with pytest.raises(ValueError, match=f"{arg} = {top + 1} exceeds the top level {top}"):
+            call(top + 1)
+
+
+def test_a_level_beyond_the_sum_form_names_the_level_asked_for():
+    # kernel_diag(rec, 22) on 20 coefficients named n = 21, the degree it evaluated
+    rec = RecurrenceCoeffs(a=np.ones(20), b=np.zeros(20))
+    assert kernel_diag(rec, 21, 0.0) > 0
+    with pytest.raises(ValueError, match="n = 22 exceeds the top level 21"):
+        kernel_diag(rec, 22, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [([math.nan, 1.0], [0.0, 0.0]), ([1.0, 1.0], [math.inf, 0.0]),
+                                  ([1.0, math.inf], [0.0, 0.0])])
+def test_recurrence_coeffs_reject_non_finite(a, b):
+    # NaN passed the a_n <= 0 test, and no b was checked at all
+    with pytest.raises(ValueError, match="must be finite"):
+        RecurrenceCoeffs(a=a, b=b)

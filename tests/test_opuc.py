@@ -25,9 +25,11 @@ def alphas():
     return VerblunskyCoeffs(rng.uniform(-0.5, 0.5, 41) + 1j * rng.uniform(-0.5, 0.5, 41))
 
 
-def test_modulus_bound():
-    with pytest.raises(ValueError):
-        VerblunskyCoeffs(np.array([0.3, 1.0]))
+@pytest.mark.parametrize("alpha", [[0.3, 1.0], [math.nan, 0.1], [0.1, complex(0.0, math.inf)]])
+def test_modulus_bound(alpha):
+    # a NaN passed the |alpha| >= 1 test
+    with pytest.raises(ValueError, match="must be finite with"):
+        VerblunskyCoeffs(np.array(alpha))
 
 
 def test_free_coefficients_powers():
@@ -212,7 +214,7 @@ def test_rescaled_free_rate_bound():
 ])
 def test_level_beyond_the_coefficients_is_a_value_error(kernel):
     # the szego_eval error, not a bare IndexError, at n = len(v) + 1
-    with pytest.raises(ValueError, match="n = 6 exceeds declared length 5"):
+    with pytest.raises(ValueError, match="n = 6 exceeds the top level 5"):
         kernel(VerblunskyCoeffs.free(5))
 
 

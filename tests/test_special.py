@@ -170,10 +170,15 @@ def test_bessel_zero_half_order_to_k_20():
         assert abs(bessel_zero(0.5, k) - k * math.pi) <= 1e-12
 
 
-@pytest.mark.parametrize("k", [0, 31])
+@pytest.mark.parametrize("k", [0, 31, 2.5, math.nan])
 def test_bessel_zeros_outside_supported_range_raise(k):
+    # a fractional k raised a bare TypeError from the slice
     with pytest.raises(ValueError, match="k must be in"):
         bessel_zeros(0.5, k)
+
+
+def test_bessel_zeros_takes_an_integral_float_count():
+    assert bessel_zeros(0.5, 2.0) == bessel_zeros(0.5, 2)
 
 
 @pytest.mark.parametrize("nu", [-0.75, -0.25, 0.0, 0.5, 1.0, 1.5, 2.0, 10.0])
