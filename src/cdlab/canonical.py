@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, pair_kernel
-from .oprl import RecurrenceCoeffs, _level, eval_polys
+from .measures import _leggauss
+from .oprl import RecurrenceCoeffs, _level, _real_level, eval_polys
 from .opuc import VerblunskyCoeffs, szego_eval
 from .special import sine_ratio
 
@@ -120,8 +121,7 @@ def _piece_factor(m, ell, z, derivative=False):
 
 def _iter_pieces(h, t):
     """(length, matrix) pieces covering [0, t], tail-extended if needed."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _real_level(t)
     remaining = float(t)
     for ell, m in zip(h.lengths, h.matrices):
         if remaining <= 1e-15:
@@ -260,8 +260,6 @@ def transfer_form_integral(h, t, z, w):
     Equals (W(t,z) J W(t,w)* - J) / (z - conj w); used as the integral-identity
     oracle for transfer matrices.
     """
-    from .measures import _leggauss
-
     x_gl, w_gl = _leggauss(32)
     z, w = complex(z), complex(w)
     out = np.zeros((2, 2), dtype=complex)

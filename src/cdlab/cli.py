@@ -100,16 +100,16 @@ _FLOATS = {"xi", "tolerance", "grid.half_width", "v_exponent", "first", "ratio"}
 
 
 def _checked(path, value, default=None):
-    """value of the setting at path, checked by CHECKS; a JSON integer where
-    the setting is a float (_FLOATS) becomes a float, and n_values a tuple of
-    the type of its default's entries (integer levels >= 1, or floats)."""
+    """value of the setting at path, checked by CHECKS; a JSON integer where the setting
+    is a float (_FLOATS) becomes a float, a list whose default is a tuple of floats (betas,
+    schrodinger's lengths x) a tuple of floats, and other n_values integer levels >= 1."""
     _expect(path in CHECKS, path, "unknown field")
     check, message = CHECKS[path]
     _expect(check(value), path, message)
     if isinstance(default, dict):
         return {key: _checked(f"{path}.{key}", item)
                 for key, item in {**default, **value}.items()}
-    if path == "n_values" and isinstance(default[0], float):  # schrodinger's lengths x
+    if isinstance(default, tuple) and isinstance(default[0], float):
         return tuple(map(float, value))
     if path == "n_values":
         try:
@@ -407,9 +407,7 @@ def _run_sparse(out_dir, xi=0.0, n_values=(1000, 10000), grid=GRID, tolerance=0.
     rec = sparse_jacobi(v_vals, first, ratio, n_max)
     dat = sparse_diagnostics(rec, xi)
     block_ok = dat.block_deviation <= 1e-12
-    k1 = oprl.kernel_diag(rec, t_top, xi)
-    k2 = oprl.kernel_diag(rec, 2 * t_top, xi)
-    ratio_k = k2 / k1
+    ratio_k = float(dat.k[2 * t_top - 1] / dat.k[t_top - 1])  # K(2t) / K(t)
     ratio_ok = 1.9 <= ratio_k <= 2.1
     sampler = partial(oprl.rescaled_cd, rec, xi, dat.scaling_inverse())
     report = _convergence(out_dir, sampler, sine_kernel, n_values, grid, tolerance)

@@ -241,9 +241,7 @@ def _orthonormality(rng):
     for name in ("chebyshev", "legendre"):
         mu = measures.gallery(name)
         rec = _cached_rec(name)
-        from .oprl import _discretize
-
-        x, w = _discretize(mu, 40)
+        x, w = oprl._discretize(mu, 40)
         w = w / w.sum()
         vals = np.empty((31, x.size))
         vals[0] = 1.0

@@ -23,7 +23,7 @@ counted.  Either way the bits are bisection's.
 
 Integer levels n (and degrees and counts) follow one rule, _level, here and in
 opuc and canonical; real levels t, those of the de Branges chain, go through
-interp_kernel.
+interp_kernel and follow one rule too, _real_level.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import ZeroDiagonalError, _rescaled_samples, _tabulated, pair_kernel
+from .measures import _piece_nodes, _subst_exponent
 
 __all__ = [
     "RecurrenceCoeffs",
@@ -111,6 +112,14 @@ def _level(n, least, top, name="n"):
                      "interp_kernel or opuc_canonical_kernel")
 
 
+def _real_level(t):
+    """(n, s) = (floor(t), t - floor(t)) of a real level t; ValueError unless 0 <= t < inf."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    n = int(math.floor(t))
+    return n, t - n
+
+
 # ---------------------------------------------------------------------------
 # Stieltjes / Lanczos
 # ---------------------------------------------------------------------------
@@ -126,8 +135,6 @@ def _discretize(mu, n_max):
     n_max nodes remain.  A measure of atoms only gives its own two arrays,
     which Measure keeps finite, strictly increasing and positive: no copy.
     """
-    from .measures import _piece_nodes, _subst_exponent  # shared quadrature plumbing
-
     x, w = mu.atom_positions, mu.atom_masses
     if mu.pieces:
         xs, ws = [x], [w]
@@ -435,10 +442,7 @@ def cd_kernel(rec, n, z, w, method="cd_formula"):
 
 def interp_kernel(rec, t, z, w):
     """Piecewise-linear kernel at a real level t >= 0; K(0,.,.) = 0, integers match cd_kernel."""
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    n = int(math.floor(t))
-    s = t - n
+    n, s = _real_level(t)
     k_lo = 0.0 if n == 0 else cd_kernel(rec, n, z, w)
     if s == 0.0:
         return complex(k_lo)

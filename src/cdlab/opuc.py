@@ -10,7 +10,7 @@ of the coefficients -alpha_k, so szego_eval of VerblunskyCoeffs(-alpha) gives
 them (Simon 2005, OPUC Part 1, Sec. 3.2).
 The measure is a probability measure; rotation to a point e^{i xi} is handled
 by rotating kernel arguments, never by re-deriving coefficients.  Integer
-levels n follow oprl._level; real levels t are opuc_canonical_kernel's.
+levels n follow oprl._level, and real levels t oprl._real_level.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limit_kernels import DIAGONAL_SWITCH, _rescaled_samples, _tabulated, pair_kernel
-from .oprl import KernelOverflowError, _chain, _level
+from .oprl import KernelOverflowError, _chain, _level, _real_level
 
 __all__ = [
     "VerblunskyCoeffs",
@@ -158,10 +158,7 @@ def opuc_canonical_kernel(v, t, z, w):
     and G(x) = e^{-i(n+s)x/2} phi*_n(e^{ix}) = conj(F(conj x)).  Raises
     KernelOverflowError when the value is outside the double range.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    n = int(math.floor(t))
-    return _chain_kernel(v, n, t - n, z, w)
+    return _chain_kernel(v, *_real_level(t), z, w)
 
 
 def _chain_kernel(v, n, s, z, w):
@@ -195,10 +192,7 @@ def opuc_interp_kernel(v, t, z, w):
 
     K(n+s) = sin((1-s)u/2)/sin(u/2) K(n) + sin(s u/2)/sin(u/2) K(n+1).
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be finite and >= 0, got {t}")
-    n = int(math.floor(t))
-    s = t - n
+    n, s = _real_level(t)
     k0 = opuc_canonical_kernel(v, float(n), z, w)
     if s == 0.0:
         return k0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .limit_kernels import build_limit_kernel, fit_internal_scale
-from .oprl import RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
+from .oprl import KernelOverflowError, RecurrenceCoeffs, eval_polys, kernel_diag, zeros_near
 from .special import bessel_zeros, gamma_cx
 
 __all__ = [
@@ -68,28 +68,27 @@ class ConvergenceReport:
 def convergence_study(sampler, target, indices, grid, tolerance):
     """Rescaled kernels sampler(index, grid) vs target(c z, c w) with fitted c;
     sampler is a rescaled sampler with its source, xi and h bound, such as
-    functools.partial(oprl.rescaled_cd, rec, xi, h).
+    functools.partial(oprl.rescaled_cd, rec, xi, h), which samples each
+    distinct point on its own.
 
-    The internal scale c is fitted once, at the largest index on FIT_GRID, the
-    3x3 complex grid of half-width 1; sup-errors are then recorded per index on
-    grid after scale alignment.  Passed iff the errors decrease and the final
-    one meets the tolerance.  The report keeps the samples per index.
+    One sampler call per distinct index: the largest index's call also takes
+    FIT_GRID, the 3x3 complex grid of half-width 1, whose samples fit the
+    internal scale c once.  Sup-errors are then recorded per index on grid
+    after scale alignment.  Passed iff the errors decrease and the final one
+    meets the tolerance.  The report keeps the samples per index.
     """
     indices = list(indices)
     if not indices:
         raise ValueError("need at least one index")
     if not any(z == 0 and w == 0 for z, w in grid):
         raise ValueError("grid must include (0, 0)")
-    fit = fit_internal_scale(sampler(max(indices), FIT_GRID), target)
-    sup_errors = []
-    samples_by_index = {}
-    for idx in indices:
-        samples = sampler(idx, grid)
-        samples_by_index[idx] = samples
-        err = max(
-            abs(s.value - target(fit.c * s.z, fit.c * s.w)) for s in samples
-        )
-        sup_errors.append(float(err))
+    top = max(indices)
+    top_samples = sampler(top, FIT_GRID + list(grid))
+    fit = fit_internal_scale(top_samples[:len(FIT_GRID)], target)
+    samples_by_index = {idx: top_samples[len(FIT_GRID):] if idx == top else sampler(idx, grid)
+                        for idx in dict.fromkeys(indices)}
+    sup_errors = [float(max(abs(s.value - target(fit.c * s.z, fit.c * s.w))
+                            for s in samples_by_index[idx])) for idx in indices]
     decreasing = all(b < a for a, b in zip(sup_errors, sup_errors[1:]))
     passed = decreasing and sup_errors[-1] <= tolerance
     return ConvergenceReport(
@@ -299,6 +298,7 @@ class SparseDiagnosticsAt:
     norms_sq: np.ndarray          # ||A_n||^2 for n = 1..n_max
     block_deviation: float        # max |norms_sq - block value| within blocks
     q: np.ndarray                 # p_n^2 - xi a_n p_n p_{n-1} + (a_n p_{n-1})^2, n = 1..n_max
+    k: np.ndarray                 # K(n, xi, xi) for n = 1..n_max + 1, the bits of kernel_diag
 
     def g_xi(self, m):
         """Scaling function of the measure at an integer m, or at each entry of
@@ -316,13 +316,18 @@ class SparseDiagnosticsAt:
 def sparse_diagnostics(rec, xi):
     """Diagnostics of a sparse_jacobi matrix at xi in (-2, 2), from one run of
     the recurrence: ||A_n||^2 of the oscillation vectors A_n, their largest
-    deviation within the blocks between nonzero b_n, and g_xi and its inverse."""
+    deviation within the blocks between nonzero b_n, g_xi and its inverse, and
+    the diagonal K(n, xi, xi).  Raises KernelOverflowError, as kernel_diag
+    does, when the recurrence leaves the double range."""
     if not -2.0 < xi < 2.0:
         raise ValueError(f"xi = {xi} is outside the bulk (-2, 2)")
     n_max = len(rec)
     p, log_scale = eval_polys(rec, n_max, xi)
-    ps = p.real * math.exp(log_scale)
-    a_n, p_n, p_nm1 = rec.a, ps[1:], ps[:-1]
+    with np.errstate(over="ignore"):
+        k = np.cumsum(p.real ** 2)
+    if log_scale > 0.0 or not math.isfinite(k[-1]):  # a rescale means K > 1e560
+        raise KernelOverflowError(n_max + 1, xi)
+    a_n, p_n, p_nm1 = rec.a, p.real[1:], p.real[:-1]
     q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
     norms_sq = 2.0 * q / (4.0 - xi * xi)
     # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
@@ -332,7 +337,7 @@ def sparse_diagnostics(rec, xi):
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo >= 2:
             dev = max(dev, float(np.max(np.abs(norms_sq[lo:hi] - norms_sq[lo]))))
-    return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q)
+    return SparseDiagnosticsAt(xi=float(xi), norms_sq=norms_sq, block_deviation=dev, q=q, k=k)
 
 
 def _bump_positions(first, ratio, n_max, count):

@@ -23,7 +23,8 @@ from cdlab.canonical import (
     _schrodinger_sweep,
 )
 from cdlab.measures import RegVarFn, cauchy_transform, gallery
-from cdlab.oprl import RecurrenceCoeffs, eval_polys, interp_kernel, kernel_diag, stieltjes_coeffs
+from cdlab.oprl import (RecurrenceCoeffs, _real_level, eval_polys, interp_kernel, kernel_diag,
+                        stieltjes_coeffs)
 from cdlab.opuc import (VerblunskyCoeffs, kernel_diag_circle, opuc_canonical_kernel,
                        opuc_interp_kernel, szego_eval)
 
@@ -218,8 +219,9 @@ _H12 = Hamiltonian(np.array([1.0, 2.0]), np.array([np.eye(2) / 2.0, np.eye(2) / 
     lambda t: interp_kernel(RecurrenceCoeffs(a=np.ones(5), b=np.zeros(5)), t, 0.5, 0.5),
     lambda t: opuc_canonical_kernel(VerblunskyCoeffs.free(5), t, 0.5, 0.5),
     lambda t: opuc_interp_kernel(VerblunskyCoeffs.free(5), t, 0.5, 0.5),
+    _real_level,
 ], ids=["transfer_matrix", "kernel_kh", "weyl", "transfer_form_integral", "interp_kernel",
-        "opuc_canonical_kernel", "opuc_interp_kernel"])
+        "opuc_canonical_kernel", "opuc_interp_kernel", "_real_level"])
 @pytest.mark.parametrize("t", [math.nan, -1.0, math.inf])
 def test_non_finite_or_negative_t_is_named(call, t):
     # a NaN t took every whole piece: kernel_kh returned the t = 3 value 1.5;

@@ -310,6 +310,33 @@ def test_hard_edge_run_writes_zero_csv(tmp_path):
     assert "beta=1.5" in data
 
 
+def test_hard_edge_betas_are_floats(tmp_path):
+    # [2] wrote zeros_beta_2.csv and the report key beta=2, [2.0] zeros_beta_2.0.csv
+    # and beta=2.0: the same exponent named its outputs two ways
+    outputs = []
+    for beta in (2, 2.0):
+        out = tmp_path / repr(beta)
+        raw = {"experiment": "hard_edge", "n_values": [40, 80], "betas": [beta],
+               "output_dir": str(out)}
+        assert parse_config(raw).settings["betas"] == (2.0,)
+        assert main(["run", "--config", _write(tmp_path, raw)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert list(outputs[0]) == ["report.json", "zeros_beta_2.0.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_sparse_run_reads_its_diagonal_once_per_level(tmp_path, monkeypatch):
+    # K(t) and K(2t) of the ratio clause come from the diagnostics' one
+    # recurrence at xi; the only kernel_diag calls left are the sampler's
+    calls = []
+    diag = cli.oprl.kernel_diag
+    monkeypatch.setattr(cli.oprl, "kernel_diag",
+                        lambda rec, n, xi: calls.append(n) or diag(rec, n, xi))
+    run_experiment(parse_config({"experiment": "sparse", "n_values": [100, 1000],
+                                 "output_dir": str(tmp_path / "sp")}))
+    assert sorted(calls) == [100, 1000]
+
+
 def test_opuc_bulk_fits_the_scale_once(tmp_path, monkeypatch):
     # the k111_sine identity K_{1,1,1}(pi z, pi w) = S(z, w) gives the printed
     # kernel's scale as pi times the sine-kernel fit's, so the run fits once

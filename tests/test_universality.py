@@ -1,14 +1,18 @@
 import functools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from cdlab import universality
+from cdlab.cli import _sparse_size, load_config
 from cdlab.canonical import jacobi_hamiltonian, kernel_kh, rescaled_schrodinger
-from cdlab.limit_kernels import ZeroDiagonalError, build_limit_kernel, sine_kernel
+from cdlab.limit_kernels import (ZeroDiagonalError, build_limit_kernel, fit_internal_scale,
+                                 sine_kernel)
 from cdlab.measures import RegVarFn, asymptotic_inverse, gallery
-from cdlab.oprl import RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd, stieltjes_coeffs
+from cdlab.oprl import (KernelOverflowError, RecurrenceCoeffs, kernel_diag, poly_zeros, rescaled_cd,
+                        stieltjes_coeffs)
 from cdlab.opuc import VerblunskyCoeffs, rescaled_cd_circle
 from cdlab.special import gamma_cx
 from cdlab.universality import (
@@ -46,6 +50,30 @@ def test_convergence_study_bulk_small(leg):
     assert list(rep.samples_by_index) == [30, 60, 120]
     for n, samples in rep.samples_by_index.items():
         assert samples == rescaled_cd(leg, 0.0, h, n, grid)
+
+
+def test_convergence_study_samples_each_level_once(leg):
+    # the top level was sampled twice, once on FIT_GRID for the fit and once
+    # on grid; one call on both now serves the fit and the study, bit for bit
+    h = RegVarFn(scale=0.5, index=1.0)
+    grid = real_grid_pairs(2.0, 5)
+    sampler = functools.partial(rescaled_cd, leg, 0.0, h)
+    calls = []
+
+    def counting(idx, pairs):
+        calls.append((idx, list(pairs)))
+        return sampler(idx, pairs)
+
+    rep = convergence_study(counting, sine_kernel, [30, 120, 60, 120], grid, 0.05)
+    assert [idx for idx, _ in calls] == [120, 30, 60]
+    assert calls[0][1] == universality.FIT_GRID + grid
+    assert all(pairs == grid for _, pairs in calls[1:])
+    assert list(rep.samples_by_index) == [30, 120, 60]
+    for n, samples in rep.samples_by_index.items():
+        assert samples == sampler(n, grid)
+    fit = fit_internal_scale(sampler(120, universality.FIT_GRID), sine_kernel)
+    assert (rep.fitted_scale, rep.fitted_scale_residual) == (fit.c, fit.residual)
+    assert rep.sup_errors[1] == rep.sup_errors[3]
 
 
 def test_convergence_study_self_target(leg):
@@ -234,6 +262,31 @@ def test_sparse_block_constancy_nonzero_xi():
     assert dat.block_deviation <= 1e-12
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.5])
+def test_sparse_diagnostics_diagonal_is_kernel_diag(xi):
+    # the packaged sparse matrix; its run reads K(t) and K(2t) off dat.k
+    # instead of two more recurrences at xi
+    settings = load_config(pathlib.Path(__file__).resolve().parents[1]
+                           / "configs" / "sparse.json").settings
+    t = max(settings["n_values"])
+    n_max, count = _sparse_size(settings["n_values"], settings["ratio"])
+    v = np.arange(1, count + 1, dtype=float) ** settings["v_exponent"]
+    rec = sparse_jacobi(v, settings["first"], settings["ratio"], n_max)
+    dat = sparse_diagnostics(rec, xi)
+    assert dat.k.shape == (n_max + 1,)
+    for n in (1, t, 2 * t, n_max + 1):
+        assert dat.k[n - 1] == kernel_diag(rec, n, xi)
+
+
+def test_sparse_diagnostics_overflow_is_typed():
+    # b_n = 10 makes p_n(0) grow like 10^n: the recurrence rescales near n = 280
+    rec = RecurrenceCoeffs(a=np.ones(400), b=np.full(400, 10.0))
+    with pytest.raises(KernelOverflowError, match=r"K\(401, 0.0, 0.0\)"):
+        sparse_diagnostics(rec, 0.0)
+    with pytest.raises(KernelOverflowError):
+        kernel_diag(rec, 401, 0.0)
+
+
 def test_sparse_regular_variation_of_kernel():
     n_max = 20000
     v = np.arange(1, 10, dtype=float) ** -0.5
@@ -275,23 +328,38 @@ def test_every_sampler_raises_zero_diagonal(source, index):
         source(index, [(0.0, 0.0)])
 
 
+def _sampler(kind, leg):
+    """(sampler, index): Legendre at n = 60, the free circle at n = 100 or the
+    free Schrodinger operator at x = 50."""
+    return {
+        "oprl": (functools.partial(rescaled_cd, leg, 0.0, RegVarFn(scale=0.5, index=1.0)), 60),
+        "opuc": (functools.partial(rescaled_cd_circle, VerblunskyCoeffs.free(100), 0.0,
+                                   RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)), 100),
+        "schrodinger": (functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0,
+                                          RegVarFn(scale=1.0 / math.pi, index=1.0)), 50.0),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["oprl", "opuc", "schrodinger"])
+def test_every_sampler_samples_each_point_on_its_own(kind, leg):
+    # convergence_study fits on the FIT_GRID samples of the top level's one
+    # call on FIT_GRID + grid: they must be the bits of a call on FIT_GRID alone
+    sampler, index = _sampler(kind, leg)
+    grid = real_grid_pairs(2.0, 5)
+    fit_grid = universality.FIT_GRID
+    assert sampler(index, fit_grid + grid) == sampler(index, fit_grid) + sampler(index, grid)
+
+
 @pytest.mark.parametrize("kind", ["oprl", "opuc", "canonical", "schrodinger"])
 def test_every_sampler_is_a_positive_hermitian_kernel(kind, leg):
-    # Legendre at n = 60, the free circle at n = 100, the Jacobi embedding of
-    # Legendre at t = 60 and the free Schrodinger operator at x = 50
+    # the samplers of _sampler, and the Jacobi embedding of Legendre at t = 60
     grid = complex_grid_pairs(1.0, 3)
     if kind == "canonical":  # kernel_kh has no sampler: the grid over 20, over K_H(60, 0, 0)
         ham = jacobi_hamiltonian(leg, 121)
         diag = kernel_kh(ham, 60.0, 0.0, 0.0).real
         value = {(z, w): kernel_kh(ham, 60.0, z / 20.0, w / 20.0) / diag for z, w in grid}
     else:
-        sampler, index = {
-            "oprl": (functools.partial(rescaled_cd, leg, 0.0, RegVarFn(scale=0.5, index=1.0)), 60),
-            "opuc": (functools.partial(rescaled_cd_circle, VerblunskyCoeffs.free(100), 0.0,
-                                       RegVarFn(scale=1.0 / (2.0 * math.pi), index=1.0)), 100),
-            "schrodinger": (functools.partial(rescaled_schrodinger, lambda y: 0.0, 0.0, 1.0,
-                                              RegVarFn(scale=1.0 / math.pi, index=1.0)), 50.0),
-        }[kind]
+        sampler, index = _sampler(kind, leg)
         value = {(s.z, s.w): s.value for s in sampler(index, grid)}
     points = list(dict.fromkeys(z for z, _ in grid))
     gram = np.array([[value[(z, w)] for w in points] for z in points])
