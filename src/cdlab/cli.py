@@ -57,8 +57,12 @@ def _expect(cond, field_path, message):
         raise ConfigError(field_path, message)
 
 
-def _is_number(v):  # JSON's NaN and Infinity are not numbers here
-    return isinstance(v, int) or isinstance(v, float) and math.isfinite(v)
+def _is_int(v):  # JSON's true and false are not integers here
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):  # JSON's true, false, NaN and Infinity are not numbers here
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
 def _is_positive_list(v):
@@ -82,17 +86,17 @@ CHECKS = {
     "n_values": _POSITIVE_LIST,
     "grid": _OBJECT,
     "grid.half_width": _POSITIVE,
-    "grid.points_per_axis": (lambda v: isinstance(v, int) and v >= 3, "must be an integer >= 3"),
+    "grid.points_per_axis": (lambda v: _is_int(v) and v >= 3, "must be an integer >= 3"),
     "tolerance": _POSITIVE,
     "scaling": _OBJECT,
     "scaling.eta": _POSITIVE,
-    "k_max": (lambda v: isinstance(v, int) and 1 <= v <= _MAX_BESSEL_ZEROS,
+    "k_max": (lambda v: _is_int(v) and 1 <= v <= _MAX_BESSEL_ZEROS,
               f"must be an integer in [1, {_MAX_BESSEL_ZEROS}]"),
     "betas": _POSITIVE_LIST,
     "v_exponent": (_is_number, "must be a number"),
     "first": _POSITIVE,
     "ratio": (lambda v: _is_number(v) and v > 1, "must be a number > 1"),
-    "seed": (lambda v: isinstance(v, int) and v >= 0, "must be an integer >= 0"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "must be an integer >= 0"),
     "module_filter": (lambda v: v is None or v in IDENTITY_MODULES,
                       f"must be one of {list(IDENTITY_MODULES)}"),
 }

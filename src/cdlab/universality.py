@@ -74,8 +74,9 @@ def convergence_study(sampler, target, indices, grid, tolerance):
     One sampler call per distinct index: the largest index's call also takes
     FIT_GRID, the 3x3 complex grid of half-width 1, whose samples fit the
     internal scale c once.  Sup-errors are then recorded per index on grid
-    after scale alignment.  Passed iff the errors decrease and the final one
-    meets the tolerance.  The report keeps the samples per index.
+    after scale alignment; a NaN sample makes its index's sup-error NaN.  Passed
+    iff the errors decrease and the final one meets the tolerance.  The report
+    keeps the samples per index.
     """
     indices = list(indices)
     if not indices:
@@ -87,8 +88,8 @@ def convergence_study(sampler, target, indices, grid, tolerance):
     fit = fit_internal_scale(top_samples[:len(FIT_GRID)], target)
     samples_by_index = {idx: top_samples[len(FIT_GRID):] if idx == top else sampler(idx, grid)
                         for idx in dict.fromkeys(indices)}
-    sup_errors = [float(max(abs(s.value - target(fit.c * s.z, fit.c * s.w))
-                            for s in samples_by_index[idx])) for idx in indices]
+    sup_errors = [float(np.max([abs(s.value - target(fit.c * s.z, fit.c * s.w))
+                                for s in samples_by_index[idx]])) for idx in indices]
     decreasing = all(b < a for a, b in zip(sup_errors, sup_errors[1:]))
     passed = decreasing and sup_errors[-1] <= tolerance
     return ConvergenceReport(

@@ -166,12 +166,21 @@ def test_xi_fixed_by_the_measure_is_not_a_setting(tmp_path, experiment):
     ({"experiment": "bulk", "n_values": [math.inf]}, "n_values"),
     ({"experiment": "sparse", "v_exponent": math.nan}, "v_exponent"),
     ({"experiment": "hard_edge", "xi": math.nan}, "xi"),
+    ({"experiment": "bulk", "tolerance": True}, "tolerance"),
+    ({"experiment": "bulk", "xi": False}, "xi"),
+    ({"experiment": "bulk", "n_values": [True, 2]}, "n_values"),
+    ({"experiment": "hard_edge", "betas": [True]}, "betas"),
+    ({"experiment": "identities", "seed": True}, "seed"),
+    ({"experiment": "hard_edge", "k_max": True}, "k_max"),
+    ({"experiment": "bulk", "measure": {"name": "pure_point_bulk", "params": {"cutoff": True}}},
+     "measure.params"),
 ], ids=["v_exponent", "ratio", "betas_scalar", "betas_empty", "params", "n_values_empty",
         "grid_key", "scaling_key", "measure_name", "measure_unknown", "seed_negative",
         "gallery_key", "gallery_beta", "gallery_cutoff", "gallery_sigma", "gallery_not_number",
         "gallery_beta_inf", "gallery_beta_nan", "gallery_even_fh_inf", "gallery_sigma_inf",
         "gallery_sigma_nan", "scaling_beta", "k_max_beyond_bessel_zeros", "xi_nan",
-        "n_values_inf", "v_exponent_nan", "hard_edge_xi_nan"])
+        "n_values_inf", "v_exponent_nan", "hard_edge_xi_nan", "tolerance_bool", "xi_bool",
+        "n_values_bool", "betas_bool", "seed_bool", "k_max_bool", "gallery_bool"])
 def test_bad_value_exits_2(tmp_path, raw, field):
     with pytest.raises(ConfigError) as exc:
         parse_config(raw)

@@ -1,6 +1,8 @@
-"""The exact-identity suite beyond its default seed, and what a run of it loads."""
+"""The exact-identity suite beyond its default seed, its NaN verdict, and what a
+run of it loads."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 import cdlab
+from cdlab import special
 from cdlab.identities import run_identities
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -21,6 +24,20 @@ def test_every_identity_holds_at_seed(seed):
     results = run_identities(seed=seed)
     assert len(results) == 34
     assert [r.line() for r in results if not r.passed] == []
+
+
+def test_a_nan_error_fails_its_check(monkeypatch):
+    # Python's max(worst, nan) keeps worst, so one NaN among a check's errors passed
+    kummer_m, calls = special.kummer_m, []
+
+    def nan_on_seventh_call(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 7 else kummer_m(*args)
+
+    monkeypatch.setattr(special, "kummer_m", nan_on_seventh_call)
+    result = next(r for r in run_identities("special_fn") if r.name == "kummer_bessel")
+    assert math.isnan(result.error)
+    assert not result.passed
 
 
 def test_identities_run_does_not_load_numpy_random(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import pathlib
@@ -74,6 +75,21 @@ def test_convergence_study_samples_each_level_once(leg):
     fit = fit_internal_scale(sampler(120, universality.FIT_GRID), sine_kernel)
     assert (rep.fitted_scale, rep.fitted_scale_residual) == (fit.c, fit.residual)
     assert rep.sup_errors[1] == rep.sup_errors[3]
+
+
+def test_convergence_study_nan_sample_fails(leg):
+    # Python's max over a generator drops a NaN that is not first: the sup
+    # errors read finite and the study passed
+    h = RegVarFn(scale=0.5, index=1.0)
+    grid = real_grid_pairs(2.0, 5)
+
+    def last_sample_nan(idx, pairs):
+        samples = rescaled_cd(leg, 0.0, h, idx, pairs)
+        return samples[:-1] + [dataclasses.replace(samples[-1], value=complex(math.nan))]
+
+    rep = convergence_study(last_sample_nan, sine_kernel, [30, 60, 120], grid, 0.05)
+    assert all(math.isnan(e) for e in rep.sup_errors)
+    assert not rep.passed
 
 
 def test_convergence_study_self_target(leg):
