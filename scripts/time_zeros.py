@@ -3,10 +3,12 @@
 
 Usage: PYTHONPATH=<tree>/src python scripts/time_zeros.py
 
-Times `oprl.zeros_near(rec, n, 0.3, 3)` and `oprl.poly_zeros(rec, n)` on the
-Legendre recurrence at n = 100, 401, 1000, 2000 and 4000: the median in
-milliseconds over the number of calls given in each key, after one untimed
-call (none for the slowest cases, whose one call is timed alone).  Times
+Times `oprl.zeros_near(rec, n, 0.3, 3)` on the Legendre recurrence at n = 100,
+401, 800, 1000, 1600, 2000, 3200 and 4000, and `oprl.poly_zeros(rec, n)` at
+n = 100, 401, 1000, 2000 and 4000: the median in milliseconds over the number
+of calls given in each key, after one untimed call (none for the slowest
+cases, whose one call is timed alone).  Prints the tracemalloc peak of one
+`zeros_near` call at each of its n, in bytes.  Times
 `special.bessel_zeros(0.5, k)` at k = 3 and k = 20 the same way; a tree whose
 `bessel_zeros` raises there gives the exception's name instead of a time.
 Times the Gauss-Legendre rule `measures._leggauss.__wrapped__(n)` (its body,
@@ -15,7 +17,8 @@ configs ask for, and at 3008.
 Then runs the two zero_laws configs (configs/hard_edge.json and
 configs/fisher_hartwig.json) once each, in-process into a temporary
 directory, with the `_leggauss` cache emptied first, and counts the
-`oprl._sturm_counts` passes, `special.bessel_zeros` calls and
+`oprl._sturm_counts` passes, the scalar Sturm passes `oprl._count_step` (in a
+tree that has them), `special.bessel_zeros` calls and
 `measures._leggauss` calls (cache hits included) of each run by wrapping
 those functions in every cdlab module that holds them; the distinct sizes
 of the `_leggauss` calls are listed too.  The cdlab on PYTHONPATH is the one
@@ -27,6 +30,7 @@ import pathlib
 import statistics
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -65,10 +69,15 @@ def main():
     k = np.arange(1, top + 1)
     legendre = RecurrenceCoeffs(a=k / np.sqrt(4.0 * k * k - 1.0), b=np.zeros(top))
     out = {}
-    for n in (100, 401, 1000, 2000, 4000):
+    for n in (100, 401, 800, 1000, 1600, 2000, 3200, 4000):
         reps = 15 if n <= 401 else 5
         out[f"zeros_near n={n} calls={reps}"] = median_ms(
             lambda: zeros_near(legendre, n, 0.3, 3), reps)
+        tracemalloc.start()
+        zeros_near(legendre, n, 0.3, 3)
+        out[f"zeros_near n={n} traced peak bytes"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    for n in (100, 401, 1000, 2000, 4000):
         reps = 15 if n <= 401 else (3 if n == 1000 else 1)
         out[f"poly_zeros n={n} calls={reps}"] = median_ms(lambda: poly_zeros(legendre, n), reps)
     for k in (3, 20):
@@ -83,6 +92,9 @@ def main():
         out[f"_leggauss n={n} calls={reps}"] = median_ms(lambda: rule.__wrapped__(n), reps)
     tally = {"_sturm_counts": 0, "bessel_zeros": 0}
     counted([oprl], "_sturm_counts", tally)
+    if hasattr(oprl, "_count_step"):
+        tally["_count_step"] = 0
+        counted([oprl], "_count_step", tally)
     counted([special, universality], "bessel_zeros", tally)
     sizes = []  # the n of every _leggauss call
     measures._leggauss = lambda n: sizes.append(n) or rule(n)
@@ -96,6 +108,8 @@ def main():
             cfg.output_dir = str(pathlib.Path(tmp) / name)
             cli.run_experiment(cfg)
             out[f"{name} _sturm_counts passes"] = tally["_sturm_counts"]
+            if "_count_step" in tally:
+                out[f"{name} _count_step passes"] = tally["_count_step"]
             out[f"{name} bessel_zeros calls"] = tally["bessel_zeros"]
             out[f"{name} _leggauss calls"] = len(sizes)
             out[f"{name} _leggauss sizes"] = sorted(set(sizes))

@@ -355,7 +355,7 @@ def _run_fisher_hartwig(out_dir, n_values=(50, 100, 200), tolerance=0.02, k_max=
         h = measures.asymptotic_inverse(RegVarFn(scale=2.0, index=beta))
         rec = oprl.stieltjes_coeffs(mu, 2 * max(n_values) + 1)
         zr = zero_study(rec, 0.0, h, "even_fh", n_values, k_max)
-        odd_zero = max(zr.extras["odd_zero_at_origin"].values())
+        odd_zero = float(np.max(list(zr.extras["odd_zero_at_origin"].values())))
         ok = zr.max_rel_error_ratios <= tolerance and odd_zero <= 1e-12
         passed = passed and ok
         lines += [

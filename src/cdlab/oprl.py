@@ -15,11 +15,13 @@ a run's basis only when Simon's estimate fires or the run breaks down.  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
 bisection: deterministic, strictly increasing, and the same bits whether all
 n zeros are asked for (poly_zeros) or only a window of them around a point
-(zeros_near).  A dense eigvalsh (O(n^3) time, O(n^2) memory) and one
-certifying Sturm pass enclose each zero, and only the bisection steps inside
-an enclosure are counted, by multisection (one count pass per six halvings);
-for a window of zeros above n = 800, where counting is cheaper, every step is
-counted.  Either way the bits are bisection's.
+(zeros_near).  Estimates of the zeros and one certifying Sturm pass enclose
+each zero, and only the bisection steps inside an enclosure are counted, by
+multisection (one count pass per six halvings).  All n zeros take their
+estimates from a dense eigvalsh (O(n^3) time, O(n^2) memory); a window takes
+them from scalar Sturm passes that also give the Newton step, by bisection
+to isolate each zero and safeguarded Newton to polish it (O(n) memory).
+Either way the bits are bisection's.
 
 Integer levels n (and degrees and counts) follow one rule, _level, here and in
 opuc and canonical; real levels t, those of the de Branges chain, go through
@@ -30,7 +32,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -500,6 +504,9 @@ def nevai_ratio(rec, xi, n):
 # zeros
 # ---------------------------------------------------------------------------
 
+_TINY = 1e-300  # an exactly-zero pivot is counted as -_TINY
+
+
 def _sturm_counts(d, e_sq, shifts):
     """Number of eigenvalues of tridiag(d, e) strictly below each shift.
 
@@ -508,29 +515,106 @@ def _sturm_counts(d, e_sq, shifts):
     being counted, keeping the count monotone in the shift.
     """
     shifts = np.asarray(shifts, dtype=float)
-    tiny = 1e-300
     q = d[0] - shifts
-    q = np.where(q == 0.0, -tiny, q)
+    q = np.where(q == 0.0, -_TINY, q)
     count = (q < 0).astype(int)
     # after a subnormal pivot e_sq / q overflows; the infinite pivot keeps its sign
     with np.errstate(over="ignore"):
         for i in range(1, d.size):
             q = d[i] - shifts - e_sq[i - 1] / q
-            q = np.where(q == 0.0, -tiny, q)
+            q = np.where(q == 0.0, -_TINY, q)
             count += q < 0
     return count
 
 
+def _count_step(d, e_sq, x):
+    """(count, step) at one shift x, d and e_sq lists of floats: the count of
+    _sturm_counts(d, e_sq, [x]), by the same IEEE operations in the same order
+    and the same zero-pivot rule, and the Newton step -p_n(x) / p_n'(x) =
+    -1 / sum_i q_i' / q_i over the pivots q_i of J - x (NaN where the sum is 0,
+    as at an infinite x).  q_i = d_i - x - r_i, r_i = e_sq[i - 1] / q_{i-1},
+    has q_i' = r_i q_{i-1}' / q_{i-1} - 1, so the pass carries t = q' / q.  In
+    Python floats it costs about 1/40 of numpy's overhead per row at one shift.
+    """
+    q = d[0] - x
+    if q == 0.0:
+        q = -_TINY
+    t = -1.0 / q
+    count, total = int(q < 0), t
+    for di, ei in zip(islice(d, 1, None), e_sq):
+        r = ei / q
+        q = di - x - r
+        if q == 0.0:
+            q = -_TINY
+        t = (r * t - 1.0) / q
+        count += q < 0
+        total += t
+    return count, (-1.0 / total if total else math.nan)
+
+
 _LEVELS = 6  # halvings per multisection sweep
-# largest n at which eigvalsh costs less than the Sturm passes it saves a
-# window of zeros (zeros_near); for all n zeros it costs less at every n
-_DENSE_MAX = 800
+
+
+def _gershgorin(d, e):
+    """(lo, hi): the Gershgorin bounds of tridiag(d, e) widened by 1, a
+    bracket of every eigenvalue."""
+    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
+    radius = pad[:-1] + pad[1:]
+    return float(np.min(d - radius)) - 1.0, float(np.max(d + radius)) + 1.0
 
 
 def _estimates(d, e):
     """Eigenvalues of tridiag(d, e) by dense eigvalsh, O(n^3) time and O(n^2)
-    memory."""
+    memory: the estimates of poly_zeros, which asks for all n."""
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def _window_estimates(d, e_sq, ks, bracket, xi, c):
+    """Estimates of the eigenvalues of ranks ks (increasing) of tridiag(d, e),
+    c of them below xi, from _count_step passes over the lists d and e_sq;
+    NaN where a rank is not isolated or Newton does not settle.
+
+    Bisection isolates each rank in one shared tree of counted points, from
+    the ends of bracket (counts 0 and n) and xi, until the points around rank
+    k count k - 1 and k (given up within 1e-13).  Newton polishes it from the
+    midpoint: each pass's count moves the bracket, and a step that leaves it
+    is reflected off the end it passed (a zero next to xi draws Newton past
+    xi), else bisects.  The estimate is x + step once the step is below 1e-12
+    of the bracket's norm: the error after a step s is about s^2 / gap, so
+    near a hard edge, where zeros are 1e-4 apart, 1e-9 would leave 1e-14,
+    above the enclosures' 16 eps ||J||.
+    """
+    lo, hi = bracket
+    xs, counts = [lo, hi], [0, len(d)]  # the tree, sorted
+    if lo < xi < hi:
+        xs.insert(1, xi)
+        counts.insert(1, c)
+    tol = 1e-12 * max(-lo, hi)
+    out = np.full(len(ks), np.nan)
+    for j, k in enumerate(ks.tolist()):
+        i = bisect_left(counts, k)  # xs[i - 1] counts below k, xs[i] at least k
+        while counts[i - 1] < k - 1 or counts[i] > k:
+            a, b = xs[i - 1], xs[i]
+            mid = 0.5 * (a + b)
+            if not (b - a > 1e-13 and a < mid < b):
+                break
+            xs.insert(i, mid)
+            counts.insert(i, _count_step(d, e_sq, mid)[0])
+            i = bisect_left(counts, k)
+        else:
+            a, b = xs[i - 1], xs[i]
+            x = 0.5 * (a + b)
+            for _ in range(64):
+                count, step = _count_step(d, e_sq, x)
+                a, b = (a, x) if count >= k else (x, b)
+                if abs(step) < tol:
+                    out[j] = x + step
+                    break
+                x += step
+                if not a < x < b:
+                    x = 2.0 * (b if x >= b else a) - x
+                    x = x if a < x < b else 0.5 * (a + b)
+    return out
 
 
 def _enclosures(d, e, ranks, estimates, shifts):
@@ -539,12 +623,10 @@ def _enclosures(d, e, ranks, estimates, shifts):
     shifts, all from one _sturm_counts pass.
 
     Each rank k in ranks is enclosed by estimates[k - 1] -+ 16 eps ||J||, kept
-    only when the pass certifies it; every other rank, and every rank when
-    estimates is None, gets (-inf, inf), which leaves every step to counting.
+    only when the pass certifies it; every other rank gets (-inf, inf), which
+    leaves every step to counting.
     """
     lower, upper = np.full(d.size, -np.inf), np.full(d.size, np.inf)
-    if estimates is None:
-        return lower, upper, _sturm_counts(d, e * e, shifts)
     delta = 16.0 * np.finfo(float).eps * max(abs(estimates[0]), abs(estimates[-1]))
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bound fails below
         below, above = estimates[ranks - 1] - delta, estimates[ranks - 1] + delta
@@ -574,10 +656,7 @@ def _bisect(d, e, ks, lower, upper):
     if d.size == 1:
         return d[ks - 1]
     e_sq = e * e
-    pad = np.concatenate([[0.0], np.abs(e), [0.0]])
-    radius = pad[:-1] + pad[1:]
-    lo = np.full(ks.size, float(np.min(d - radius)) - 1.0)
-    hi = np.full(ks.size, float(np.max(d + radius)) + 1.0)
+    lo, hi = (np.full(ks.size, end) for end in _gershgorin(d, e))
     lanes = np.arange(ks.size)
     steps, level = 0, _LEVELS  # level in the current sweep; none yet
     while steps < 200 and float(np.max(hi - lo)) > 1e-13:
@@ -633,23 +712,27 @@ def zeros_near(rec, n, xi, k):
 
     The window holds k + 1 zeros on each side of xi, or every zero on a side
     with fewer: the margin of one more covers a computed zero that lands
-    within 1e-13 on the other side of xi.  Up to n = _DENSE_MAX, one dense
-    eigvalsh (O(n^3) time, O(n^2) memory) guesses c, and one pass counts at xi
-    and certifies enclosures of the guessed window widened by one on each
-    side, so that few steps are counted; above it each sweep costs O(n k)
-    against O(n^2) for all n zeros.  The window's widest bracket stands in
-    for the widest of all n, so a width within ulps of 1e-13 could stop it
-    one halving early; the tests check the gallery recurrences bit for bit.
+    within 1e-13 on the other side of xi.  One scalar pass counts at xi, the
+    window's estimates come from scalar passes too (_window_estimates), and
+    one _sturm_counts pass certifies their enclosures, so that few bisection
+    steps are counted; no n x n array is built, O(n) memory at every n.  The
+    window's widest bracket stands in for the widest of all n, so a width
+    within ulps of 1e-13 could stop it one halving early; the tests check the
+    gallery recurrences bit for bit.
     """
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
     k = _level(k, 0, math.inf, "k")
     d, e = _jacobi(rec, n)
-    estimates = _estimates(d, e) if d.size <= _DENSE_MAX else None
-    guess = 0 if estimates is None else int(np.searchsorted(estimates, xi))
-    ranks = np.arange(max(guess - k - 3, 0), min(guess + k + 3, d.size)) + 1
-    lower, upper, counts = _enclosures(d, e, ranks, estimates, [float(xi)])
-    c = int(counts[0])
+    xi, rows, e_sq = float(xi), d.tolist(), (e * e).tolist()
+    c = _count_step(rows, e_sq, xi)[0]
     first = max(c - k - 2, 0)
     ks = np.arange(first, min(c + k + 2, d.size)) + 1
+    bracket = _gershgorin(d, e)
+    # the bracket's ends stand in for the outermost eigenvalues, which set the
+    # enclosures' width 16 eps ||J||, where the window holds no estimate of them
+    estimates = np.full(d.size, np.nan)
+    estimates[[0, -1]] = bracket
+    estimates[ks - 1] = _window_estimates(rows, e_sq, ks, bracket, xi, c)
+    lower, upper, _ = _enclosures(d, e, ks, estimates, [])
     return first, _bisect(d, e, ks, lower[ks - 1], upper[ks - 1])

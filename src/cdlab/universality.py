@@ -154,10 +154,8 @@ def _clock_study(rec, xi, h, n_values, k_max):
             if i_lo >= 0 and i_hi < zeros.size:
                 scaled[(n, j)] = tau * (zeros[i_hi] - zeros[i_lo])
     n_top = max(n_values)
-    worst = max(
-        (abs(v - 1.0) for (n, j), v in scaled.items() if n == n_top),
-        default=math.inf,
-    )
+    # the gap j = 0 is always there; a NaN gap makes the worst error NaN
+    worst = np.max([abs(v - 1.0) for (n, j), v in scaled.items() if n == n_top])
     return ZeroReport(
         n_values=list(n_values),
         scaled_zeros=scaled,
@@ -170,7 +168,8 @@ def _ratio_law(rec, n, xi, h, mode, bessel, power, raw, scaled, kappa=1.0):
     n: the first len(bessel) zeros xi_k of p_n right of xi (a zero at xi, as of
     an odd p_n at the centre of an even weight, is left of it) go into raw and,
     as kappa h(K) (xi_k - xi), into scaled, by (n, k); the error is the worst
-    |r_k / (j_k/j_1)^power - 1| of r_k = (xi_k - xi)/(xi_1 - xi)."""
+    |r_k / (j_k/j_1)^power - 1| of r_k = (xi_k - xi)/(xi_1 - xi), NaN if any
+    error is NaN."""
     zeros, i = _window(rec, n, xi + 1e-300, len(bessel), mode)
     if i == zeros.size:
         raise ZeroWindowError(mode, n, xi, "has no zero right of xi")
@@ -182,7 +181,7 @@ def _ratio_law(rec, n, xi, h, mode, bessel, power, raw, scaled, kappa=1.0):
         scaled[(n, k)] = kappa * hk * (pos[k - 1] - xi)
         ratio = (pos[k - 1] - xi) / (pos[0] - xi)
         errs.append(abs(ratio / float((bessel[k - 1] / bessel[0]) ** power) - 1.0))
-    return zeros, hk, max(errs)
+    return zeros, hk, float(np.max(errs))
 
 
 def _hard_edge_study(rec, xi, h, n_values, k_max):
@@ -249,7 +248,7 @@ def _even_fh_study(rec, xi, h, n_values, k_max):
             if odd:
                 odd_zero_at_origin[n] = float(np.min(np.abs(zeros - xi)))
     n_top = max(n_values)
-    worst = max(errors["even"][n_top], errors["odd"][n_top])
+    worst = np.max([errors["even"][n_top], errors["odd"][n_top]])
     return ZeroReport(
         n_values=list(n_values),
         scaled_zeros=scaled,
@@ -276,8 +275,9 @@ def zero_study(rec, xi, h, mode, n_values, k_max):
     ZeroWindowError when clock finds xi left or right of every zero of p_n, or
     another mode finds no zero right of xi.  The report holds the scaled zeros
     by (n, k) (clock: the scaled gaps by (n, j), leaving out gaps beyond the
-    ends of the spectrum) and the worst error at the largest n; hard_edge and
-    even_fh add the raw zeros and the ratio errors per n to extras.
+    ends of the spectrum) and the worst error at the largest n, NaN when any
+    of its errors is NaN; hard_edge and even_fh add the raw zeros and the
+    ratio errors per n to extras.
     """
     n_values = sorted(n_values)
     if mode == "clock":

@@ -16,6 +16,7 @@ from cdlab.oprl import (
     SupportTooSmallError,
     ZeroDiagonalError,
     _batch_level,
+    _count_step,
     _discretize,
     _enclosures,
     _estimates,
@@ -359,15 +360,10 @@ def test_zeros_near_on_random_jacobi():
                 _assert_window_is_slice(rec, n, xi, k, zeros)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
-       kind=st.sampled_from(["random", "mirror", "integer"]),
-       extra=st.lists(st.floats(-6.0, 6.0), max_size=10))
-@example(seed=0, n=3, kind="mirror", extra=[])  # eigenvalue 0: the first pivot at 0 is 0
-@example(seed=0, n=2, kind="integer", extra=[])  # integer shifts give exact zero pivots
-def test_sturm_counts_monotone_in_the_shift(seed, n, kind, extra):
-    # the enclosures of _bisect decide steps by this monotonicity; mirror-
-    # symmetric (b = 0) and integer matrices put shifts on exact zero pivots
+def _sturm_case(seed, n, kind, extra):
+    """(d, e, sorted shifts) of a seeded matrix of size n: random, mirror-
+    symmetric (b = 0) or integer, with shifts on and next to its eigenvalues,
+    on its diagonal, on half-integers and at -+1e300."""
     rng = np.random.default_rng(seed)
     if kind == "integer":
         d = rng.integers(-2, 3, n).astype(float)
@@ -379,9 +375,39 @@ def test_sturm_counts_monotone_in_the_shift(seed, n, kind, extra):
     shifts = np.sort(np.concatenate([
         extra, eig, np.nextafter(eig, -np.inf), np.nextafter(eig, np.inf), d,
         np.arange(-12, 13) / 2.0, [-1e300, 1e300]]))
+    return d, e, shifts
+
+
+_STURM_CASES = dict(
+    seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+    kind=st.sampled_from(["random", "mirror", "integer"]),
+    extra=st.lists(st.floats(-6.0, 6.0), max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_STURM_CASES)
+@example(seed=0, n=3, kind="mirror", extra=[])  # eigenvalue 0: the first pivot at 0 is 0
+@example(seed=0, n=2, kind="integer", extra=[])  # integer shifts give exact zero pivots
+def test_sturm_counts_monotone_in_the_shift(seed, n, kind, extra):
+    # the enclosures of _bisect decide steps by this monotonicity; mirror-
+    # symmetric (b = 0) and integer matrices put shifts on exact zero pivots
+    d, e, shifts = _sturm_case(seed, n, kind, extra)
     counts = _sturm_counts(d, e * e, shifts)
     assert np.all(np.diff(counts) >= 0)
     assert counts[0] == 0 and counts[-1] == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_STURM_CASES)
+@example(seed=0, n=3, kind="mirror", extra=[])
+@example(seed=0, n=2, kind="integer", extra=[])
+def test_scalar_pass_counts_as_sturm_counts(seed, n, kind, extra):
+    # zeros_near counts at xi, isolates and polishes by _count_step; its count
+    # must be _sturm_counts' at every shift, exact zero pivots included
+    d, e, shifts = _sturm_case(seed, n, kind, extra)
+    rows, e_sq = d.tolist(), (e * e).tolist()
+    scalar = [_count_step(rows, e_sq, x)[0] for x in shifts.tolist()]
+    assert scalar == _sturm_counts(d, e * e, shifts).tolist()
 
 
 def _failed_estimates(kind):
@@ -409,6 +435,96 @@ def test_failed_certification_keeps_bisection_bits(monkeypatch, kind):
         _assert_window_is_slice(rec, n, 0.0, 3, zeros)
 
 
+def _failed_window_estimates(kind):
+    window_estimates = oprl._window_estimates
+
+    def estimates(*args):
+        est = window_estimates(*args)
+        return {"nan": np.full(est.size, np.nan), "inf": np.full(est.size, np.inf),
+                "shifted": est + 1e-6, "wrong_rank": np.roll(est, 1)}[kind]
+    return estimates
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "shifted", "wrong_rank"])
+def test_failed_window_certification_keeps_bisection_bits(monkeypatch, kind):
+    # window estimates that certify no enclosure leave every step to counting
+    monkeypatch.setattr(oprl, "_window_estimates", _failed_window_estimates(kind))
+    for seed in range(0, 150, 7):
+        rec, n = _random_jacobi(seed)
+        zeros = _reference_poly_zeros(rec, n)
+        for xi in (0.0, zeros[n // 2]):
+            _assert_window_is_slice(rec, n, xi, 2, zeros)
+    for case, n in [("even_fh_1.5", 201), ("power_hard_edge_2.0", 300)]:
+        rec, _, zeros = _zero_case(case, n)
+        for xi in (0.0, 0.5):
+            _assert_window_is_slice(rec, n, xi, 3, zeros)
+
+
+@pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
+def test_window_estimates_certify_every_rank(case, n, monkeypatch):
+    # the fast path runs: every rank of the zero configs' windows gets its
+    # enclosure, so bisection counts few steps
+    certified = []
+
+    def enclosures(d, e, ranks, estimates, shifts):
+        lower, upper, counts = _enclosures(d, e, ranks, estimates, shifts)
+        certified.append(bool(np.all(np.isfinite(lower[ranks - 1]))
+                              and np.all(np.isfinite(upper[ranks - 1]))))
+        return lower, upper, counts
+
+    rec, zeros, _ = _zero_case(case, n)
+    monkeypatch.setattr(oprl, "_enclosures", enclosures)
+    for xi in (0.0, 1e-300, 0.5, zeros[n // 3], -2.0, 2.0):
+        zeros_near(rec, n, xi, 3)
+    assert certified == [True] * 6
+
+
+def test_zeros_near_takes_no_dense_eigensolve(monkeypatch):
+    def dense(*args):
+        raise AssertionError("zeros_near called a dense eigensolve")
+
+    monkeypatch.setattr(oprl, "_estimates", dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    rec, zeros, _ = _zero_case("even_fh_1.5", 401)
+    _assert_window_is_slice(rec, 401, 0.0, 3, zeros)
+
+
+@pytest.mark.parametrize("name", ["legendre", "chebyshev"])
+def test_zeros_near_at_the_old_dense_crossover(name):
+    # windows below, at and above the old n = 800 switch from a dense
+    # estimate to counting every step, and at 1200, are slices of poly_zeros
+    rec = stieltjes_coeffs(gallery(name), 1200)
+    for n in (799, 800, 801, 1200):
+        zeros = poly_zeros(rec, n)
+        for xi in (0.0, 0.3, -0.97, zeros[n // 3]):
+            _assert_window_is_slice(rec, n, xi, 3, zeros)
+
+
+def test_zeros_near_at_extreme_xi():
+    # an infinite xi counts every zero or none; the Newton step there is NaN
+    rec, zeros, _ = _zero_case("legendre", 200)
+    for xi, first in ((math.inf, 195), (1e308, 195), (-math.inf, 0), (-1e308, 0)):
+        got, window = zeros_near(rec, 200, xi, 3)
+        assert got == first and np.array_equal(window, zeros[first:first + 5])
+    d, e = oprl._jacobi(rec, 200)
+    for xi, count in ((math.inf, 200), (-math.inf, 0)):
+        got, step = _count_step(d.tolist(), (e * e).tolist(), xi)
+        assert got == count and math.isnan(step)
+
+
+def test_zeros_near_memory_is_linear_in_n():
+    # the dense estimate held three n x n arrays, 35 MB at n = 1200
+    rec = stieltjes_coeffs(gallery("legendre"), 1200)
+    zeros_near(rec, 1200, 0.3, 3)
+    tracemalloc.start()
+    try:
+        zeros_near(rec, 1200, 0.3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
 def test_enclosures_certify_every_gallery_zero(case, n):
     # the zero configs' matrices get every enclosure, so few steps are counted
@@ -420,8 +536,10 @@ def test_enclosures_certify_every_gallery_zero(case, n):
 
 
 def test_poly_zeros_encloses_every_zero_above_the_window_crossover(monkeypatch):
-    # above n = 800, where a window of zeros is counted alone, poly_zeros
-    # counted every step too: 9 count passes on the n = 1,000 Legendre matrix
+    # poly_zeros takes its dense estimates at every n: above n = 800, where a
+    # window of zeros was once counted alone, it counted every step too (9
+    # count passes on the n = 1,000 Legendre matrix); windows take no dense
+    # estimate at any n
     rec = stieltjes_coeffs(gallery("legendre"), 1000)
     passes = []
     monkeypatch.setattr(oprl, "_sturm_counts", lambda *a: passes.append(1) or _sturm_counts(*a))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdlab import universality
-from cdlab.cli import _sparse_size, load_config
+from cdlab.cli import _sparse_size, load_config, parse_config, run_experiment
 from cdlab.canonical import jacobi_hamiltonian, kernel_kh, rescaled_schrodinger
 from cdlab.limit_kernels import (ZeroDiagonalError, build_limit_kernel, fit_internal_scale,
                                  sine_kernel)
@@ -232,6 +232,42 @@ def test_zero_study_window_too_narrow(leg, monkeypatch):
     monkeypatch.setattr(universality, "zeros_near", narrow)
     with pytest.raises(universality.ZeroWindowError, match="too close"):
         zero_study(leg, -0.999, RegVarFn(scale=0.5, index=1.0), "clock", [60], 3)
+
+
+def _nan_in_window(monkeypatch, degree):
+    """Patch zeros_near so that the third zero right of xi of p_degree is NaN."""
+    zeros_near = universality.zeros_near
+
+    def patched(rec, n, xi, k):
+        first, zeros = zeros_near(rec, n, xi, k)
+        if n == degree:
+            zeros = zeros.copy()
+            zeros[np.searchsorted(zeros, xi, side="right") + 2] = np.nan
+        return first, zeros
+
+    monkeypatch.setattr(universality, "zeros_near", patched)
+
+
+def test_clock_study_keeps_a_nan_gap(leg, monkeypatch):
+    # Python's max dropped a NaN gap that was not the first one
+    _nan_in_window(monkeypatch, 120)
+    zr = zero_study(leg, 0.0, RegVarFn(scale=0.5, index=1.0), "clock", [60, 120], 3)
+    assert math.isnan(zr.max_rel_error_ratios)
+    assert not zr.max_rel_error_ratios <= 0.05
+
+
+@pytest.mark.parametrize("experiment, degree", [("hard_edge", 120), ("fisher_hartwig", 121)])
+def test_zero_law_run_fails_on_a_nan_zero(tmp_path, monkeypatch, experiment, degree):
+    # a NaN third zero at the top degree (fisher_hartwig: the odd one, 2 * 60 + 1)
+    # made a NaN ratio error that max dropped, and the run passed
+    _nan_in_window(monkeypatch, degree)
+    cfg = parse_config({"experiment": experiment, "n_values": [30, 60] if degree == 121
+                        else [60, 120], "betas": [2.0], "output_dir": str(tmp_path)})
+    lines, passed, data = run_experiment(cfg)
+    assert math.isnan(data["beta=2.0"]["max_rel_error_ratios"])
+    if experiment == "fisher_hartwig":  # the odd window's nearest zero to 0 is NaN too
+        assert math.isnan(data["beta=2.0"]["odd_zero_at_origin"])
+    assert not passed and lines[0].startswith("[FAIL]")
 
 
 def test_sparse_jacobi_construction():
