@@ -15,14 +15,20 @@ Times the Gauss-Legendre rule `measures._leggauss.__wrapped__(n)` (its body,
 past the cache) at n = 310, 411, 612 and 814, the sizes the two zero_laws
 configs ask for, and at 3008.
 Then runs the two zero_laws configs (configs/hard_edge.json and
-configs/fisher_hartwig.json) once each, in-process into a temporary
-directory, with the `_leggauss` cache emptied first, and counts the
-`oprl._sturm_counts` passes, the scalar Sturm passes `oprl._count_step` (in a
-tree that has them), `special.bessel_zeros` calls and
-`measures._leggauss` calls (cache hits included) of each run by wrapping
-those functions in every cdlab module that holds them; the distinct sizes
-of the `_leggauss` calls are listed too.  The cdlab on PYTHONPATH is the one
-timed, so the same script times any two trees.
+configs/fisher_hartwig.json) and configs/identities.json once each,
+in-process into a temporary directory, with the `_leggauss` cache emptied
+first.  For each run it counts the calls of the zero finders
+(`universality.zeros_near`, the windows of the zero studies, and
+`oprl.poly_zeros`, all n zeros, which the identity suite asks for) and their
+total wall time in milliseconds, and counts the passes that count
+eigenvalues: the numpy Sturm passes `oprl._sturm_counts` (here only
+`poly_zeros`' one certifying pass per call) and the scalar Sturm passes
+`oprl._count_step` (in a tree that has them; here every other count, so all
+of a window's).  It also counts
+`special.bessel_zeros` calls and `measures._leggauss` calls (cache hits
+included) and lists the distinct sizes of the `_leggauss` calls.  Every
+count wraps the function in each cdlab module that holds it.  The cdlab on
+PYTHONPATH is the one timed, so the same script times any two trees.
 """
 
 import json
@@ -53,12 +59,16 @@ def median_ms(call, reps):
 
 def counted(modules, name, tally):
     """Rebind name in every module of modules to a wrapper that adds one to
-    tally[name] per call."""
+    tally[name] per call and the call's wall time in ms to tally[name + " ms"]."""
     fn = getattr(modules[0], name)
 
     def wrapper(*args, **kwargs):
-        tally[name] += 1
-        return fn(*args, **kwargs)
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            tally[name] += 1
+            tally[name + " ms"] += 1e3 * (time.perf_counter() - start)
 
     for module in modules:
         setattr(module, name, wrapper)
@@ -90,16 +100,17 @@ def main():
     for n in (310, 411, 612, 814, 3008):
         reps = 15 if n <= 814 else 3
         out[f"_leggauss n={n} calls={reps}"] = median_ms(lambda: rule.__wrapped__(n), reps)
-    tally = {"_sturm_counts": 0, "bessel_zeros": 0}
-    counted([oprl], "_sturm_counts", tally)
-    if hasattr(oprl, "_count_step"):
-        tally["_count_step"] = 0
-        counted([oprl], "_count_step", tally)
-    counted([special, universality], "bessel_zeros", tally)
+    tally = {}
+    for modules, name in (([universality], "zeros_near"), ([oprl], "poly_zeros"),
+                          ([oprl], "_sturm_counts"), ([oprl], "_count_step"),
+                          ([special, universality], "bessel_zeros")):
+        if hasattr(modules[0], name):
+            tally[name] = tally[name + " ms"] = 0
+            counted(modules, name, tally)
     sizes = []  # the n of every _leggauss call
     measures._leggauss = lambda n: sizes.append(n) or rule(n)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("hard_edge", "fisher_hartwig"):
+        for name in ("hard_edge", "fisher_hartwig", "identities"):
             for key in tally:
                 tally[key] = 0
             sizes.clear()
@@ -107,9 +118,12 @@ def main():
             cfg = cli.load_config(CONFIGS / f"{name}.json")
             cfg.output_dir = str(pathlib.Path(tmp) / name)
             cli.run_experiment(cfg)
-            out[f"{name} _sturm_counts passes"] = tally["_sturm_counts"]
-            if "_count_step" in tally:
-                out[f"{name} _count_step passes"] = tally["_count_step"]
+            for key in ("zeros_near", "poly_zeros"):
+                out[f"{name} {key} calls"] = tally[key]
+                out[f"{name} {key} ms"] = round(tally[key + " ms"], 2)
+            for key in ("_sturm_counts", "_count_step"):
+                if key in tally:
+                    out[f"{name} {key} passes"] = tally[key]
             out[f"{name} bessel_zeros calls"] = tally["bessel_zeros"]
             out[f"{name} _leggauss calls"] = len(sizes)
             out[f"{name} _leggauss sizes"] = sorted(set(sizes))

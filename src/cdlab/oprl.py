@@ -15,11 +15,11 @@ a run's basis only when Simon's estimate fires or the run breaks down.  Zeros
 are eigenvalues of the truncated Jacobi matrix, found by Sturm-sequence
 bisection: deterministic, strictly increasing, and the same bits whether all
 n zeros are asked for (poly_zeros) or only a window of them around a point
-(zeros_near).  Estimates of the zeros and one certifying Sturm pass enclose
-each zero, and only the bisection steps inside an enclosure are counted, by
-multisection (one count pass per six halvings).  All n zeros take their
-estimates from a dense eigvalsh (O(n^3) time, O(n^2) memory); a window takes
-them from scalar Sturm passes that also give the Newton step, by bisection
+(zeros_near).  Bounds on each zero let bisection take the steps outside them
+without counting, and each step inside is counted by one scalar Sturm pass in
+Python floats, which also gives the Newton step.  All n zeros take their
+bounds from a dense eigvalsh (O(n^3) time, O(n^2) memory) and one certifying
+numpy Sturm pass; a window takes them from scalar passes alone, by bisection
 to isolate each zero and safeguarded Newton to polish it (O(n) memory).
 Either way the bits are bisection's.
 
@@ -511,8 +511,9 @@ def _sturm_counts(d, e_sq, shifts):
     """Number of eigenvalues of tridiag(d, e) strictly below each shift.
 
     One pass over the matrix serves every shift at once, which is what makes
-    multisection cheap.  Exactly-zero pivots are perturbed to -tiny before
-    being counted, keeping the count monotone in the shift.
+    poly_zeros' certifying pass over 2n bounds cheap.  Exactly-zero pivots
+    are perturbed to -tiny before being counted, keeping the count monotone
+    in the shift.
     """
     shifts = np.asarray(shifts, dtype=float)
     q = d[0] - shifts
@@ -544,15 +545,13 @@ def _count_step(d, e_sq, x):
     for di, ei in zip(islice(d, 1, None), e_sq):
         r = ei / q
         q = di - x - r
-        if q == 0.0:
-            q = -_TINY
+        if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q, count = -_TINY, count + 1
         t = (r * t - 1.0) / q
-        count += q < 0
         total += t
     return count, (-1.0 / total if total else math.nan)
-
-
-_LEVELS = 6  # halvings per multisection sweep
 
 
 def _gershgorin(d, e):
@@ -569,140 +568,143 @@ def _estimates(d, e):
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
-def _window_estimates(d, e_sq, ks, bracket, xi, c):
-    """Estimates of the eigenvalues of ranks ks (increasing) of tridiag(d, e),
-    c of them below xi, from _count_step passes over the lists d and e_sq;
-    NaN where a rank is not isolated or Newton does not settle.
-
-    Bisection isolates each rank in one shared tree of counted points, from
-    the ends of bracket (counts 0 and n) and xi, until the points around rank
-    k count k - 1 and k (given up within 1e-13).  Newton polishes it from the
-    midpoint: each pass's count moves the bracket, and a step that leaves it
-    is reflected off the end it passed (a zero next to xi draws Newton past
-    xi), else bisects.  The estimate is x + step once the step is below 1e-12
-    of the bracket's norm: the error after a step s is about s^2 / gap, so
-    near a hard edge, where zeros are 1e-4 apart, 1e-9 would leave 1e-14,
-    above the enclosures' 16 eps ||J||.
-    """
+def _window_bounds(d, e_sq, ks, bracket, xi, c):
+    """(lower, upper): bounds of the eigenvalues of ranks ks (increasing) of
+    tridiag(d, e), c of them below xi, with count(lower) < k <= count(upper),
+    from _count_step passes over the lists d and e_sq.  Bisection isolates
+    each rank in one shared tree of counted points, from the ends of bracket
+    (counts 0 and n) and xi, until the points around rank k count k - 1 and
+    k (given up within 1e-13), and _polish tightens the isolating bracket; a
+    rank that is not isolated keeps the points around it, looser bounds."""
     lo, hi = bracket
     xs, counts = [lo, hi], [0, len(d)]  # the tree, sorted
     if lo < xi < hi:
         xs.insert(1, xi)
         counts.insert(1, c)
-    tol = 1e-12 * max(-lo, hi)
-    out = np.full(len(ks), np.nan)
+    lower, upper = np.empty(len(ks)), np.empty(len(ks))
     for j, k in enumerate(ks.tolist()):
         i = bisect_left(counts, k)  # xs[i - 1] counts below k, xs[i] at least k
+        a, b = xs[i - 1], xs[i]
         while counts[i - 1] < k - 1 or counts[i] > k:
-            a, b = xs[i - 1], xs[i]
             mid = 0.5 * (a + b)
             if not (b - a > 1e-13 and a < mid < b):
                 break
             xs.insert(i, mid)
             counts.insert(i, _count_step(d, e_sq, mid)[0])
             i = bisect_left(counts, k)
-        else:
             a, b = xs[i - 1], xs[i]
-            x = 0.5 * (a + b)
-            for _ in range(64):
-                count, step = _count_step(d, e_sq, x)
-                a, b = (a, x) if count >= k else (x, b)
-                if abs(step) < tol:
-                    out[j] = x + step
-                    break
-                x += step
-                if not a < x < b:
-                    x = 2.0 * (b if x >= b else a) - x
-                    x = x if a < x < b else 0.5 * (a + b)
-    return out
+        else:
+            a, b = _polish(d, e_sq, k, a, b, max(-lo, hi))
+        lower[j], upper[j] = a, b
+    return lower, upper
 
 
-def _enclosures(d, e, ranks, estimates, shifts):
-    """(lower, upper, counts): per rank of the n eigenvalues (index k - 1),
-    bounds with count(lower) < k <= count(upper), and the Sturm counts at
-    shifts, all from one _sturm_counts pass.
+def _polish(d, e_sq, k, a, b, norm):
+    """Tighter bounds of the eigenvalue of rank k, isolated by (a, b), by
+    Newton from the midpoint: each _count_step pass's count moves the bracket,
+    and a step that leaves it is reflected off the end it passed (a zero next
+    to xi draws Newton past xi), else bisects.  Once the step is below 1e-12
+    norm (after a step s the error is about s^2 / gap: near a hard edge, zeros
+    1e-4 apart, 1e-9 would leave 1e-14), the bounds are x* -+ 16 eps norm,
+    x* = x + step, where a pass at each end the bracket does not already
+    certify does; else the counted bracket."""
+    x = 0.5 * (a + b)
+    for _ in range(64):
+        count, step = _count_step(d, e_sq, x)
+        a, b = (a, x) if count >= k else (x, b)
+        if abs(step) < 1e-12 * norm:
+            x, delta = x + step, 16.0 * np.finfo(float).eps * norm
+            if (x - delta <= a or _count_step(d, e_sq, x - delta)[0] < k) and (
+                    x + delta >= b or _count_step(d, e_sq, x + delta)[0] >= k):
+                return x - delta, x + delta
+            break
+        x += step
+        if not a < x < b:
+            x = 2.0 * (b if x >= b else a) - x
+            x = x if a < x < b else 0.5 * (a + b)
+    return a, b
 
-    Each rank k in ranks is enclosed by estimates[k - 1] -+ 16 eps ||J||, kept
-    only when the pass certifies it; every other rank gets (-inf, inf), which
-    leaves every step to counting.
+
+def _enclosures(d, e, estimates):
+    """(lower, upper): per eigenvalue of tridiag(d, e), rank k at index k - 1,
+    bounds with count(lower) < k <= count(upper), from one _sturm_counts pass.
+
+    Each rank is enclosed by estimates[k - 1] -+ 16 eps ||J||, kept only when
+    the pass certifies it; every other rank gets (-inf, inf), which leaves
+    every step to counting.
     """
-    lower, upper = np.full(d.size, -np.inf), np.full(d.size, np.inf)
+    ranks = np.arange(1, d.size + 1)
     delta = 16.0 * np.finfo(float).eps * max(abs(estimates[0]), abs(estimates[-1]))
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite bound fails below
-        below, above = estimates[ranks - 1] - delta, estimates[ranks - 1] + delta
-    counts = _sturm_counts(d, e * e, np.concatenate([shifts, below, above]))
-    shift_counts, counts = counts[: len(shifts)], counts[len(shifts):].reshape(2, -1)
+        below, above = estimates - delta, estimates + delta
+    counts = _sturm_counts(d, e * e, np.concatenate([below, above])).reshape(2, -1)
     # a NaN shift counts no eigenvalue below it, so only finite bounds certify
     ok = (counts[0] < ranks) & (counts[1] >= ranks) & np.isfinite(below) & np.isfinite(above)
-    lower[ranks[ok] - 1], upper[ranks[ok] - 1] = below[ok], above[ok]
-    return lower, upper, shift_counts
+    return np.where(ok, below, -np.inf), np.where(ok, above, np.inf)
 
 
 def _bisect(d, e, ks, lower, upper):
     """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e), given
-    bounds with count(lower) < ks <= count(upper) (infinite where unknown).
+    bounds with count(lower) < ks <= count(upper) (infinite where unknown),
+    which it tightens in place.
 
     Sturm bisection from the Gershgorin bracket until every bracket is at
     most 1e-13 wide (at most 200 halvings); all brackets stop together, on
     the widest one.  The Sturm count is monotone in the shift (Demmel,
     Dhillon & Ren 1995), so a midpoint at or below lower[k] has fewer than k
     eigenvalues below it and one at or above upper[k] at least k: such steps
-    are taken without counting.  The others are counted by multisection: a
-    sweep counts, in one _sturm_counts pass, the midpoints inside the bounds
-    among the 2^6 - 1 of the subtree below every bracket, and serves the next
-    six levels.  Every midpoint is bisection's own 0.5 * (lo + hi), so the
-    steps and the result are bisection's bits.
+    are taken without counting.  Each midpoint inside the bounds is counted
+    by one _count_step pass, and its count c bounds every lane: from above
+    for ranks up to c, from below for the rest, so lanes that share a
+    midpoint share its count.  Every midpoint is bisection's own
+    0.5 * (lo + hi), so the steps and the result are bisection's bits.
     """
     if d.size == 1:
         return d[ks - 1]
-    e_sq = e * e
+    rows, e_sq = d.tolist(), (e * e).tolist()
     lo, hi = (np.full(ks.size, end) for end in _gershgorin(d, e))
-    lanes = np.arange(ks.size)
-    steps, level = 0, _LEVELS  # level in the current sweep; none yet
-    while steps < 200 and float(np.max(hi - lo)) > 1e-13:
+    for _ in range(200):
+        if float(np.max(hi - lo)) <= 1e-13:
+            break
         mid = 0.5 * (lo + hi)
-        if level == _LEVELS and np.any((lower < mid) & (mid < upper)):
-            # midpoints of the subtree below each bracket in heap order: row r
-            # halves its bracket, rows 2r + 1 and 2r + 2 halve the lower and upper half
-            left, right, mids = lo[None], hi[None], []
-            for _ in range(_LEVELS):
-                mids.append(0.5 * (left + right))
-                left = np.stack([left, mids[-1]], axis=1).reshape(-1, ks.size)
-                right = np.stack([mids[-1], right], axis=1).reshape(-1, ks.size)
-            mids = np.concatenate(mids)
-            counts = np.where(mids < upper, ks - 1, ks)  # right outside the bounds
-            inside = (lower < mids) & (mids < upper)
-            counts[inside] = _sturm_counts(d, e_sq, mids[inside])
-            node, level = np.zeros(ks.size, dtype=int), 0
-        if level < _LEVELS:
-            take_hi = counts[node, lanes] >= ks
-            node = 2 * node + 2 - take_hi
-            level += 1
-        else:
-            take_hi = mid >= upper
+        for j in np.flatnonzero((lower < mid) & (mid < upper)).tolist():
+            if lower[j] < mid[j] < upper[j]:  # not yet bounded by a count of this step
+                x = float(mid[j])
+                s = np.searchsorted(ks, _count_step(rows, e_sq, x)[0], side="right")
+                upper[:s] = np.minimum(upper[:s], x)
+                lower[s:] = np.maximum(lower[s:], x)
+        take_hi = mid >= upper
         hi = np.where(take_hi, mid, hi)
         lo = np.where(take_hi, lo, mid)
-        steps += 1
     return 0.5 * (lo + hi)
 
 
 def _jacobi(rec, n):
-    """Diagonal and off-diagonal of the n x n truncated Jacobi matrix, 1 <= n <= len(rec)."""
+    """Diagonal and off-diagonal of the n x n truncated Jacobi matrix, 1 <= n <= len(rec).
+    A ValueError names a_k where a_k^2 overflows, and the Gershgorin bracket where its
+    width or midpoint does: the Sturm counts, and so the zeros, would be wrong."""
     n = _level(n, 1, len(rec))
-    return rec.b[:n].astype(float), rec.a[: n - 1].astype(float)
+    d, e = rec.b[:n].astype(float), rec.a[: n - 1].astype(float)
+    with np.errstate(over="ignore"):
+        big, (lo, hi) = np.flatnonzero(np.isinf(e * e)), _gershgorin(d, e)
+    if big.size:
+        raise ValueError(f"a_{big[0] + 1} = {float(e[big[0]])!r} squares to inf; the zeros need "
+                         "every a_k^2 finite")
+    if not (math.isfinite(hi - lo) and math.isfinite(lo + hi)):
+        raise ValueError(f"the Gershgorin bracket [{lo!r}, {hi!r}] of the n = {n} Jacobi matrix "
+                         "has no finite width or midpoint")
+    return d, e
 
 
 def poly_zeros(rec, n):
     """All n zeros of p_n, strictly increasing: eigenvalues of the truncated
     Jacobi matrix by Sturm bisection to bracket width 1e-13 (_bisect).  One
-    dense eigvalsh (O(n^3) time, O(n^2) memory) and one certifying pass
-    enclose every zero, and only the steps inside an enclosure are counted:
-    for all n zeros that beats counting every step, O(n^2) per sweep, at
-    every n.  Studies that read zeros near one point use zeros_near."""
+    dense eigvalsh (O(n^3) time, O(n^2) memory) and one _sturm_counts pass
+    over all 2n bounds enclose every zero, so that bisection counts only the
+    few midpoints that fall inside an enclosure.  Studies that read zeros
+    near one point use zeros_near."""
     d, e = _jacobi(rec, n)
-    ks = np.arange(1, d.size + 1)
-    lower, upper, _ = _enclosures(d, e, ks, _estimates(d, e), [])
-    return _bisect(d, e, ks, lower, upper)
+    return _bisect(d, e, np.arange(1, d.size + 1), *_enclosures(d, e, _estimates(d, e)))
 
 
 def zeros_near(rec, n, xi, k):
@@ -712,13 +714,13 @@ def zeros_near(rec, n, xi, k):
 
     The window holds k + 1 zeros on each side of xi, or every zero on a side
     with fewer: the margin of one more covers a computed zero that lands
-    within 1e-13 on the other side of xi.  One scalar pass counts at xi, the
-    window's estimates come from scalar passes too (_window_estimates), and
-    one _sturm_counts pass certifies their enclosures, so that few bisection
-    steps are counted; no n x n array is built, O(n) memory at every n.  The
-    window's widest bracket stands in for the widest of all n, so a width
-    within ulps of 1e-13 could stop it one halving early; the tests check the
-    gallery recurrences bit for bit.
+    within 1e-13 on the other side of xi.  Every count is a scalar pass
+    (_count_step): one at xi, those that bound each rank of the window
+    (_window_bounds), and those of the few bisection steps inside the bounds;
+    no n x n array is built, O(n) memory at every n.  The window's widest
+    bracket stands in for the widest of all n, so a width within ulps of
+    1e-13 could stop it one halving early; the tests check the gallery
+    recurrences bit for bit.
     """
     if math.isnan(xi):
         raise ValueError("xi must not be NaN")
@@ -728,11 +730,5 @@ def zeros_near(rec, n, xi, k):
     c = _count_step(rows, e_sq, xi)[0]
     first = max(c - k - 2, 0)
     ks = np.arange(first, min(c + k + 2, d.size)) + 1
-    bracket = _gershgorin(d, e)
-    # the bracket's ends stand in for the outermost eigenvalues, which set the
-    # enclosures' width 16 eps ||J||, where the window holds no estimate of them
-    estimates = np.full(d.size, np.nan)
-    estimates[[0, -1]] = bracket
-    estimates[ks - 1] = _window_estimates(rows, e_sq, ks, bracket, xi, c)
-    lower, upper, _ = _enclosures(d, e, ks, estimates, [])
-    return first, _bisect(d, e, ks, lower[ks - 1], upper[ks - 1])
+    bounds = _window_bounds(rows, e_sq, ks, _gershgorin(d, e), xi, c)
+    return first, _bisect(d, e, ks, *bounds)

@@ -23,6 +23,7 @@ from cdlab.oprl import (
     _krylov,
     _lanczos,
     _sturm_counts,
+    _window_bounds,
     cd_kernel,
     eval_polys,
     interp_kernel,
@@ -402,8 +403,8 @@ def test_sturm_counts_monotone_in_the_shift(seed, n, kind, extra):
 @example(seed=0, n=3, kind="mirror", extra=[])
 @example(seed=0, n=2, kind="integer", extra=[])
 def test_scalar_pass_counts_as_sturm_counts(seed, n, kind, extra):
-    # zeros_near counts at xi, isolates and polishes by _count_step; its count
-    # must be _sturm_counts' at every shift, exact zero pivots included
+    # _count_step makes every count but poly_zeros' one certifying pass;
+    # its count must be _sturm_counts' at every shift, exact zero pivots included
     d, e, shifts = _sturm_case(seed, n, kind, extra)
     rows, e_sq = d.tolist(), (e * e).tolist()
     scalar = [_count_step(rows, e_sq, x)[0] for x in shifts.tolist()]
@@ -435,20 +436,24 @@ def test_failed_certification_keeps_bisection_bits(monkeypatch, kind):
         _assert_window_is_slice(rec, n, 0.0, 3, zeros)
 
 
-def _failed_window_estimates(kind):
-    window_estimates = oprl._window_estimates
+def _loose_bounds(kind, monkeypatch):
+    """Window bounds that tighten nothing: infinite ones, the brackets of a
+    Newton whose every step is NaN and so never settles, or each rank's
+    isolating bracket alone."""
+    if kind == "inf":
+        monkeypatch.setattr(oprl, "_window_bounds", lambda d, e_sq, ks, *rest: (
+            np.full(ks.size, -np.inf), np.full(ks.size, np.inf)))
+    elif kind == "nan":
+        monkeypatch.setattr(oprl, "_count_step", lambda *args: (_count_step(*args)[0], math.nan))
+    else:
+        monkeypatch.setattr(oprl, "_polish", lambda d, e_sq, k, a, b, norm: (a, b))
 
-    def estimates(*args):
-        est = window_estimates(*args)
-        return {"nan": np.full(est.size, np.nan), "inf": np.full(est.size, np.inf),
-                "shifted": est + 1e-6, "wrong_rank": np.roll(est, 1)}[kind]
-    return estimates
 
-
-@pytest.mark.parametrize("kind", ["nan", "inf", "shifted", "wrong_rank"])
+@pytest.mark.parametrize("kind", ["inf", "nan", "isolating"])
 def test_failed_window_certification_keeps_bisection_bits(monkeypatch, kind):
-    # window estimates that certify no enclosure leave every step to counting
-    monkeypatch.setattr(oprl, "_window_estimates", _failed_window_estimates(kind))
+    # window bounds that tighten nothing leave more steps to counting, and
+    # the same bits
+    _loose_bounds(kind, monkeypatch)
     for seed in range(0, 150, 7):
         rec, n = _random_jacobi(seed)
         zeros = _reference_poly_zeros(rec, n)
@@ -462,21 +467,38 @@ def test_failed_window_certification_keeps_bisection_bits(monkeypatch, kind):
 
 @pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
 def test_window_estimates_certify_every_rank(case, n, monkeypatch):
-    # the fast path runs: every rank of the zero configs' windows gets its
-    # enclosure, so bisection counts few steps
-    certified = []
+    # the fast path runs: every rank of the zero configs' windows gets the
+    # tight bounds x* -+ 16 eps ||J|| from _polish, so bisection counts few steps
+    tight = []
 
-    def enclosures(d, e, ranks, estimates, shifts):
-        lower, upper, counts = _enclosures(d, e, ranks, estimates, shifts)
-        certified.append(bool(np.all(np.isfinite(lower[ranks - 1]))
-                              and np.all(np.isfinite(upper[ranks - 1]))))
-        return lower, upper, counts
+    def window_bounds(d, e_sq, ks, bracket, xi, c):
+        lower, upper = _window_bounds(d, e_sq, ks, bracket, xi, c)
+        delta = 16.0 * np.finfo(float).eps * max(-bracket[0], bracket[1])
+        tight.append(bool(np.all((lower < upper) & (upper - lower <= 2.5 * delta))))
+        return lower, upper
 
     rec, zeros, _ = _zero_case(case, n)
-    monkeypatch.setattr(oprl, "_enclosures", enclosures)
+    monkeypatch.setattr(oprl, "_window_bounds", window_bounds)
     for xi in (0.0, 1e-300, 0.5, zeros[n // 3], -2.0, 2.0):
         zeros_near(rec, n, xi, 3)
-    assert certified == [True] * 6
+    assert tight == [True] * 6
+
+
+@pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
+def test_zeros_near_counts_by_scalar_passes_only(case, n, monkeypatch):
+    # every count of a window, from xi to the last bisection step, is one
+    # _count_step pass; no _sturm_counts pass, and few scalar ones
+    def no_numpy_pass(*args):
+        raise AssertionError("zeros_near made a _sturm_counts pass")
+
+    rec, zeros, _ = _zero_case(case, n)
+    passes = []
+    monkeypatch.setattr(oprl, "_sturm_counts", no_numpy_pass)
+    monkeypatch.setattr(oprl, "_count_step", lambda *args: passes.append(1) or _count_step(*args))
+    for xi in (0.0, 1e-300, 0.5, zeros[n // 3], -2.0, 2.0):
+        passes.clear()
+        _assert_window_is_slice(rec, n, xi, 3, zeros)
+        assert 0 < len(passes) <= 100, (xi, len(passes))
 
 
 def test_zeros_near_takes_no_dense_eigensolve(monkeypatch):
@@ -529,10 +551,8 @@ def test_zeros_near_memory_is_linear_in_n():
 def test_enclosures_certify_every_gallery_zero(case, n):
     # the zero configs' matrices get every enclosure, so few steps are counted
     d, e = oprl._jacobi(_zero_case_rec(case), n)
-    ks = np.arange(1, n + 1)
-    lower, upper, counts = _enclosures(d, e, ks, _estimates(d, e), [0.0])
+    lower, upper = _enclosures(d, e, _estimates(d, e))
     assert np.all(lower < upper) and np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))
-    assert counts[0] == _sturm_counts(d, e * e, [0.0])[0]
 
 
 def test_poly_zeros_encloses_every_zero_above_the_window_crossover(monkeypatch):
@@ -558,6 +578,37 @@ def test_zeros_near_rejects_nan_xi_and_negative_k(leg):
     for k in (-1, -5):
         with pytest.raises(ValueError, match=f"k must be an integer >= 0, got {k}"):
             zeros_near(leg, 20, 0.0, k)
+
+
+@pytest.mark.parametrize("a", [1.35e154, 1e160])
+def test_zeros_reject_overflowing_a_squared(a):
+    # a_k^2 = inf once gave non-increasing zeros [-2, 2, 2, 2, 2] * a
+    rec = RecurrenceCoeffs(a=np.full(6, a), b=np.zeros(6))
+    with pytest.raises(ValueError, match=r"a_1 = .* squares to inf"):
+        poly_zeros(rec, 5)
+    with pytest.raises(ValueError, match=r"a_1 = .* squares to inf"):
+        zeros_near(rec, 5, 0.0, 1)
+
+
+@pytest.mark.parametrize("b", [[1e308] * 6, [-1.7e308, 1.7e308] * 3])
+def test_zeros_reject_a_bracket_without_finite_midpoint_or_width(b):
+    # bisection's first midpoint or width overflowed and gave infinite zeros
+    rec = RecurrenceCoeffs(a=np.ones(6), b=np.array(b))
+    with pytest.raises(ValueError, match="Gershgorin bracket"):
+        poly_zeros(rec, 5)
+    with pytest.raises(ValueError, match="Gershgorin bracket"):
+        zeros_near(rec, 5, 0.0, 1)
+
+
+def test_zeros_just_below_the_overflow_of_a_squared():
+    # the free matrix with a = 1.3e154: its zeros are 2a cos(j pi / (n + 1))
+    a, n = 1.3e154, 5
+    rec = RecurrenceCoeffs(a=np.full(n + 1, a), b=np.zeros(n + 1))
+    exact = 2.0 * a * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+    zeros = poly_zeros(rec, n)
+    assert np.all(np.diff(zeros) > 0)
+    assert np.max(np.abs(zeros - exact)) <= 4 * np.finfo(float).eps * 2.0 * a
+    _assert_window_is_slice(rec, n, 0.0, 1, zeros)
 
 
 def test_diag_strictly_increasing(cheb):
