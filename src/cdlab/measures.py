@@ -90,7 +90,7 @@ class Measure:
             raise ValueError("atom positions must be finite")
         if not np.all(np.isfinite(mas)):
             raise ValueError("atom masses must be finite")
-        if pos.size and not np.all(np.diff(pos) > 0):
+        if not np.all(pos[1:] > pos[:-1]):
             raise ValueError("atom positions must be strictly increasing")
         if np.any(mas <= 0):
             raise ValueError("atom masses must be > 0")
@@ -338,14 +338,20 @@ def _finite(name, value):
 
 def _pure_point_bulk(cutoff=100000):
     """Atoms of mass 1/(j(j+1)) at +-1/j, j <= cutoff; truncation mass 1/cutoff
-    per side is dropped."""
+    per side is dropped.  Both halves are written into the two arrays in place,
+    with no concatenated copies."""
     if not (float(cutoff).is_integer() and cutoff >= 1):
         raise ValueError(f"cutoff must be an integer >= 1, got {cutoff}")
     cutoff = int(cutoff)
     j = np.arange(1, cutoff + 1, dtype=float)
-    m = 1.0 / (j * (j + 1.0))
-    pos = np.concatenate([-1.0 / j, (1.0 / j)[::-1]])
-    masses = np.concatenate([m, m[::-1]])
+    pos, masses = np.empty(2 * cutoff), np.empty(2 * cutoff)
+    np.divide(-1.0, j, out=pos[:cutoff])
+    np.divide(1.0, j[::-1], out=pos[cutoff:])
+    m = masses[:cutoff]
+    np.add(j, 1.0, out=m)
+    m *= j
+    np.divide(1.0, m, out=m)
+    masses[cutoff:] = m[::-1]
     return Measure(pos, masses)
 
 

@@ -174,7 +174,17 @@ def _lanczos(x, w, m):
     its arrays, in stacks of about 2^15 entries, and a shorter last run as a
     stack of its own, all with no stored basis; a run is redone with its basis
     only when Simon's estimate fires or it breaks down (then it keeps its
-    entries).  The last level, one run, is redone with its basis the same way.
+    entries), right after its own stack.  The last level, one run, is redone
+    with its basis the same way.
+
+    The shorter last run's stack goes first: on pure_point_bulk it holds the
+    widest-spread nodes (1/j^2, j <= 3,520), its estimate fires and its
+    basis is the largest array of the run (201 x 3,520 doubles).  Stored
+    before any other stack's work arrays, a basis sits on fresh memory, not
+    on top of freed arrays that the allocator keeps, so the peak is the
+    measure's atoms, the fold's halves (if folded) and one stored basis.
+    Every call and its arithmetic is the same in any order, and the blocks
+    are concatenated in run order.
     """
     if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
         distinct = np.append(True, x[1:] != x[:-1])
@@ -184,24 +194,25 @@ def _lanczos(x, w, m):
         full, per = x.size // block, max(1, 2**15 // block)  # per: cache-sized stacks
         stacks = [(lo, min(lo + per * block, full * block), block)
                   for lo in range(0, full * block, per * block)]
-        if x.size > full * block:
-            stacks.append((full * block, x.size, x.size - full * block))
-        d, e = map(np.concatenate, zip(*(
-            _krylov(x[lo:hi].reshape(-1, n), w[lo:hi].reshape(-1, n), m,
-                    None if off is None else off[lo:hi].reshape(-1, n)[:, :-1], False)
-            for lo, hi, n in stacks)))
-        parts = []
-        for r in range(len(d)):
-            run = slice(r * block, (r + 1) * block)
-            try:
-                if np.isnan(d[r, 0]):
-                    d[r], e[r] = _krylov(x[run], w[run], m, None if off is None else off[run][:-1])
-                parts.append((d[r], np.append(w[run].sum(), np.zeros(m - 1)), np.append(e[r], 0.0)))
-            except PositivityLossError:
-                parts.append((x[run], w[run], np.zeros(x[run].size) if off is None else off[run]))
-        if sum(p[0].size for p in parts) == x.size:  # no run could be merged
+        if x.size > full * block:  # the shorter last run goes first
+            stacks.insert(0, (full * block, x.size, x.size - full * block))
+        parts = {}  # by the run's first entry
+        for lo, hi, n in stacks:
+            d, e = _krylov(x[lo:hi].reshape(-1, n), w[lo:hi].reshape(-1, n), m,
+                           None if off is None else off[lo:hi].reshape(-1, n)[:, :-1], False)
+            for start, d_run, e_run in zip(range(lo, hi, n), d, e):
+                run = slice(start, start + n)
+                try:
+                    if np.isnan(d_run[0]):
+                        d_run, e_run = _krylov(x[run], w[run], m,
+                                               None if off is None else off[run][:-1])
+                    parts[start] = (d_run, np.append(w[run].sum(), np.zeros(m - 1)),
+                                    np.append(e_run, 0.0))
+                except PositivityLossError:
+                    parts[start] = (x[run], w[run], np.zeros(n) if off is None else off[run])
+        if sum(p[0].size for p in parts.values()) == x.size:  # no run could be merged
             break
-        x, w, off = map(np.concatenate, zip(*parts))
+        x, w, off = map(np.concatenate, zip(*(parts[start] for start in sorted(parts))))
     off = None if off is None else off[:-1]
     d, e = _krylov(x, w, m, off, False)
     return _krylov(x, w, m, off) if np.isnan(d[0]) else (d, e)
@@ -643,26 +654,25 @@ def _enclosures(d, e, estimates):
     return np.where(ok, below, -np.inf), np.where(ok, above, np.inf)
 
 
-def _bisect(d, e, ks, lower, upper):
-    """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e), given
-    bounds with count(lower) < ks <= count(upper) (infinite where unknown),
-    which it tightens in place.
+def _bisect(d, e_sq, bracket, ks, lower, upper):
+    """Eigenvalues of rank ks (1-based, increasing) of tridiag(d, e), d and
+    e_sq = e^2 lists of floats, given bounds with count(lower) < ks <=
+    count(upper) (infinite where unknown), which it tightens in place.
 
-    Sturm bisection from the Gershgorin bracket until every bracket is at
-    most 1e-13 wide (at most 200 halvings); all brackets stop together, on
-    the widest one.  The Sturm count is monotone in the shift (Demmel,
-    Dhillon & Ren 1995), so a midpoint at or below lower[k] has fewer than k
-    eigenvalues below it and one at or above upper[k] at least k: such steps
-    are taken without counting.  Each midpoint inside the bounds is counted
+    Sturm bisection from bracket, the Gershgorin bracket (lo, hi), until
+    every bracket is at most 1e-13 wide (at most 200 halvings); all brackets
+    stop together, on the widest one.  The Sturm count is monotone in the
+    shift (Demmel, Dhillon & Ren 1995), so a midpoint at or below lower[k]
+    has fewer than k eigenvalues below it and one at or above upper[k] at
+    least k: such steps are taken without counting.  Each midpoint inside the bounds is counted
     by one _count_step pass, and its count c bounds every lane: from above
     for ranks up to c, from below for the rest, so lanes that share a
     midpoint share its count.  Every midpoint is bisection's own
     0.5 * (lo + hi), so the steps and the result are bisection's bits.
     """
-    if d.size == 1:
-        return d[ks - 1]
-    rows, e_sq = d.tolist(), (e * e).tolist()
-    lo, hi = (np.full(ks.size, end) for end in _gershgorin(d, e))
+    if len(d) == 1:
+        return np.array(d)[ks - 1]
+    lo, hi = (np.full(ks.size, end) for end in bracket)
     for _ in range(200):
         if float(np.max(hi - lo)) <= 1e-13:
             break
@@ -670,7 +680,7 @@ def _bisect(d, e, ks, lower, upper):
         for j in np.flatnonzero((lower < mid) & (mid < upper)).tolist():
             if lower[j] < mid[j] < upper[j]:  # not yet bounded by a count of this step
                 x = float(mid[j])
-                s = np.searchsorted(ks, _count_step(rows, e_sq, x)[0], side="right")
+                s = np.searchsorted(ks, _count_step(d, e_sq, x)[0], side="right")
                 upper[:s] = np.minimum(upper[:s], x)
                 lower[s:] = np.maximum(lower[s:], x)
         take_hi = mid >= upper
@@ -704,7 +714,8 @@ def poly_zeros(rec, n):
     few midpoints that fall inside an enclosure.  Studies that read zeros
     near one point use zeros_near."""
     d, e = _jacobi(rec, n)
-    return _bisect(d, e, np.arange(1, d.size + 1), *_enclosures(d, e, _estimates(d, e)))
+    return _bisect(d.tolist(), (e * e).tolist(), _gershgorin(d, e), np.arange(1, d.size + 1),
+                   *_enclosures(d, e, _estimates(d, e)))
 
 
 def zeros_near(rec, n, xi, k):
@@ -726,9 +737,9 @@ def zeros_near(rec, n, xi, k):
         raise ValueError("xi must not be NaN")
     k = _level(k, 0, math.inf, "k")
     d, e = _jacobi(rec, n)
-    xi, rows, e_sq = float(xi), d.tolist(), (e * e).tolist()
+    xi, rows, e_sq, bracket = float(xi), d.tolist(), (e * e).tolist(), _gershgorin(d, e)
     c = _count_step(rows, e_sq, xi)[0]
     first = max(c - k - 2, 0)
     ks = np.arange(first, min(c + k + 2, d.size)) + 1
-    bounds = _window_bounds(rows, e_sq, ks, _gershgorin(d, e), xi, c)
-    return first, _bisect(d, e, ks, *bounds)
+    bounds = _window_bounds(rows, e_sq, ks, bracket, xi, c)
+    return first, _bisect(rows, e_sq, bracket, ks, *bounds)

@@ -332,8 +332,9 @@ def sparse_diagnostics(rec, xi):
     q = p_n ** 2 - xi * a_n * p_n * p_nm1 + (a_n * p_nm1) ** 2
     norms_sq = 2.0 * q / (4.0 - xi * xi)
     # block constancy of ||A_n||^2 on N_j <= n < N_{j+1} (the vector jumps
-    # exactly at n = N_j, where b_n is nonzero); edges index norms_sq from 0
-    edges = np.unique(np.concatenate([[0], np.flatnonzero(rec.b), [n_max]]))
+    # exactly at n = N_j, where b_n is nonzero); edges index norms_sq from 0,
+    # strictly increasing (np.unique would import numpy.ma)
+    edges = np.concatenate([[0], np.flatnonzero(rec.b[1:]) + 1, [n_max]])
     dev = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo >= 2:

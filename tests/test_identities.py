@@ -1,5 +1,5 @@
 """The exact-identity suite beyond its default seed, its NaN verdict, and what a
-run of it loads."""
+run of it (and of the sparse config) loads."""
 
 import json
 import math
@@ -40,22 +40,38 @@ def test_a_nan_error_fails_its_check(monkeypatch):
     assert not result.passed
 
 
-def test_identities_run_does_not_load_numpy_random(tmp_path):
-    # the points come from the standard library's random.Random; numpy 2
-    # loads numpy.random (about 5 MB) on the first use of its generator
+def _fresh_run(config, out, module):
+    """(exit code, whether module was loaded) of `cdlab run` of a packaged
+    config in a fresh interpreter."""
     child = (
         "import json, sys\n"
         "from cdlab.cli import main\n"
         "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(json.dumps([code, 'numpy.random' in sys.modules]))\n"
+        "print(json.dumps([code, sys.argv[3] in sys.modules]))\n"
     )
     src = str(pathlib.Path(cdlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run(
-        [sys.executable, "-c", child, str(CONFIG_DIR / "identities.json"), str(tmp_path / "id")],
+        [sys.executable, "-c", child, str(CONFIG_DIR / f"{config}.json"), str(out), module],
         capture_output=True, text=True, env=env, check=True)
-    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_identities_run_does_not_load_numpy_random(tmp_path):
+    # the points come from the standard library's random.Random; numpy 2
+    # loads numpy.random (about 5 MB) on the first use of its generator
+    code, loaded = _fresh_run("identities", tmp_path / "id", "numpy.random")
     assert code == 0
     assert not loaded
     assert json.loads((tmp_path / "id" / "report.json").read_text())["passed"]
+
+
+def test_sparse_run_does_not_load_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma (about 1.3 MB and 17 ms); the
+    # block edges of the sparse diagnostics are increasing without it.  The
+    # packaged sparse config fails its sine-kernel clause, as its reference
+    # records, so it exits 1
+    code, loaded = _fresh_run("sparse", tmp_path / "sparse", "numpy.ma")
+    assert code == 1
+    assert not loaded

@@ -547,6 +547,21 @@ def test_zeros_near_memory_is_linear_in_n():
     assert peak < 1e6
 
 
+def test_zeros_near_lists_the_matrix_once():
+    # the window's Python lists of d and e^2 (32 bytes a float) and its
+    # bracket go to _bisect, which listed them again: 0.67 MB at n = 4000
+    k = np.arange(1, 4001, dtype=float)
+    rec = RecurrenceCoeffs(a=k / np.sqrt(4.0 * k * k - 1.0), b=np.zeros(4000))
+    zeros_near(rec, 4000, 0.3, 3)
+    tracemalloc.start()
+    try:
+        zeros_near(rec, 4000, 0.3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 @pytest.mark.parametrize("case, n", _ZERO_CASE_DEGREES)
 def test_enclosures_certify_every_gallery_zero(case, n):
     # the zero configs' matrices get every enclosure, so few steps are counted
@@ -767,6 +782,14 @@ def _merge_case(case):
         # three runs of 6,432 nodes in one stack; plain Lanczos loses
         # orthogonality on the last (1/j^2, j <= 6,432) by step 7
         return (*_folded_pure_point_run(0, 19_296), 201)
+    if case == "breaks_down_in_tail":
+        # three runs of 1,600 nodes and a last run of 800, which holds 20
+        # atoms of weight 1 and 780 of weight 1e-40: its Krylov space ends
+        # after 20 steps
+        w = np.full(5600, 1.0)
+        w[4800:] = 1e-40
+        w[4800::40] = 1.0
+        return np.linspace(0.0, 1.0, 5600), w / w.sum(), 50
     # the middle one of three runs of 1,600 nodes holds 20 atoms of weight 1
     # and 1,580 of weight 1e-40: its Krylov space ends after 20 steps
     w = np.full(4800, 1.0)
@@ -777,9 +800,9 @@ def _merge_case(case):
 
 @pytest.mark.parametrize("case, stored", [
     # full runs go as rows of 320 in stacks of 102 and the shorter last run as a
-    # stack of its own, on both levels; the final block stores no basis
-    ("two_levels", [((102, 320), False, False), ((54, 320), False, False), ((1, 80), False, False),
-                    ((4, 320), True, False), ((1, 290), True, False), ((50,), True, False)]),
+    # stack of its own, first, on both levels; the final block stores no basis
+    ("two_levels", [((1, 80), False, False), ((102, 320), False, False), ((54, 320), False, False),
+                    ((1, 290), True, False), ((4, 320), True, False), ((50,), True, False)]),
     # the last run of the stack is redone with its basis stored, and so is the
     # final block, whose estimate fires too
     ("fires_in_stack", [((3, 6432), False, False), ((6432,), False, True),
@@ -787,6 +810,11 @@ def _merge_case(case):
     # the middle run is redone, breaks down and keeps its 1,600 entries
     ("breaks_down_in_stack", [((3, 1600), False, False), ((1600,), False, True),
                               ((1700,), True, False)]),
+    # the last run is redone right after its own stack, before any other
+    # stack, so its basis is stored first; it breaks down and keeps its 800
+    # entries
+    ("breaks_down_in_tail", [((1, 800), False, False), ((800,), False, True),
+                             ((3, 1600), False, False), ((950,), True, False)]),
 ])
 def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, stored):
     # stored lists every _krylov call in order as (shape, off-diagonal given,
@@ -805,6 +833,18 @@ def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, 
     assert np.max(np.abs(d - b)) <= 1e-12
     assert np.max(np.abs(e - a[: m - 1]) / a[: m - 1]) <= 1e-12
     assert calls == stored
+
+
+def test_pure_point_bulk_atoms_are_built_in_place():
+    # the atoms are two arrays of 200,000 doubles (3.2 MB); the halves and
+    # their concatenated copies peaked at 6.6 MB
+    tracemalloc.start()
+    try:
+        mu = gallery("pure_point_bulk", cutoff=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (mu.atom_positions.nbytes + mu.atom_masses.nbytes)
 
 
 def test_stieltjes_pure_point_peak_memory():

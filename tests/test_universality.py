@@ -314,6 +314,20 @@ def test_sparse_block_constancy_nonzero_xi():
     assert dat.block_deviation <= 1e-12
 
 
+@pytest.mark.parametrize("bumps", [[0, 3, 9], [3, 9], [0], []])
+def test_sparse_block_deviation_over_the_blocks_between_bumps(bumps):
+    # the blocks start at 0 and at each nonzero b_n (index n - 1), a leading
+    # nonzero b_1 included once, and end at n_max
+    n_max, xi = 20, 0.3
+    b = np.zeros(n_max)
+    b[bumps] = 0.5
+    rec = RecurrenceCoeffs(a=np.ones(n_max), b=b)
+    dat = sparse_diagnostics(rec, xi)
+    edges = sorted({0, *bumps, n_max})
+    blocks = [dat.norms_sq[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    assert dat.block_deviation == max(float(np.max(np.abs(s - s[0]))) for s in blocks)
+
+
 @pytest.mark.parametrize("xi", [0.0, 0.5])
 def test_sparse_diagnostics_diagonal_is_kernel_diag(xi):
     # the packaged sparse matrix; its run reads K(t) and K(2t) off dat.k
