@@ -339,19 +339,20 @@ def _finite(name, value):
 def _pure_point_bulk(cutoff=100000):
     """Atoms of mass 1/(j(j+1)) at +-1/j, j <= cutoff; truncation mass 1/cutoff
     per side is dropped.  Both halves are written into the two arrays in place,
-    with no concatenated copies."""
+    with no concatenated copies: j (exact integers from a fill and a cumsum)
+    and j (j + 1) are built in the two halves of the masses."""
     if not (float(cutoff).is_integer() and cutoff >= 1):
         raise ValueError(f"cutoff must be an integer >= 1, got {cutoff}")
     cutoff = int(cutoff)
-    j = np.arange(1, cutoff + 1, dtype=float)
-    pos, masses = np.empty(2 * cutoff), np.empty(2 * cutoff)
+    pos, masses = np.empty(2 * cutoff), np.ones(2 * cutoff)
+    j, m = masses[:cutoff], masses[cutoff:]
+    np.cumsum(j, out=j)
     np.divide(-1.0, j, out=pos[:cutoff])
     np.divide(1.0, j[::-1], out=pos[cutoff:])
-    m = masses[:cutoff]
     np.add(j, 1.0, out=m)
     m *= j
-    np.divide(1.0, m, out=m)
-    masses[cutoff:] = m[::-1]
+    np.divide(1.0, m, out=j)  # 1/(j (j + 1)), j ascending
+    m[:] = j[::-1]
     return Measure(pos, masses)
 
 

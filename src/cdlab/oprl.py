@@ -161,61 +161,99 @@ def _discretize(mu, n_max):
     return x, w
 
 
-def _lanczos(x, w, m):
-    """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i).
+_CHUNK = 2**13  # entries per chunk of a test or merge that reads a whole node set
+
+
+def _chunks(n):
+    """The (lo, hi) bounds of n entries in chunks of _CHUNK."""
+    return ((lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK))
+
+
+def _lanczos(x, w, m, total=None):
+    """Diagonal (m) and off-diagonal (m - 1) of the m x m Jacobi block of sum w_i delta(x_i),
+    or, with total, of its fold sum (w_i / total) delta(x_i^2) (x, w: the positive half).
 
     The block reads only the moments of degree <= 2m - 1.  While there are
     more than 2B entries, B = 32 m, each run of B entries becomes its own m x m
     Jacobi block with the run's mass on its first entry, which keeps those
     moments (discretize-and-merge: Gautschi 2004, Sec. 2.2), and Lanczos goes
-    on over the block-diagonal tridiagonal operator.  Equal adjacent nodes are
-    first made one node, and B is a multiple of m, so no run splits a node or
-    a block.  A level's full runs go through _krylov as the rows of views of
-    its arrays, in stacks of about 2^15 entries, and a shorter last run as a
-    stack of its own, all with no stored basis; a run is redone with its basis
-    only when Simon's estimate fires or it breaks down (then it keeps its
-    entries), right after its own stack.  The last level, one run, is redone
-    with its basis the same way.
-
-    The shorter last run's stack goes first: on pure_point_bulk it holds the
-    widest-spread nodes (1/j^2, j <= 3,520), its estimate fires and its
-    basis is the largest array of the run (201 x 3,520 doubles).  Stored
-    before any other stack's work arrays, a basis sits on fresh memory, not
-    on top of freed arrays that the allocator keeps, so the peak is the
-    measure's atoms, the fold's halves (if folded) and one stored basis.
-    Every call and its arithmetic is the same in any order, and the blocks
-    are concatenated in run order.
+    on over the block-diagonal tridiagonal operator (_merge_level).  Equal
+    adjacent nodes are first made one node (_distinct), and B is a multiple of
+    m, so no run splits a node or a block.  The last level, one run, is redone
+    with its basis when its basis-free try fires or breaks down.  Each step
+    squares and normalizes only the slice of the fold that it reads, so the
+    peak is the measure's atoms and one stored basis.
     """
-    if np.any(x[1:] == x[:-1]):  # no mask outlives this test when all nodes differ
-        distinct = np.append(True, x[1:] != x[:-1])
-        x, w = x[distinct], np.add.reduceat(w, np.flatnonzero(distinct))
-    block, off = 32 * m, None  # off[i] couples entries i and i + 1; None while no block has two
-    while x.size > 2 * block:
-        full, per = x.size // block, max(1, 2**15 // block)  # per: cache-sized stacks
-        stacks = [(lo, min(lo + per * block, full * block), block)
-                  for lo in range(0, full * block, per * block)]
-        if x.size > full * block:  # the shorter last run goes first
-            stacks.insert(0, (full * block, x.size, x.size - full * block))
-        parts = {}  # by the run's first entry
-        for lo, hi, n in stacks:
-            d, e = _krylov(x[lo:hi].reshape(-1, n), w[lo:hi].reshape(-1, n), m,
-                           None if off is None else off[lo:hi].reshape(-1, n)[:, :-1], False)
-            for start, d_run, e_run in zip(range(lo, hi, n), d, e):
-                run = slice(start, start + n)
-                try:
-                    if np.isnan(d_run[0]):
-                        d_run, e_run = _krylov(x[run], w[run], m,
-                                               None if off is None else off[run][:-1])
-                    parts[start] = (d_run, np.append(w[run].sum(), np.zeros(m - 1)),
-                                    np.append(e_run, 0.0))
-                except PositivityLossError:
-                    parts[start] = (x[run], w[run], np.zeros(n) if off is None else off[run])
-        if sum(p[0].size for p in parts.values()) == x.size:  # no run could be merged
-            break
-        x, w, off = map(np.concatenate, zip(*(parts[start] for start in sorted(parts))))
+    fold = total is not None
+
+    def read(lo, hi):  # the operator's nodes and masses lo..hi
+        return (x[lo:hi] ** 2, w[lo:hi] / total) if fold else (x[lo:hi], w[lo:hi])
+
+    # read in chunks, the test makes no array of the node set's size
+    if any(np.any(s[1:] == s[:-1]) for s in (read(lo, hi + 1)[0] for lo, hi in _chunks(x.size))):
+        x, w = _distinct(read, x.size)
+        fold = False
+    off = None  # off[i] couples entries i and i + 1; None while no block has two
+    while x.size > 64 * m and (level := _merge_level(read, x.size, m, off)):
+        x, w, off = level
+        fold = False
+    x, w = read(0, x.size)
     off = None if off is None else off[:-1]
     d, e = _krylov(x, w, m, off, False)
     return _krylov(x, w, m, off) if np.isnan(d[0]) else (d, e)
+
+
+def _distinct(read, size):
+    """The size entries that read gives, with each run of equal nodes made one
+    node of their summed mass, in chunks that end where a node changes."""
+    parts, lo, n = [], 0, _CHUNK
+    while lo < size:
+        x, w = read(lo, lo + n)
+        starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
+        if lo + n < size:  # the chunk's last equal nodes may go on: the next chunk's
+            if starts.size == 1:
+                n *= 2
+                continue
+            x, w, starts = x[: starts[-1]], w[: starts[-1]], starts[:-1]
+        parts.append((x[starts], np.add.reduceat(w, starts)))
+        lo, n = lo + x.size, _CHUNK
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _merge_level(read, size, m, off):
+    """(x, w, off) of the next level of _lanczos over the size entries that
+    read gives, or None when no run could be merged.  The full runs go through
+    _krylov as the rows of stacks of about 2^15 entries, the shorter last run
+    first as a stack of its own, all with no stored basis; a run whose estimate
+    fires or that breaks down is redone with its basis right after its stack
+    (and keeps its entries if it breaks down).  On pure_point_bulk the last run
+    is the one redone (a 201 x 3,520 basis): stored before any other stack's
+    work arrays, its basis sits on fresh memory, not on freed arrays that the
+    allocator keeps.  The blocks are concatenated in run order, and the stacks
+    are freed on return, before the final block stores its basis.
+    """
+    block = 32 * m
+    full, per = size // block, max(1, 2**15 // block)  # per: cache-sized stacks
+    stacks = [(lo, min(lo + per * block, full * block), block)
+              for lo in range(0, full * block, per * block)]
+    if size > full * block:  # the shorter last run goes first
+        stacks.insert(0, (full * block, size, size - full * block))
+    parts = {}  # by the run's first entry
+    for lo, hi, n in stacks:
+        xs, ws = (a.reshape(-1, n) for a in read(lo, hi))
+        d, e = _krylov(xs, ws, m, None if off is None else off[lo:hi].reshape(-1, n)[:, :-1], False)
+        for start, x_run, w_run, d_run, e_run in zip(range(lo, hi, n), xs, ws, d, e):
+            run = slice(start, start + n)
+            try:
+                if np.isnan(d_run[0]):
+                    d_run, e_run = _krylov(x_run, w_run, m, None if off is None else off[run][:-1])
+                parts[start] = (d_run, np.append(w_run.sum(), np.zeros(m - 1)),
+                                np.append(e_run, 0.0))
+            except PositivityLossError:
+                parts[start] = (x_run, w_run, np.zeros(n) if off is None else off[run])
+    if sum(p[0].size for p in parts.values()) == size:
+        return None
+    return tuple(map(np.concatenate, zip(*(parts[start] for start in sorted(parts)))))
 
 
 def _krylov(x, w, m, off=None, basis=True):
@@ -295,9 +333,9 @@ def _folded_a(x, w, total, m):
     """a_1..a_m by Lanczos on the fold x -> x^2 of a measure of mass total
     that is its own mirror image (alpha_k = a_{2k}^2 + a_{2k+1}^2, beta_k =
     a_{2k+1} a_{2k+2}); None where the fold breaks down or a pivot a_{2k+1}^2
-    cancels digits.  Only the half that the fold reads is normalized."""
+    cancels digits.  _lanczos folds the positive half as it reads it."""
     try:
-        alpha, beta = _lanczos(x[x.size // 2:] ** 2, w[x.size // 2:] / total, m // 2 + 1)
+        alpha, beta = _lanczos(x[x.size // 2:], w[x.size // 2:], m // 2 + 1, total)
     except PositivityLossError:
         return None
     a = [0.0]  # a[j] = a_j
@@ -315,13 +353,16 @@ def stieltjes_coeffs(mu, n_max):
 
     The measure is discretized exactly for degree 2*n_max + 1 (_discretize)
     and normalized to unit mass.
-    A bit-exact mirror-symmetric discretization is folded (b = 0).  Folded or
-    not, Lanczos merges a large node set into Jacobi blocks first (_lanczos).
+    A bit-exact mirror-symmetric discretization is folded (b = 0); the mirror
+    test and the fold read the node set in slices and copy none of it.  Folded
+    or not, Lanczos merges a large node set into Jacobi blocks first (_lanczos).
     """
     n_max = _level(n_max, 1, math.inf, "n_max")
     x, w = _discretize(mu, n_max)
-    total = float(w.sum())
-    mirror = x.size % 2 == 0 and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    total, n = float(w.sum()), x.size
+    mirror = n % 2 == 0 and all(np.array_equal(x[lo:hi], -x[n - hi : n - lo][::-1])
+                                and np.array_equal(w[lo:hi], w[n - hi : n - lo][::-1])
+                                for lo, hi in _chunks(n // 2))
     a, b = (_folded_a(x, w, total, n_max) if mirror else None), np.zeros(n_max)
     if a is None:
         b, a = _lanczos(x, w / total, n_max + 1)

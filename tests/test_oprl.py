@@ -20,6 +20,7 @@ from cdlab.oprl import (
     _discretize,
     _enclosures,
     _estimates,
+    _folded_a,
     _krylov,
     _lanczos,
     _sturm_counts,
@@ -835,27 +836,81 @@ def test_lanczos_merge_levels_match_full_reorthogonalization(monkeypatch, case, 
     assert calls == stored
 
 
+def _fold_case(case):
+    """(x, w, m): the positive half of a mirror-symmetric node set, ascending,
+    and the size of its fold's block."""
+    if case in ("below", "above"):
+        # 2,000 entries are fewer than 64 m at m = 101; 20,000 make six runs
+        # of 3,232 and a last run of 608, whose estimate fires
+        mu = gallery("pure_point_bulk", cutoff=2000 if case == "below" else 20000)
+        right = mu.atom_positions > 0
+        return mu.atom_positions[right], mu.atom_masses[right], 101
+    if case == "equal_squares":
+        # 9,000 nodes whose squares underflow to 0.0, more than a chunk of the
+        # equal-node merge, then 10,000 whose squares are subnormal, in runs of
+        # about 23 equal squares that straddle the chunk boundaries
+        x = np.concatenate([np.linspace(1e-200, 2e-200, 9000), np.linspace(1e-160, 1.1e-160, 10000),
+                            np.linspace(1e-3, 1.0, 20000)])
+        return x, np.linspace(1.0, 2.0, x.size), 101
+    # 50 distinct squares, each 200 times, in runs that straddle the chunk
+    # boundaries: merged into 50 nodes, the fold's Krylov space ends after 50 steps
+    return np.repeat(np.linspace(0.1, 1.0, 50), 200), np.ones(10000), 60
+
+
+@pytest.mark.parametrize("case", ["below", "above", "equal_squares", "breaks_down"])
+def test_lanczos_fold_as_read_matches_folded_copies(case):
+    # the fold squared and normalized slice by slice, and its equal squares
+    # merged chunk by chunk, gives the bits of _lanczos on whole folded copies
+    # of the half whose equal squares are merged in one pass
+    x, w, m = _fold_case(case)
+    x_full, w_full = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    total = float(w_full.sum())
+    squares, masses = x ** 2, w / total
+    distinct = np.append(True, squares[1:] != squares[:-1])
+    squares, masses = squares[distinct], np.add.reduceat(masses, np.flatnonzero(distinct))
+    if case == "equal_squares":
+        assert np.all(x[1:] > x[:-1]) and x.size - squares.size > 8192
+    try:
+        expected = _lanczos(squares, masses, m)
+    except PositivityLossError as exc:
+        assert case == "breaks_down"
+        with pytest.raises(PositivityLossError) as got:
+            _lanczos(x, w, m, total)
+        assert got.value.index == exc.index == 50
+        assert _folded_a(x_full, w_full, total, 2 * (m - 1)) is None
+        return
+    d, e = _lanczos(x, w, m, total)
+    assert d.tobytes() == expected[0].tobytes() and e.tobytes() == expected[1].tobytes()
+    assert (x.size > 64 * m) == (case != "below")
+
+
 def test_pure_point_bulk_atoms_are_built_in_place():
-    # the atoms are two arrays of 200,000 doubles (3.2 MB); the halves and
-    # their concatenated copies peaked at 6.6 MB
+    # the atoms are two arrays of 200,000 doubles (3.2 MB); j and j (j + 1) are
+    # built in the masses, and only Measure's ordering test (0.2 MB) is more
     tracemalloc.start()
     try:
         mu = gallery("pure_point_bulk", cutoff=100000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (mu.atom_positions.nbytes + mu.atom_masses.nbytes)
+    assert peak <= 1.1 * (mu.atom_positions.nbytes + mu.atom_masses.nbytes)
 
 
 def test_stieltjes_pure_point_peak_memory():
-    # the unmerged folded basis alone is 201 x 100,000 doubles (161 MB)
+    # the unmerged folded basis alone is 201 x 100,000 doubles (161 MB); above
+    # the atoms the peak is one stored basis, the last run's (201 x 3,520), as
+    # the fold is read slice by slice
     tracemalloc.start()
     try:
-        stieltjes_coeffs(gallery("pure_point_bulk", cutoff=100000), 401)
+        mu = gallery("pure_point_bulk", cutoff=100000)
+        atoms, gallery_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        stieltjes_coeffs(mu, 401)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+    assert max(gallery_peak, peak) < 9.5e6
+    assert peak - atoms <= 201 * 3520 * 8 + 0.5e6
 
 
 def test_stieltjes_jump_stores_no_basis():
