@@ -8,17 +8,13 @@ Times `oprl.stieltjes_coeffs(gallery("pure_point_bulk", cutoff=100000), 400)`
 merge level) and `oprl._lanczos` on 50,000 equally spaced nodes in [0, 1] with
 equal weights at m = 10 (two merge levels, the second over the tridiagonal
 operator of the first): the median in milliseconds over the number of calls
-given in each key, after one untimed call.  It also prints the tracemalloc
-peak of those pure-point coefficients above the measure's atoms, in MB
-(10^6 bytes): one stored 201 x 3,520 basis (5.66 MB) and the work arrays
-around it.  The cdlab on PYTHONPATH is the one timed, so the same script times
-any two trees.
+given in each key, after one untimed call.  The cdlab on PYTHONPATH is the one
+timed, so the same script times any two trees.
 """
 
 import json
 import statistics
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -46,12 +42,6 @@ def main():
         "_lanczos linspace(0, 1, 50000) m=10 calls=21": median_ms(
             lambda: oprl._lanczos(x, w, 10), 21),
     }
-    tracemalloc.start()  # after the atoms were built: they are not traced
-    oprl.stieltjes_coeffs(mu, 400)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    out["stieltjes_coeffs pure_point_bulk(1e5) n=400 tracemalloc peak above the atoms MB"] = round(
-        peak / 1e6, 3)
     print(json.dumps(out, indent=1))
 
 

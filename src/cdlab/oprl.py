@@ -161,7 +161,7 @@ def _discretize(mu, n_max):
     return x, w
 
 
-_CHUNK = 2**13  # entries per chunk of a test or merge that reads a whole node set
+_CHUNK = 2**13  # entries per chunk of a test that reads a whole node set
 
 
 def _chunks(n):
@@ -178,11 +178,12 @@ def _lanczos(x, w, m, total=None):
     Jacobi block with the run's mass on its first entry, which keeps those
     moments (discretize-and-merge: Gautschi 2004, Sec. 2.2), and Lanczos goes
     on over the block-diagonal tridiagonal operator (_merge_level).  Equal
-    adjacent nodes are first made one node (_distinct), and B is a multiple of
-    m, so no run splits a node or a block.  The last level, one run, is redone
-    with its basis when its basis-free try fires or breaks down.  Each step
-    squares and normalizes only the slice of the fold that it reads, so the
-    peak is the measure's atoms and one stored basis.
+    adjacent nodes are first made one node, and B is a multiple of m, so no
+    run splits a node or a block.  The last level, one run, is redone with its
+    basis when its basis-free try fires or breaks down.  Each step squares and
+    normalizes only the slice of the fold that it reads (the equal-node merge,
+    which no packaged config needs, reads it whole), so the peak is the
+    measure's atoms and one stored basis.
     """
     fold = total is not None
 
@@ -191,8 +192,9 @@ def _lanczos(x, w, m, total=None):
 
     # read in chunks, the test makes no array of the node set's size
     if any(np.any(s[1:] == s[:-1]) for s in (read(lo, hi + 1)[0] for lo, hi in _chunks(x.size))):
-        x, w = _distinct(read, x.size)
-        fold = False
+        x, w = read(0, x.size)
+        keep = np.append(True, x[1:] != x[:-1])
+        x, w, fold = x[keep], np.add.reduceat(w, np.flatnonzero(keep)), False
     off = None  # off[i] couples entries i and i + 1; None while no block has two
     while x.size > 64 * m and (level := _merge_level(read, x.size, m, off)):
         x, w, off = level
@@ -201,23 +203,6 @@ def _lanczos(x, w, m, total=None):
     off = None if off is None else off[:-1]
     d, e = _krylov(x, w, m, off, False)
     return _krylov(x, w, m, off) if np.isnan(d[0]) else (d, e)
-
-
-def _distinct(read, size):
-    """The size entries that read gives, with each run of equal nodes made one
-    node of their summed mass, in chunks that end where a node changes."""
-    parts, lo, n = [], 0, _CHUNK
-    while lo < size:
-        x, w = read(lo, lo + n)
-        starts = np.flatnonzero(np.append(True, x[1:] != x[:-1]))
-        if lo + n < size:  # the chunk's last equal nodes may go on: the next chunk's
-            if starts.size == 1:
-                n *= 2
-                continue
-            x, w, starts = x[: starts[-1]], w[: starts[-1]], starts[:-1]
-        parts.append((x[starts], np.add.reduceat(w, starts)))
-        lo, n = lo + x.size, _CHUNK
-    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _merge_level(read, size, m, off):

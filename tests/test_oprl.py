@@ -847,7 +847,7 @@ def _fold_case(case):
         return mu.atom_positions[right], mu.atom_masses[right], 101
     if case == "equal_squares":
         # 9,000 nodes whose squares underflow to 0.0, more than a chunk of the
-        # equal-node merge, then 10,000 whose squares are subnormal, in runs of
+        # equal-node test, then 10,000 whose squares are subnormal, in runs of
         # about 23 equal squares that straddle the chunk boundaries
         x = np.concatenate([np.linspace(1e-200, 2e-200, 9000), np.linspace(1e-160, 1.1e-160, 10000),
                             np.linspace(1e-3, 1.0, 20000)])
@@ -859,9 +859,9 @@ def _fold_case(case):
 
 @pytest.mark.parametrize("case", ["below", "above", "equal_squares", "breaks_down"])
 def test_lanczos_fold_as_read_matches_folded_copies(case):
-    # the fold squared and normalized slice by slice, and its equal squares
-    # merged chunk by chunk, gives the bits of _lanczos on whole folded copies
-    # of the half whose equal squares are merged in one pass
+    # the fold squared and normalized slice by slice, its equal squares found
+    # chunk by chunk, gives the bits of _lanczos on whole folded copies of the
+    # half whose equal squares are merged up front
     x, w, m = _fold_case(case)
     x_full, w_full = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
     total = float(w_full.sum())
